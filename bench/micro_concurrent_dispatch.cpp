@@ -7,11 +7,18 @@
 // CI gates items/s at T threads vs 1, where T is the largest benchmarked
 // count the runner has cores for: Off and Tune >= 0.7 x T, Adapt >= 0.5 x T.
 //
+// The *Shared variants have every thread cycle all kernels over six sizes,
+// as adapt-storm's threads do, so threads launch the same kernels at once:
+// they measure the per-thread stats stripes and the inline cache holding a
+// call site's shapes side by side. CI gates OffShared >= 0.5 x T.
+//
 // Google Benchmark's threaded mode supplies the barrier semantics: every
 // thread runs the same loop, thread 0 performs setup/teardown outside the
 // timed region, and items/s is summed across threads via SetItemsProcessed.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
@@ -70,83 +77,110 @@ void dispatch_loop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void ConcurrentDispatchOff(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    auto& rt = apollo::Runtime::instance();
-    rt.reset();
-    rt.set_execute_selected(false);
+/// The shared loop: every thread cycles all kernels over the sizes
+/// 256..8192, starting at its own offset.
+void shared_dispatch_loop(benchmark::State& state) {
+  static const std::vector<raja::IndexSet> isets = [] {
+    std::vector<raja::IndexSet> sets;
+    for (std::int64_t n = 256; n <= 8192; n *= 2) sets.push_back(raja::IndexSet::range(0, n));
+    return sets;
+  }();
+  std::size_t slot = static_cast<std::size_t>(state.thread_index()) * 5;
+  for (auto _ : state) {
+    apollo::forall(kernel_at(static_cast<int>(slot % kKernels)),
+                   isets[(slot / kKernels) % isets.size()], [](raja::Index) {});
+    ++slot;
   }
-  dispatch_loop(state);
-  if (state.thread_index() == 0) apollo::Runtime::instance().reset();
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(ConcurrentDispatchOff)->ThreadRange(1, 8)->UseRealTime();
 
-void ConcurrentDispatchRecord(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    auto& rt = apollo::Runtime::instance();
-    rt.reset();
-    rt.set_execute_selected(false);
-    rt.set_mode(apollo::Mode::Record);
-    apollo::TrainingConfig training;
-    training.sweep_variants = false;
-    rt.set_training_config(training);
-  }
-  dispatch_loop(state);
-  if (state.thread_index() == 0) apollo::Runtime::instance().reset();
+void setup_off() {
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
 }
-BENCHMARK(ConcurrentDispatchRecord)->ThreadRange(1, 8)->UseRealTime();
 
-void ConcurrentDispatchTune(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    const auto& model = concurrent_model();
-    auto& rt = apollo::Runtime::instance();
-    rt.reset();
-    rt.set_execute_selected(false);
-    rt.set_mode(apollo::Mode::Tune);
-    rt.set_policy_model(model);
-  }
-  dispatch_loop(state);
-  if (state.thread_index() == 0) apollo::Runtime::instance().reset();
+void setup_record() {
+  setup_off();
+  auto& rt = apollo::Runtime::instance();
+  rt.set_mode(apollo::Mode::Record);
+  apollo::TrainingConfig training;
+  training.sweep_variants = false;
+  rt.set_training_config(training);
 }
-BENCHMARK(ConcurrentDispatchTune)->ThreadRange(1, 8)->UseRealTime();
 
-void ConcurrentDispatchTunePointer(benchmark::State& state) {
+void setup_tune() {
+  const auto& model = concurrent_model();
+  setup_off();
+  auto& rt = apollo::Runtime::instance();
+  rt.set_mode(apollo::Mode::Tune);
+  rt.set_policy_model(model);
+}
+
+void setup_tune_pointer() {
   // Pre-refactor tuned dispatch: pointer-walk evaluation on every launch,
   // inline cache off. The CI overhead gate compares the tuned path above
   // against this baseline at 1 and 8 threads.
-  if (state.thread_index() == 0) {
-    const auto& model = concurrent_model();
-    auto& rt = apollo::Runtime::instance();
-    rt.reset();
-    rt.set_execute_selected(false);
-    rt.set_mode(apollo::Mode::Tune);
-    rt.set_policy_model(model);
-    rt.set_inline_cache_enabled(false);
-    rt.set_flat_eval_enabled(false);
-  }
-  dispatch_loop(state);
+  setup_tune();
+  auto& rt = apollo::Runtime::instance();
+  rt.set_inline_cache_enabled(false);
+  rt.set_flat_eval_enabled(false);
+}
+
+void setup_adapt() {
+  const auto& model = concurrent_model();
+  setup_off();
+  auto& rt = apollo::Runtime::instance();
+  rt.set_mode(apollo::Mode::Adapt);
+  rt.sample_buffer().set_capacity(4096);
+  apollo::online::OnlineConfig config;
+  config.retrain_every = 4096;
+  config.min_retrain_samples = 64;
+  rt.configure_online(config);
+  rt.set_policy_model(model);
+}
+
+/// Thread 0 configures the runtime before the timed loop and resets it
+/// after; the loop's start and end are barriers across the threads.
+void run(benchmark::State& state, void (*setup)(), void (*loop)(benchmark::State&)) {
+  if (state.thread_index() == 0) setup();
+  loop(state);
   if (state.thread_index() == 0) apollo::Runtime::instance().reset();
+}
+
+void ConcurrentDispatchOff(benchmark::State& state) { run(state, setup_off, dispatch_loop); }
+BENCHMARK(ConcurrentDispatchOff)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchRecord(benchmark::State& state) {
+  run(state, setup_record, dispatch_loop);
+}
+BENCHMARK(ConcurrentDispatchRecord)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchTune(benchmark::State& state) { run(state, setup_tune, dispatch_loop); }
+BENCHMARK(ConcurrentDispatchTune)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchTunePointer(benchmark::State& state) {
+  run(state, setup_tune_pointer, dispatch_loop);
 }
 BENCHMARK(ConcurrentDispatchTunePointer)->ThreadRange(1, 8)->UseRealTime();
 
-void ConcurrentDispatchAdapt(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    const auto& model = concurrent_model();
-    auto& rt = apollo::Runtime::instance();
-    rt.reset();
-    rt.set_execute_selected(false);
-    rt.set_mode(apollo::Mode::Adapt);
-    rt.sample_buffer().set_capacity(4096);
-    apollo::online::OnlineConfig config;
-    config.retrain_every = 4096;
-    config.min_retrain_samples = 64;
-    rt.configure_online(config);
-    rt.set_policy_model(model);
-  }
-  dispatch_loop(state);
-  if (state.thread_index() == 0) apollo::Runtime::instance().reset();
-}
+void ConcurrentDispatchAdapt(benchmark::State& state) { run(state, setup_adapt, dispatch_loop); }
 BENCHMARK(ConcurrentDispatchAdapt)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchOffShared(benchmark::State& state) {
+  run(state, setup_off, shared_dispatch_loop);
+}
+BENCHMARK(ConcurrentDispatchOffShared)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchTuneShared(benchmark::State& state) {
+  run(state, setup_tune, shared_dispatch_loop);
+}
+BENCHMARK(ConcurrentDispatchTuneShared)->ThreadRange(1, 8)->UseRealTime();
+
+void ConcurrentDispatchAdaptShared(benchmark::State& state) {
+  run(state, setup_adapt, shared_dispatch_loop);
+}
+BENCHMARK(ConcurrentDispatchAdaptShared)->ThreadRange(1, 8)->UseRealTime();
 
 }  // namespace
 

@@ -1,24 +1,88 @@
 #include "core/kernel_context.hpp"
 
+#include <bit>
+
 #include "online/explorer.hpp"
 #include "raja/policy.hpp"
 #include "telemetry/trace.hpp"
 
 namespace apollo {
 
+namespace detail {
+
+namespace {
+
+constexpr std::uint64_t kAllStripes = (std::uint64_t{1} << kStatsStripes) - 1;
+static_assert(kStatsStripes < 64);
+
+/// One bit per stripe held by a live thread.
+std::atomic<std::uint64_t> g_claimed_stripes{0};
+std::atomic<std::uint32_t> g_shared_stripe{0};
+
+/// Hands the thread's stripe back when the thread exits.
+struct StripeClaim {
+  std::uint64_t bit = 0;
+  ~StripeClaim() { g_claimed_stripes.fetch_and(~bit, std::memory_order_relaxed); }
+};
+thread_local StripeClaim t_claim;
+
+}  // namespace
+
+std::uint32_t claim_stats_stripe() noexcept {
+  std::uint64_t claimed = g_claimed_stripes.load(std::memory_order_relaxed);
+  std::uint32_t stripe = 0;
+  for (;;) {
+    const std::uint64_t free = ~claimed & kAllStripes;
+    if (free == 0) {
+      stripe = g_shared_stripe.fetch_add(1, std::memory_order_relaxed) % kStatsStripes;
+      break;
+    }
+    stripe = static_cast<std::uint32_t>(std::countr_zero(free));
+    const std::uint64_t bit = std::uint64_t{1} << stripe;
+    if (g_claimed_stripes.compare_exchange_weak(claimed, claimed | bit,
+                                                std::memory_order_relaxed)) {
+      t_claim.bit = bit;
+      break;
+    }
+  }
+  t_stats_stripe = stripe;
+  return stripe;
+}
+
+}  // namespace detail
+
+std::int64_t KernelContext::sum_stripes(
+    std::atomic<std::int64_t> StatsStripe::*counter) const noexcept {
+  std::int64_t total = 0;
+  for (const StatsStripe& stripe : stripes_) {
+    total += (stripe.*counter).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 KernelStats KernelContext::stats_snapshot() const {
   KernelStats stats;
-  stats.seconds = seconds_.load(std::memory_order_relaxed);
-  stats.invocations = invocations_.load(std::memory_order_relaxed);
-  stats.launch_seconds = launch_seconds_;  // relaxed histogram snapshot
+  for (const StatsStripe& stripe : stripes_) {
+    stats.seconds += stripe.seconds.load(std::memory_order_relaxed);
+    stats.invocations += stripe.invocations.load(std::memory_order_relaxed);
+    stripe.launch_seconds.add_to(stats.launch_seconds);
+  }
   return stats;
 }
 
+telemetry::Histogram KernelContext::decision_latency() const {
+  telemetry::Histogram latency{telemetry::duration_bounds()};
+  for (const StatsStripe& stripe : stripes_) stripe.decision_latency.add_to(latency);
+  return latency;
+}
+
 void KernelContext::reset_stats() noexcept {
-  seconds_.store(0.0, std::memory_order_relaxed);
-  invocations_.store(0, std::memory_order_relaxed);
-  launch_seconds_.reset();
-  decision_latency_.reset();
+  for (StatsStripe& stripe : stripes_) {
+    stripe.seconds.store(0.0, std::memory_order_relaxed);
+    stripe.invocations.store(0, std::memory_order_relaxed);
+    stripe.launch_seconds.reset();
+    stripe.decision_latency.reset();
+  }
 }
 
 KernelContext::TelemetryHandles& KernelContext::telemetry_locked() {
@@ -71,8 +135,10 @@ void KernelContext::reset() {
     entry.key.store(0, std::memory_order_relaxed);
     entry.packed.store(0, std::memory_order_relaxed);
   }
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
+  for (StatsStripe& stripe : stripes_) {
+    stripe.cache_hits.store(0, std::memory_order_relaxed);
+    stripe.cache_misses.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace apollo

@@ -5,8 +5,10 @@
 // launch touches only this shard:
 //
 //   - the stats shard (seconds / invocations / launch-runtime histogram /
-//     decision-latency histogram) is charged with relaxed atomics — the
-//     steady-state dispatch path takes no lock and looks up no map;
+//     decision-latency histogram / inline-cache hits and misses) is charged
+//     with relaxed atomics into the launching thread's cache-line-aligned
+//     stripe — the steady-state dispatch path takes no lock, looks up no
+//     map, and threads launching the same kernel write different lines;
 //   - the machine model's noise sample ids come from a per-kernel counter,
 //     so a kernel's model-charged seconds do not depend on how threads
 //     interleave;
@@ -41,6 +43,19 @@
 
 namespace apollo {
 
+/// Stripes per kernel of the per-launch counters: threads alive at the same
+/// time hold distinct stripes up to this many, later ones share.
+inline constexpr std::uint32_t kStatsStripes = 8;
+
+namespace detail {
+inline constexpr std::uint32_t kNoStatsStripe = ~std::uint32_t{0};
+/// This thread's stripe, claimed on its first launch.
+inline thread_local std::uint32_t t_stats_stripe = kNoStatsStripe;
+/// Claim the lowest stripe no live thread holds (round-robin once all are
+/// held), remember it in t_stats_stripe, and free it when the thread exits.
+std::uint32_t claim_stats_stripe() noexcept;
+}  // namespace detail
+
 /// Value-semantic copy of one kernel's stats shard.
 struct KernelStats {
   double seconds = 0.0;
@@ -60,23 +75,26 @@ public:
   /// Hash of the loop id: the machine model's kernel identity.
   [[nodiscard]] std::uint64_t kernel_seed() const noexcept { return kernel_seed_; }
 
-  // --- stats shard (lock-free) ----------------------------------------------
+  // --- stats shard (lock-free, striped by thread) ---------------------------
   void charge(double seconds) noexcept {
-    seconds_.fetch_add(seconds, std::memory_order_relaxed);
-    invocations_.fetch_add(1, std::memory_order_relaxed);
-    launch_seconds_.observe(seconds);
+    StatsStripe& stripe = this_thread_stripe();
+    stripe.seconds.fetch_add(seconds, std::memory_order_relaxed);
+    stripe.invocations.fetch_add(1, std::memory_order_relaxed);
+    stripe.launch_seconds.observe(seconds);
   }
+  /// The getters below sum the stripes (relaxed loads).
   [[nodiscard]] std::int64_t invocations() const noexcept {
-    return invocations_.load(std::memory_order_relaxed);
+    return sum_stripes(&StatsStripe::invocations);
   }
   [[nodiscard]] KernelStats stats_snapshot() const;
+  /// Zero seconds, invocations and both histograms in every stripe.
   void reset_stats() noexcept;
 
   /// Time one tuned decision took (Tune/Adapt; merged by Runtime::stats()).
-  void observe_decision(double seconds) noexcept { decision_latency_.observe(seconds); }
-  [[nodiscard]] const telemetry::Histogram& decision_latency() const noexcept {
-    return decision_latency_;
+  void observe_decision(double seconds) noexcept {
+    this_thread_stripe().decision_latency.observe(seconds);
   }
+  [[nodiscard]] telemetry::Histogram decision_latency() const;
 
   /// Id of this kernel's next machine-model measurement: its own counter,
   /// spread over the id space by the kernel seed (a splitmix64 stream), so
@@ -121,15 +139,18 @@ public:
   }
 
   // --- per-site inline cache (lock-free seqlock entries) --------------------
-  // A tiny direct-mapped cache (kInlineCacheEntries slots, selected by low
-  // key bits) remembering recent tuned decisions at this call site, keyed by
-  // a hash that folds in the launch's feature signature, the published model
-  // epoch, and the blackboard generation — so a hot-swap or an application
-  // attribute change invalidates it for free (the key simply never matches
-  // again). Iteration-stable kernels thus pay one load and one compare per
-  // launch instead of a model evaluation; the few extra slots keep grouped
-  // launches (forall_grouped: several plan-group signatures per time step)
-  // from thrashing a single entry.
+  // A small direct-mapped cache remembering recent tuned decisions at this
+  // call site, keyed by a hash that folds in the launch's feature signature,
+  // the published model epoch, and the blackboard generation — so a hot-swap
+  // or an application attribute change invalidates it for free (the key
+  // simply never matches again). Iteration-stable kernels thus pay one load
+  // and one compare per launch instead of a model evaluation. The slots let
+  // one call site's recent shapes live side by side: a kernel cycling a few
+  // problem sizes, one launch per material region, or the plan groups of a
+  // forall_grouped time step. The slot comes from the top bits of a
+  // multiplicative hash of the key, which every key bit feeds: the key's low
+  // bits alone do not tell apart range launches whose sizes differ only in
+  // higher bits (every size that is a multiple of 16 has the same low four).
   //
   // Each entry is a seqlock: `version` is even when stable; writers CAS it
   // even→odd, store key/packed, then publish even+2. Readers that observe an
@@ -137,23 +158,24 @@ public:
   // atomic, so concurrent lookup/store/hot-swap is race-free (TSan-clean) —
   // a torn pair can never be returned as a hit.
 
-  static constexpr std::size_t kInlineCacheEntries = 4;
+  static constexpr unsigned kInlineCacheBits = 4;
+  static constexpr std::size_t kInlineCacheEntries = std::size_t{1} << kInlineCacheBits;
 
   /// Look up the cached decision for `key` (never 0). On a hit, `packed_out`
   /// receives the stored decision word. Counts the hit/miss either way.
   [[nodiscard]] bool inline_cache_lookup(std::uint64_t key, std::uint64_t& packed_out) noexcept {
-    InlineCacheEntry& entry = cache_[key % kInlineCacheEntries];
+    InlineCacheEntry& entry = cache_[inline_cache_slot(key)];
     const std::uint32_t v0 = entry.version.load(std::memory_order_acquire);
     if ((v0 & 1u) == 0u && entry.key.load(std::memory_order_relaxed) == key) {
       const std::uint64_t packed = entry.packed.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (entry.version.load(std::memory_order_relaxed) == v0) {
         packed_out = packed;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        this_thread_stripe().cache_hits.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    this_thread_stripe().cache_misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -161,7 +183,7 @@ public:
   /// another writer holds the entry, the store is skipped — the next launch
   /// re-evaluates, which is always correct.
   void inline_cache_store(std::uint64_t key, std::uint64_t packed) noexcept {
-    InlineCacheEntry& entry = cache_[key % kInlineCacheEntries];
+    InlineCacheEntry& entry = cache_[inline_cache_slot(key)];
     std::uint32_t v = entry.version.load(std::memory_order_relaxed);
     if ((v & 1u) != 0u) return;
     if (!entry.version.compare_exchange_strong(v, v + 1, std::memory_order_acq_rel,
@@ -173,11 +195,12 @@ public:
     entry.version.store(v + 2, std::memory_order_release);
   }
 
+  /// Summed over the stripes; zeroed by reset(), not by reset_stats().
   [[nodiscard]] std::int64_t inline_cache_hits() const noexcept {
-    return cache_hits_.load(std::memory_order_relaxed);
+    return sum_stripes(&StatsStripe::cache_hits);
   }
   [[nodiscard]] std::int64_t inline_cache_misses() const noexcept {
-    return cache_misses_.load(std::memory_order_relaxed);
+    return sum_stripes(&StatsStripe::cache_misses);
   }
 
   /// Reset every counter in place (stats, quality, rotor, noise ids) and drop the
@@ -187,16 +210,41 @@ public:
   void reset();
 
 private:
+  /// One thread stripe of the per-launch counters, on its own cache lines.
+  struct alignas(64) StatsStripe {
+    std::atomic<double> seconds{0.0};
+    std::atomic<std::int64_t> invocations{0};
+    std::atomic<std::int64_t> cache_hits{0};
+    std::atomic<std::int64_t> cache_misses{0};
+    telemetry::DurationCounts launch_seconds;
+    telemetry::DurationCounts decision_latency;
+  };
+
+  [[nodiscard]] StatsStripe& this_thread_stripe() noexcept {
+    const std::uint32_t stripe = detail::t_stats_stripe;
+    return stripes_[stripe != detail::kNoStatsStripe ? stripe : detail::claim_stats_stripe()];
+  }
+  [[nodiscard]] std::int64_t sum_stripes(
+      std::atomic<std::int64_t> StatsStripe::*counter) const noexcept;
+
+  [[nodiscard]] static std::size_t inline_cache_slot(std::uint64_t key) noexcept {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - kInlineCacheBits));
+  }
+
+  // Read on every launch, written only on inline-cache misses.
   const std::string loop_id_;
   const std::uint64_t kernel_seed_;
+  struct InlineCacheEntry {
+    std::atomic<std::uint32_t> version{0};  ///< seqlock; even = stable
+    std::atomic<std::uint64_t> key{0};      ///< 0 = empty (keys are never 0)
+    std::atomic<std::uint64_t> packed{0};
+  };
+  InlineCacheEntry cache_[kInlineCacheEntries];
 
-  std::atomic<double> seconds_{0.0};
-  std::atomic<std::int64_t> invocations_{0};
-  telemetry::Histogram launch_seconds_{telemetry::duration_bounds()};
-  telemetry::Histogram decision_latency_{telemetry::duration_bounds()};
-  std::atomic<std::uint64_t> noise_draws_{0};
-
-  online::KernelShard online_shard_{loop_id_, kernel_seed_};
+  // Written by every launch of this kernel (model timing / Adapt mode), so
+  // kept off the lines above.
+  alignas(64) std::atomic<std::uint64_t> noise_draws_{0};
+  alignas(64) online::KernelShard online_shard_{loop_id_, kernel_seed_};
 
   std::mutex mutex_;
   bool telemetry_ready_ = false;  ///< mutex_
@@ -204,14 +252,7 @@ private:
   telemetry::QualityAccountant quality_;  ///< mutex_
   std::atomic<std::uint64_t> probe_rotor_{0};
 
-  struct InlineCacheEntry {
-    std::atomic<std::uint32_t> version{0};  ///< seqlock; even = stable
-    std::atomic<std::uint64_t> key{0};      ///< 0 = empty (keys are never 0)
-    std::atomic<std::uint64_t> packed{0};
-  };
-  InlineCacheEntry cache_[kInlineCacheEntries];
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
+  StatsStripe stripes_[kStatsStripes];
 };
 
 }  // namespace apollo

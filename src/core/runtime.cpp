@@ -562,8 +562,9 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
     if (pack_decision(params, packed)) context.inline_cache_store(key, packed);
   }
   const std::uint64_t decide_end = telemetry::now_ns();
-  // Always on, atomic bucket increments in the kernel's shard: feeds the
-  // p50/p95/p99 decision-latency report in stats_report.
+  // Always on, atomic bucket increments in this thread's stripe of the
+  // kernel's shard: feeds the p50/p95/p99 decision-latency report in
+  // stats_report.
   context.observe_decision(static_cast<double>(decide_end - decide_start) * 1e-9);
   if (telem) {
     t_pending.decide_dur_ns = decide_end - decide_start;
@@ -899,9 +900,10 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   const bool telem = telemetry::enabled();
   const bool tuned = mode == Mode::Tune || mode == Mode::Adapt;
   if (accountant_ != nullptr) accountant_->charge(seconds);
-  // The stats shard: two relaxed atomic adds plus atomic histogram buckets.
-  // The steady-state dispatch path ends here when telemetry is off — no lock
-  // was taken anywhere between begin() and this point.
+  // The stats shard: two relaxed atomic adds plus atomic histogram buckets,
+  // in this thread's stripe. The steady-state dispatch path ends here when
+  // telemetry is off — no lock was taken anywhere between begin() and this
+  // point.
   context.charge(seconds);
 
   if (hw_valid) {

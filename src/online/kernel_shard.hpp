@@ -5,7 +5,9 @@
 // exploration and veto counts. The shard is embedded in the kernel's
 // KernelContext and guarded by its own mutex, so Adapt launches of different
 // kernels never share a lock or a counter, and launches of one kernel contend
-// only with each other. Contexts are never destroyed, so the OnlineTuner may
+// only with each other. The draw counter and the incarnation tag are atomics,
+// so a launch whose draw yields no candidate takes the lock only once, to
+// observe its runtime. Contexts are never destroyed, so the OnlineTuner may
 // keep pointers to every shard it has touched.
 //
 // Only OnlineTuner reads or writes the state. A shard is tagged with the
@@ -13,6 +15,7 @@
 // stale tag is reset on its next use, so reconfiguring or recreating the
 // tuner needs no walk over every kernel.
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -40,9 +43,12 @@ private:
   const std::uint64_t stream_;
 
   std::mutex mutex_;
-  std::uint64_t incarnation_ = 0;          ///< mutex_; 0 = never used
+  /// Configuration that last reset the shard (0 = never used). Stored under
+  /// mutex_ after the reset, so a reader that sees it current sees the reset.
+  std::atomic<std::uint64_t> incarnation_{0};
   std::optional<DriftDetector> detector_;  ///< mutex_
-  std::uint64_t draws_ = 0;                ///< mutex_
+  /// Exploration draws taken; a launch claims its index without the lock.
+  std::atomic<std::uint64_t> draws_{0};
   std::uint64_t record_tick_ = 0;          ///< mutex_
   std::uint64_t launches_ = 0;             ///< mutex_
   std::uint64_t explorations_ = 0;         ///< mutex_

@@ -64,15 +64,16 @@ void OnlineTuner::configure(OnlineConfig config) {
 }
 
 void OnlineTuner::attach_locked(KernelShard& shard) {
-  if (shard.incarnation_ == incarnation_) return;
-  shard.incarnation_ = incarnation_;
+  if (shard.incarnation_.load(std::memory_order_relaxed) == incarnation_) return;
   shard.detector_.emplace(config_.drift);
-  shard.draws_ = 0;
+  shard.draws_.store(0, std::memory_order_relaxed);
   shard.record_tick_ = 0;
   shard.launches_ = 0;
   shard.explorations_ = 0;
   shard.vetoes_ = 0;
   shard.cadence_unflushed_ = 0;
+  // Last: maybe_explore reads the tag without the lock.
+  shard.incarnation_.store(incarnation_, std::memory_order_release);
   const std::lock_guard<std::mutex> lock(shards_mutex_);
   shards_.push_back(&shard);
 }
@@ -83,10 +84,16 @@ std::vector<KernelShard*> OnlineTuner::attached_shards() const {
 }
 
 std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint64_t bucket) {
-  const std::lock_guard<std::mutex> lock(shard.mutex_);
-  attach_locked(shard);
-  auto candidate = explorer_.draw(shard.stream_, shard.draws_++);
+  if (shard.incarnation_.load(std::memory_order_acquire) != incarnation_) {
+    const std::lock_guard<std::mutex> lock(shard.mutex_);
+    attach_locked(shard);
+  }
+  // Each launch claims the next draw index, so the kernel's n-th draw is
+  // the same whichever thread takes it; only a candidate needs the lock.
+  auto candidate =
+      explorer_.draw(shard.stream_, shard.draws_.fetch_add(1, std::memory_order_relaxed));
   if (!candidate) return std::nullopt;
+  const std::lock_guard<std::mutex> lock(shard.mutex_);
   const std::uint64_t n = ++shard.explorations_;
   if (config_.explore_cost_guard <= 0.0) return candidate;
   if (config_.reprobe_stride > 0 && n % config_.reprobe_stride == 0) {
@@ -197,7 +204,9 @@ void OnlineTuner::on_models_swapped() {
   explorer_.set_boosted(false);
   for (KernelShard* shard : attached_shards()) {
     const std::lock_guard<std::mutex> lock(shard->mutex_);
-    if (shard->incarnation_ == incarnation_) shard->detector_->rearm();
+    if (shard->incarnation_.load(std::memory_order_relaxed) == incarnation_) {
+      shard->detector_->rearm();
+    }
   }
 }
 
@@ -209,7 +218,7 @@ OnlineTuner::Status OnlineTuner::status() const {
   s.retrains_failed = retrainer_.failed();
   for (KernelShard* shard : attached_shards()) {
     const std::lock_guard<std::mutex> lock(shard->mutex_);
-    if (shard->incarnation_ != incarnation_) continue;
+    if (shard->incarnation_.load(std::memory_order_relaxed) != incarnation_) continue;
     s.explorations += shard->explorations_;
     s.exploration_vetoes += shard->vetoes_;
     s.launches += shard->launches_;

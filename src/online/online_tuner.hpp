@@ -81,11 +81,12 @@ struct OnlineConfig {
 /// Threading contract: the per-launch methods (maybe_explore, observe,
 /// observe_probe, maybe_retrain, on_models_swapped) may be called from any
 /// number of application threads at once. Each kernel's state lives in its
-/// KernelShard behind that kernel's own lock; the tuner-wide retrain trigger
-/// is atomic, and the retrain request path is try-locked, so a thread that
-/// finds another one requesting skips instead of waiting. No per-launch call
-/// takes a process-wide lock or writes a process-wide counter (drift fires
-/// and cadence batches excepted). configure() and destruction must not run
+/// KernelShard behind that kernel's own lock (the exploration draw counter
+/// is atomic, so a draw without a candidate takes no lock); the tuner-wide
+/// retrain trigger is atomic, and the retrain request path is try-locked, so
+/// a thread that finds another one requesting skips instead of waiting. No
+/// per-launch call takes a process-wide lock or writes a process-wide
+/// counter (drift fires and cadence batches excepted). configure() and destruction must not run
 /// concurrently with per-launch calls. The registry and sample buffer are
 /// internally thread-safe (the background Retrainer reads them directly).
 class OnlineTuner {

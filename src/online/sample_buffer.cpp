@@ -56,7 +56,10 @@ SampleBuffer::SampleBuffer(std::size_t capacity) : capacity_(std::max<std::size_
 void SampleBuffer::push(Sample sample) {
   auto shared = std::make_shared<const Sample>(std::move(sample));
   const bool telem = telemetry::enabled();
-  bool overwrote = false;
+  // Freed after the unlock: the evicted sample's free may cross into another
+  // thread's malloc arena, and this is the one lock every Record launch and
+  // every sampled Adapt launch takes.
+  SharedSample evicted;
   std::size_t occupancy = 0;
   std::size_t capacity = 0;
   {
@@ -64,9 +67,8 @@ void SampleBuffer::push(Sample sample) {
     if (ring_.size() < capacity_) {
       ring_.push_back(std::move(shared));
     } else {
-      ring_[next_] = std::move(shared);
+      evicted = std::exchange(ring_[next_], std::move(shared));
       next_ = (next_ + 1) % capacity_;
-      overwrote = true;
     }
     occupancy = ring_.size();
     capacity = capacity_;
@@ -75,7 +77,7 @@ void SampleBuffer::push(Sample sample) {
   if (telem) {
     auto& handles = buffer_telemetry();
     handles.pushed->inc();
-    if (overwrote) handles.dropped->inc();
+    if (evicted) handles.dropped->inc();
     handles.occupancy->set(static_cast<double>(occupancy));
     handles.capacity->set(static_cast<double>(capacity));
     telemetry::emit_instant(telemetry::EventKind::SamplePush, "sample_push", occupancy);

@@ -88,8 +88,34 @@ std::vector<double> exponential_bounds(double first, double factor, int n) {
 }
 
 const std::vector<double>& duration_bounds() {
-  static const std::vector<double> bounds = exponential_bounds(1e-9, 2.0, 36);
+  static const std::vector<double> bounds =
+      exponential_bounds(1e-9, 2.0, static_cast<int>(kDurationBounds));
   return bounds;
+}
+
+void DurationCounts::observe(double seconds) noexcept {
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(seconds, std::memory_order_relaxed);
+  const auto& bounds = duration_bounds();
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), seconds);
+  buckets_[static_cast<std::size_t>(it - bounds.begin())].fetch_add(1,
+                                                                    std::memory_order_relaxed);
+}
+
+void DurationCounts::add_to(Histogram& out) const noexcept {
+  out.count_.fetch_add(count_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  out.sum_.fetch_add(sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  if (!out.buckets_ || out.bounds_ != duration_bounds()) return;
+  for (std::size_t i = 0; i <= kDurationBounds; ++i) {
+    out.buckets_[i].fetch_add(buckets_[i].load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+  }
+}
+
+void DurationCounts::reset() noexcept {
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::instance() {

@@ -83,6 +83,8 @@ public:
   void reset() noexcept;
 
 private:
+  friend class DurationCounts;
+
   std::vector<double> bounds_;  ///< ascending upper bounds (finite)
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  ///< bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
@@ -91,8 +93,27 @@ private:
 
 /// `n` bounds starting at `first`, each `factor` times the previous.
 [[nodiscard]] std::vector<double> exponential_bounds(double first, double factor, int n);
+/// Number of duration_bounds().
+inline constexpr std::size_t kDurationBounds = 36;
 /// Shared bounds for second-valued durations: 1 ns .. ~34 s, powers of two.
 [[nodiscard]] const std::vector<double>& duration_bounds();
+
+/// The counts of a duration_bounds() histogram without a copy of the bounds:
+/// small enough to keep one per thread stripe of a per-kernel statistic.
+/// Updates are relaxed atomics, so threads sharing one are counted exactly.
+class DurationCounts {
+public:
+  void observe(double seconds) noexcept;
+  /// Add these counts into `out` (count and sum always; buckets when `out`
+  /// is built on duration_bounds()).
+  void add_to(Histogram& out) const noexcept;
+  void reset() noexcept;
+
+private:
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<std::uint64_t> buckets_[kDurationBounds + 1]{};  ///< last = overflow
+};
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 

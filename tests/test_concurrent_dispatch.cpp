@@ -76,6 +76,16 @@ void expect_exact_counts(const RunStats& stats) {
   EXPECT_DOUBLE_EQ(stats.total_seconds, per_kernel_seconds);
 }
 
+/// Every tuned launch probes its call site's inline cache exactly once, and
+/// the per-thread stripes count each probe as a hit or a miss.
+void expect_exact_cache_probes() {
+  for (int k = 0; k < kKernels; ++k) {
+    const KernelContext& context = Runtime::instance().context_for(kernel_at(k));
+    EXPECT_EQ(context.inline_cache_hits() + context.inline_cache_misses(), kPerKernel)
+        << kernel_at(k).loop_id();
+  }
+}
+
 /// A tiny policy model trained from a sweep recording of the stress kernels.
 const TunerModel& stress_model() {
   static const TunerModel model = [] {
@@ -162,6 +172,7 @@ TEST_F(ConcurrentDispatchTest, TuneModeCountsAreExactAndDecisionsLockFree) {
   // Every tuned launch observes the always-on decision-latency histogram
   // exactly once.
   EXPECT_EQ(stats.decision_latency.count(), static_cast<std::uint64_t>(kTotal));
+  expect_exact_cache_probes();
 }
 
 TEST_F(ConcurrentDispatchTest, TuneModeModelSwapRacesWithDispatch) {
@@ -198,8 +209,9 @@ TEST_F(ConcurrentDispatchTest, AdaptModeCountsAreExactAcrossHotSwaps) {
   run_stress();
   rt.online().wait_retrain_idle();
   expect_exact_counts(rt.stats());
-  // The tuner saw every launch exactly once (its bookkeeping is serialized
-  // by the runtime's online lock).
+  expect_exact_cache_probes();
+  // The tuner saw every launch exactly once (each kernel's launch count is
+  // kept under that kernel's shard lock).
   EXPECT_EQ(rt.online().status().launches, static_cast<std::uint64_t>(kTotal));
 }
 
@@ -234,6 +246,7 @@ TEST_F(ConcurrentDispatchTest, AdaptModeLaunchAndExplorationCountsStayExact) {
   }
   const auto status = rt.online().status();
   expect_exact_counts(rt.stats());
+  expect_exact_cache_probes();
   EXPECT_EQ(status.launches, static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(status.explorations, expected_explorations);
   EXPECT_LE(status.exploration_vetoes, status.explorations);
@@ -264,6 +277,34 @@ TEST_F(ConcurrentDispatchTest, ResetStatsRacesWithDispatch) {
   EXPECT_EQ(rt.stats().invocations, 0);
   forall(kernel_at(0), 64, [](raja::Index) {});
   EXPECT_EQ(rt.stats().per_kernel.at("stress:k0").invocations, 1);
+}
+
+TEST_F(ConcurrentDispatchTest, QuiescedResetStatsZeroesEveryStripe) {
+  // Eight threads fill several stripes of every kernel's launch and decision
+  // histograms. The getters sum the stripes' unsigned counts, so a zero sum
+  // after a quiesced reset means every stripe was zeroed.
+  const auto& model = stress_model();
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Tune);
+  rt.set_policy_model(model);
+  run_stress();
+  rt.reset_stats();
+  const auto expect_empty = [](const telemetry::Histogram& histogram, const std::string& what) {
+    EXPECT_EQ(histogram.count(), 0u) << what;
+    EXPECT_EQ(histogram.sum(), 0.0) << what;
+    for (std::size_t b = 0; b <= histogram.bounds().size(); ++b) {
+      EXPECT_EQ(histogram.bucket(b), 0u) << what << " bucket " << b;
+    }
+  };
+  for (int k = 0; k < kKernels; ++k) {
+    const KernelContext& context = rt.context_for(kernel_at(k));
+    const KernelStats stats = context.stats_snapshot();
+    EXPECT_EQ(stats.invocations, 0);
+    EXPECT_EQ(stats.seconds, 0.0);
+    expect_empty(stats.launch_seconds, kernel_at(k).loop_id() + " launch");
+    expect_empty(context.decision_latency(), kernel_at(k).loop_id() + " decision");
+  }
+  EXPECT_EQ(rt.stats().decision_latency.count(), 0u);
 }
 
 TEST_F(ConcurrentDispatchTest, TelemetryOnTunedDispatchStaysExact) {

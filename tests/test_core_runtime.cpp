@@ -437,6 +437,29 @@ TEST_F(RuntimeTest, InlineCacheReusesStableDecisions) {
   EXPECT_EQ(context.inline_cache_misses(), 2);
 }
 
+TEST_F(RuntimeTest, InlineCacheKeepsOneCallSitesShapesSideBySide) {
+  // A call site cycling the sizes 256..8192 must keep all six decisions
+  // cached at once. Each republish moves every key, so the slots are drawn
+  // afresh 20 times; a slot index that reads only low key bits puts all six
+  // sizes (multiples of 4) in one slot, where they evict each other.
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Tune);
+  auto& context = rt.context_for_id(small_kernel().loop_id());
+  std::vector<raja::IndexSet> isets;
+  for (std::int64_t n = 256; n <= 8192; n *= 2) isets.push_back(raja::IndexSet::range(0, n));
+  ASSERT_EQ(isets.size(), 6u);
+  std::int64_t second_pass_hits = 0;
+  constexpr int kRepublishes = 20;
+  for (int publish = 0; publish < kRepublishes; ++publish) {
+    rt.set_policy_model(leaf_policy_model("seq"));
+    for (const auto& iset : isets) (void)rt.begin(small_kernel(), iset);
+    const std::int64_t hits_before = context.inline_cache_hits();
+    for (const auto& iset : isets) (void)rt.begin(small_kernel(), iset);
+    second_pass_hits += context.inline_cache_hits() - hits_before;
+  }
+  EXPECT_GE(second_pass_hits, kRepublishes * static_cast<std::int64_t>(isets.size()) / 2);
+}
+
 TEST_F(RuntimeTest, InlineCacheHotSwapInvalidatesViaEpoch) {
   auto& rt = Runtime::instance();
   rt.set_mode(Mode::Tune);
