@@ -118,13 +118,11 @@ void setup_tune() {
 }
 
 void setup_tune_pointer() {
-  // Pre-refactor tuned dispatch: pointer-walk evaluation on every launch,
-  // inline cache off. The CI overhead gate compares the tuned path above
-  // against this baseline at 1 and 8 threads.
+  // Fresh-evaluation baseline: a tree walk on every launch, inline cache
+  // off. The CI overhead gate compares the tuned path above against this
+  // baseline at 1 and 8 threads.
   setup_tune();
-  auto& rt = apollo::Runtime::instance();
-  rt.set_inline_cache_enabled(false);
-  rt.set_flat_eval_enabled(false);
+  apollo::Runtime::instance().set_inline_cache_enabled(false);
 }
 
 void setup_adapt() {

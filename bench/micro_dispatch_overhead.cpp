@@ -124,7 +124,7 @@ void run_forall_loop(benchmark::State& state) {
 
 void ApolloForallTune(benchmark::State& state) {
   // The full decision path as shipped: per-site inline cache in front of the
-  // compiled flat table. Iteration-stable launches hit the cache.
+  // tree walk. Iteration-stable launches hit the cache.
   const auto& model = micro_model();
   auto& rt = apollo::Runtime::instance();
   rt.reset();
@@ -137,9 +137,8 @@ void ApolloForallTune(benchmark::State& state) {
 BENCHMARK(ApolloForallTune);
 
 void ApolloForallTunePointer(benchmark::State& state) {
-  // Pre-refactor baseline: every launch walks the pointer-linked tree, no
-  // inline cache. The CI gate asserts the full path above stays at or below
-  // this cost.
+  // Fresh-evaluation baseline: every launch walks the tree, no inline cache.
+  // The CI gate asserts the full path above stays at or below this cost.
   const auto& model = micro_model();
   auto& rt = apollo::Runtime::instance();
   rt.reset();
@@ -147,26 +146,10 @@ void ApolloForallTunePointer(benchmark::State& state) {
   rt.set_mode(apollo::Mode::Tune);
   rt.set_policy_model(model);
   rt.set_inline_cache_enabled(false);
-  rt.set_flat_eval_enabled(false);
   run_forall_loop(state);
   rt.reset();
 }
 BENCHMARK(ApolloForallTunePointer);
-
-void ApolloForallTuneFlat(benchmark::State& state) {
-  // Flat-table evaluation per launch with the inline cache off: isolates the
-  // branchless-table win from the cache win.
-  const auto& model = micro_model();
-  auto& rt = apollo::Runtime::instance();
-  rt.reset();
-  rt.set_execute_selected(false);
-  rt.set_mode(apollo::Mode::Tune);
-  rt.set_policy_model(model);
-  rt.set_inline_cache_enabled(false);
-  run_forall_loop(state);
-  rt.reset();
-}
-BENCHMARK(ApolloForallTuneFlat);
 
 void ApolloForallGroupedTune(benchmark::State& state) {
   // Grouped dispatch over a heterogeneous IndexSet: 8 segments, 2 plan

@@ -10,6 +10,7 @@ namespace apollo {
 CompiledModel CompiledModel::compile(TunerModel model) {
   using Source = CompiledFeature::Source;
   CompiledModel compiled;
+  compiled.label_values_ = model.label_values();
   compiled.features_.reserve(model.tree().feature_names().size());
   for (const auto& name : model.tree().feature_names()) {
     CompiledFeature feature;
@@ -48,10 +49,6 @@ CompiledModel CompiledModel::compile(TunerModel model) {
     compiled.features_.push_back(std::move(feature));
   }
   compiled.model_ = std::move(model);
-  // Publish-time flat compilation. When the tree's shape exceeds the packed
-  // layout this yields !ok() and every evaluation stays on the pointer walk —
-  // the fallback is lossless, never approximate.
-  compiled.flat_ = ml::FlatTree::compile(compiled.model_.tree());
   return compiled;
 }
 
@@ -89,9 +86,9 @@ void CompiledModel::resolve_features(const KernelHandle& kernel, const raja::Ind
 }
 
 int CompiledModel::predict(const KernelHandle& kernel, const raja::IndexSet& iset,
-                           std::vector<double>& scratch, bool use_flat) const {
+                           std::vector<double>& scratch) const {
   resolve_features(kernel, iset, scratch);
-  return predict_encoded(scratch.data(), use_flat);
+  return model_.tree().predict(scratch.data());
 }
 
 }  // namespace apollo

@@ -1,12 +1,13 @@
 #pragma once
 
 // Immutable compiled-model snapshots. A TunerModel is compiled once — feature
-// names resolved to fixed sources, categorical encodings to hash lookups —
-// into a CompiledModel; a ModelSnapshot groups the policy/chunk/threads
-// models of one generation behind shared_ptrs. Snapshots are never mutated
-// after publication: the Runtime swaps a pointer to hand every application
-// thread a consistent model set with zero locks on the decision path (the
-// same RCU pattern online::ModelRegistry uses for uncompiled models).
+// names resolved to fixed sources, categorical encodings to hash lookups,
+// class labels to the values they select — into a CompiledModel; a
+// ModelSnapshot groups the policy/chunk/threads models of one generation
+// behind shared_ptrs. Snapshots are never mutated after publication: the
+// Runtime swaps a pointer to hand every application thread a consistent
+// model set with zero locks on the decision path (the same RCU pattern
+// online::ModelRegistry uses for uncompiled models).
 
 #include <cstdint>
 #include <memory>
@@ -16,7 +17,6 @@
 
 #include "core/tuner_model.hpp"
 #include "instr/mix.hpp"
-#include "ml/flat_tree.hpp"
 
 namespace raja {
 class IndexSet;
@@ -39,45 +39,40 @@ struct CompiledFeature {
   std::unordered_map<std::string, double> dictionary;  ///< categorical codes
 };
 
-/// A TunerModel plus its pre-resolved feature plan and the branchless
-/// FlatTree compilation of its decision tree (built here, at publish time —
-/// the paper's Fig. 4 tree-to-code transform done in memory with no compiler
-/// in the loop). Immutable after compile().
+/// A TunerModel plus its pre-resolved feature plan and label table, built
+/// here at publish time so a tuned launch does no string work. Immutable
+/// after compile().
 class CompiledModel {
 public:
+  /// Throws std::invalid_argument when a class label names no value of the
+  /// model's parameter (see TunerModel::label_values).
   [[nodiscard]] static CompiledModel compile(TunerModel model);
 
   /// Evaluate the model on this launch. `scratch` is the caller's feature
   /// buffer (typically thread-local); after the call it holds exactly the
-  /// vector the tree saw, in feature_names() order. `use_flat` selects the
-  /// compiled flat table when available (APOLLO_FLAT_EVAL routes through
-  /// here); the two forms are bit-for-bit identical, so the choice is purely
-  /// a speed/diagnosability knob.
+  /// vector the tree saw, in feature_names() order.
   [[nodiscard]] int predict(const KernelHandle& kernel, const raja::IndexSet& iset,
-                            std::vector<double>& scratch, bool use_flat = true) const;
+                            std::vector<double>& scratch) const;
 
   /// Resolve this launch's feature vector into `scratch` without predicting.
   void resolve_features(const KernelHandle& kernel, const raja::IndexSet& iset,
                         std::vector<double>& scratch) const;
 
-  /// Evaluate an already-resolved feature vector (flat table when available
-  /// and requested, pointer walk otherwise).
-  [[nodiscard]] int predict_encoded(const double* features, bool use_flat = true) const {
-    if (use_flat && flat_.ok()) return flat_.predict(features);
-    return model_.tree().predict(features);
+  /// The value class `label` selects: a raja::PolicyType id for a policy
+  /// model, the chunk or team size otherwise.
+  [[nodiscard]] std::int64_t label_value(int label) const noexcept {
+    return label_values_[static_cast<std::size_t>(label)];
   }
 
   [[nodiscard]] const TunerModel& model() const noexcept { return model_; }
   [[nodiscard]] const std::vector<CompiledFeature>& features() const noexcept {
     return features_;
   }
-  [[nodiscard]] bool has_flat() const noexcept { return flat_.ok(); }
-  [[nodiscard]] const ml::FlatTree& flat() const noexcept { return flat_; }
 
 private:
   TunerModel model_;
   std::vector<CompiledFeature> features_;
-  ml::FlatTree flat_;
+  std::vector<std::int64_t> label_values_;  ///< indexed by class label
 };
 
 /// One published generation of compiled tuning models. `version` is the

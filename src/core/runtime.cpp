@@ -184,12 +184,6 @@ Runtime::Runtime() {
   const std::size_t capacity =
       telemetry::env_size("APOLLO_SAMPLE_CAPACITY", online::kDefaultSampleCapacity);
   if (capacity != online::kDefaultSampleCapacity) records_.set_capacity(capacity);
-  // Decision-path knobs, through the hardened parser (garbage warns and
-  // keeps the default): 0 disables, any other integer enables.
-  env_inline_cache_default_ = telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0) != 0;
-  env_flat_eval_default_ = telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0) != 0;
-  inline_cache_enabled_.store(env_inline_cache_default_, std::memory_order_relaxed);
-  flat_eval_enabled_.store(env_flat_eval_default_, std::memory_order_relaxed);
   // Training-search knobs (APOLLO_SEARCH family), hardened the same way.
   env_search_defaults_ = search_options_from_env();
   search_options_ = env_search_defaults_;
@@ -384,8 +378,7 @@ void Runtime::reset() {
   default_override_.reset();
   execute_selected_ = true;
   accountant_ = nullptr;
-  inline_cache_enabled_.store(env_inline_cache_default_, std::memory_order_relaxed);
-  flat_eval_enabled_.store(env_flat_eval_default_, std::memory_order_relaxed);
+  inline_cache_enabled_.store(true, std::memory_order_relaxed);
   clear_models();
   {
     // Reset in place: contexts (and the pointers KernelHandles cache) stay
@@ -454,25 +447,7 @@ double Runtime::regret_seconds_total() {
   return total;
 }
 
-// --- features / cost queries -------------------------------------------------
-
-std::optional<perf::Value> Runtime::resolve_feature(const std::string& name,
-                                                    const KernelHandle& kernel,
-                                                    const raja::IndexSet& iset) const {
-  using namespace features;
-  if (name == kFunc) return perf::Value(kernel.func());
-  if (name == kFuncSize) return perf::Value(kernel.mix().total());
-  if (name == kIndexType) return perf::Value(iset.type_name());
-  if (name == kLoopId) return perf::Value(kernel.loop_id());
-  if (name == kNumIndices) return perf::Value(iset.getLength());
-  if (name == kNumSegments) return perf::Value(static_cast<std::int64_t>(iset.getNumSegments()));
-  if (name == kStride) return perf::Value(iset.stride());
-  for (std::size_t m = 0; m < instr::kMnemonicCount; ++m) {
-    const auto mnemonic = static_cast<instr::Mnemonic>(m);
-    if (name == instr::mnemonic_name(mnemonic)) return perf::Value(kernel.mix().count(mnemonic));
-  }
-  return perf::Blackboard::instance().get(name);
-}
+// --- cost queries ------------------------------------------------------------
 
 sim::CostQuery Runtime::make_query(const KernelContext& context, const KernelHandle& kernel,
                                    const raja::IndexSet& iset, raja::PolicyType policy,
@@ -502,19 +477,19 @@ double Runtime::measure_seconds(KernelContext& context, const sim::CostQuery& qu
 void Runtime::apply_models(const ModelSnapshot* snapshot, ModelParams& params,
                            const KernelHandle& kernel, const raja::IndexSet& iset) {
   if (snapshot == nullptr) return;
-  const bool use_flat = flat_eval_enabled_.load(std::memory_order_relaxed);
+  // Labels were resolved to values when the snapshot was compiled.
   if (snapshot->policy) {
-    const int label = snapshot->policy->predict(kernel, iset, t_features, use_flat);
+    const int label = snapshot->policy->predict(kernel, iset, t_features);
     params.selection = label;
-    params.policy = raja::policy_from_name(snapshot->policy->model().label_name(label));
+    params.policy = static_cast<raja::PolicyType>(snapshot->policy->label_value(label));
   }
   if (snapshot->chunk && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->chunk->predict(kernel, iset, t_features, use_flat);
-    params.chunk_size = std::stoll(snapshot->chunk->model().label_name(label));
+    const int label = snapshot->chunk->predict(kernel, iset, t_features);
+    params.chunk_size = snapshot->chunk->label_value(label);
   }
   if (snapshot->threads && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->threads->predict(kernel, iset, t_features, use_flat);
-    params.threads = static_cast<unsigned>(std::stoul(snapshot->threads->model().label_name(label)));
+    const int label = snapshot->threads->predict(kernel, iset, t_features);
+    params.threads = static_cast<unsigned>(snapshot->threads->label_value(label));
   }
 }
 
@@ -574,13 +549,6 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
           "Tuned launches that evaluated the model (no cached decision matched).");
       misses.inc();
     }
-    if (snapshot != nullptr && snapshot->policy && snapshot->policy->has_flat() &&
-        flat_eval_enabled_.load(std::memory_order_relaxed)) {
-      static telemetry::Counter& flat_evals = telemetry::MetricsRegistry::instance().counter(
-          "apollo_flat_eval_total",
-          "Model evaluations served by the compiled branchless flat table.");
-      flat_evals.inc();
-    }
     if (snapshot != nullptr) maybe_capture_decision(context, *snapshot, params, kernel, iset);
   }
 }
@@ -598,8 +566,7 @@ void Runtime::maybe_capture_decision(const KernelContext& context, const ModelSn
   // holds exactly the vector the tree saw. Introspection and the audit log
   // share the one extra evaluation.
   const TunerModel& policy = snapshot.policy->model();
-  const int label = snapshot.policy->predict(kernel, iset, t_features,
-                                             flat_eval_enabled_.load(std::memory_order_relaxed));
+  const int label = snapshot.policy->predict(kernel, iset, t_features);
   const auto& names = policy.tree().feature_names();
   if (audit_due) {
     t_pending.audit_armed = true;

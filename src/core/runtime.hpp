@@ -151,11 +151,12 @@ public:
     return execute_selected_ || timing_ == TimingSource::Wallclock;
   }
 
-  /// Per-site inline decision cache (APOLLO_INLINE_CACHE, default on): tuned
-  /// launches whose feature signature, model epoch, and blackboard generation
-  /// all match the kernel's last decision reuse it — one load and one compare
-  /// instead of a model evaluation. Purely a speed knob: a hit returns
-  /// exactly the parameters a fresh evaluation would.
+  /// Per-site inline decision cache (default on; reset() turns it back on):
+  /// tuned launches whose feature signature, model epoch, and blackboard
+  /// generation all match the kernel's last decision reuse it — one load and
+  /// one compare instead of a model evaluation. A hit returns exactly the
+  /// parameters a fresh evaluation would; tests and benches switch the cache
+  /// off to get that fresh evaluation as a reference.
   void set_inline_cache_enabled(bool enabled) noexcept {
     inline_cache_enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -163,20 +164,12 @@ public:
     return inline_cache_enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Branchless flat-table model evaluation (APOLLO_FLAT_EVAL, default on).
-  /// Off forces the pointer tree walk; predictions are bit-for-bit identical
-  /// either way (tools/apollo_replay --expect-match proves it on live logs).
-  void set_flat_eval_enabled(bool enabled) noexcept {
-    flat_eval_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool flat_eval_enabled() const noexcept {
-    return flat_eval_enabled_.load(std::memory_order_relaxed);
-  }
-
   // --- models --------------------------------------------------------------
   // Each setter compiles the model and publishes a fresh immutable
   // ModelSnapshot by atomic swap; in-flight launches keep reading the
-  // snapshot they started with.
+  // snapshot they started with. A model for another parameter, or one with a
+  // label its parameter cannot name, throws std::invalid_argument and leaves
+  // the published snapshot as it was.
   void set_policy_model(TunerModel model);
   void set_chunk_model(TunerModel model);
   void set_threads_model(TunerModel model);
@@ -298,12 +291,6 @@ public:
   void charge_external(const std::string& loop_id, const sim::CostQuery& query);
   void charge_external(KernelContext& context, const sim::CostQuery& query);
 
-  /// Feature resolver used by the tuner (exposed for tests): maps a feature
-  /// name to its raw value for this launch.
-  [[nodiscard]] std::optional<perf::Value> resolve_feature(const std::string& name,
-                                                           const KernelHandle& kernel,
-                                                           const raja::IndexSet& iset) const;
-
 private:
   Runtime();
   ~Runtime();
@@ -373,14 +360,9 @@ private:
   std::optional<raja::PolicyType> default_override_;
   bool execute_selected_ = true;
   ClusterAccountant* accountant_ = nullptr;
-  /// Decision-path knobs (atomic so tests may toggle them mid-run; the
-  /// dispatch path reads each once per launch, relaxed). Defaults come from
-  /// APOLLO_INLINE_CACHE / APOLLO_FLAT_EVAL via hardened env parsing and are
-  /// restored by reset().
+  /// Atomic so tests may toggle it mid-run; the dispatch path reads it once
+  /// per launch, relaxed.
   std::atomic<bool> inline_cache_enabled_{true};
-  std::atomic<bool> flat_eval_enabled_{true};
-  bool env_inline_cache_default_ = true;
-  bool env_flat_eval_default_ = true;
 
   // --- model snapshot (RCU: epoch + mutex-guarded publish) ------------------
   mutable std::mutex models_mutex_;

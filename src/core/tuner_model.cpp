@@ -1,13 +1,43 @@
 #include "core/tuner_model.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "perf/record.hpp"
+#include "raja/policy.hpp"
 
 namespace apollo {
+
+namespace {
+
+/// The one label parser: the value `label` selects for `parameter`, or
+/// nullopt when the parameter cannot name it.
+std::optional<std::int64_t> parse_label(TunedParameter parameter, const std::string& label) {
+  if (parameter == TunedParameter::Policy) {
+    for (int p = 0; p < raja::kNumPolicyTypes; ++p) {
+      if (label == raja::policy_name(static_cast<raja::PolicyType>(p))) return p;
+    }
+    return std::nullopt;
+  }
+  const bool digits = !label.empty() && std::all_of(label.begin(), label.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  if (!digits) return std::nullopt;
+  std::int64_t value = 0;
+  if (std::from_chars(label.data(), label.data() + label.size(), value).ec != std::errc{}) {
+    return std::nullopt;  // out of range
+  }
+  if (parameter == TunedParameter::Threads && value > std::numeric_limits<unsigned>::max()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
 
 const char* tuned_parameter_name(TunedParameter p) noexcept {
   switch (p) {
@@ -44,6 +74,22 @@ int TunerModel::predict(const Resolver& resolve) const {
 
 const std::string& TunerModel::label_name(int label) const {
   return tree_.label_names().at(static_cast<std::size_t>(label));
+}
+
+std::vector<std::int64_t> TunerModel::label_values() const {
+  std::vector<std::int64_t> values;
+  values.reserve(num_labels());
+  for (const auto& label : tree_.label_names()) {
+    const auto value = parse_label(parameter_, label);
+    if (!value) {
+      throw std::invalid_argument(
+          std::string(tuned_parameter_name(parameter_)) + " label '" + label + "' " +
+          (parameter_ == TunedParameter::Policy ? "is neither seq nor omp"
+                                                : "is not a non-negative integer in range"));
+    }
+    values.push_back(*value);
+  }
+  return values;
 }
 
 void TunerModel::save(std::ostream& out) const {
@@ -109,6 +155,11 @@ TunerModel TunerModel::load(std::istream& in) {
     model.dictionaries_[cells[0]] = std::move(categories);
   }
   model.tree_ = ml::DecisionTree::load(in);
+  try {
+    (void)model.label_values();
+  } catch (const std::invalid_argument& error) {
+    throw std::runtime_error(std::string("TunerModel::load: ") + error.what());
+  }
   return model;
 }
 

@@ -53,6 +53,14 @@ public:
   [[nodiscard]] const std::string& label_name(int label) const;
   [[nodiscard]] std::size_t num_labels() const noexcept { return tree_.label_names().size(); }
 
+  /// The value each class label selects, indexed like label_name(): the
+  /// raja::PolicyType id for a policy model ("seq" or "omp"), the chunk or
+  /// team size otherwise (a non-negative decimal integer that fits
+  /// ModelParams' field). Throws std::invalid_argument naming the first
+  /// label the model's parameter cannot name. load() and
+  /// CompiledModel::compile both call it, so no launch parses a label.
+  [[nodiscard]] std::vector<std::int64_t> label_values() const;
+
   void save(std::ostream& out) const;
   static TunerModel load(std::istream& in);
   void save_file(const std::string& path) const;

@@ -32,14 +32,6 @@
 //   APOLLO_HW_EVENTS=list         comma list of the counters to collect
 //   APOLLO_HW_PROVIDER=p          auto | perf | software (default auto)
 //
-// Decision-path knobs (read once by the Runtime constructor, same hardened
-// parser — garbage warns and keeps the default; see core/runtime.cpp and
-// docs/architecture.md "The decision path"):
-//   APOLLO_INLINE_CACHE=0         disable the per-call-site inline decision
-//                                 cache (default on; diagnostic escape hatch)
-//   APOLLO_FLAT_EVAL=0            disable compiled flat-table evaluation and
-//                                 walk the pointer tree instead (default on)
-//
 // Tuning-search knobs (read once by the Runtime constructor and by
 // apollo_train, same hardened parser; see docs/search.md):
 //   APOLLO_SEARCH=mode            exhaustive | twostage variant-space coverage

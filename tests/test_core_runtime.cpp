@@ -255,15 +255,19 @@ TEST_F(RuntimeTest, SetPolicyModelRejectsWrongParameter) {
 }
 
 TEST_F(RuntimeTest, ResolveFeatureCoversAllSources) {
-  auto& rt = Runtime::instance();
+  // A compiled model resolves each of its features from the kernel, the
+  // IndexSet, the instruction mix or the blackboard. Categorical values
+  // encode through the model's dictionary; a feature nobody knows is -1.
+  ml::Dataset data(
+      {"func", "num_indices", "index_type", "movsd", "problem_size", "unknown_feature"}, {"seq"});
+  data.add_row({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, 0);
+  const CompiledModel model = CompiledModel::compile(
+      TunerModel(TunedParameter::Policy, ml::DecisionTree::fit(data),
+                 {{"func", {"OtherKernel", "SmallKernel"}}, {"index_type", {"list", "range"}}}));
   perf::ScopedAnnotation size("problem_size", 48);
-  const raja::IndexSet iset = raja::IndexSet::range(0, 123);
-  EXPECT_EQ(rt.resolve_feature("func", small_kernel(), iset)->as_string(), "SmallKernel");
-  EXPECT_EQ(rt.resolve_feature("num_indices", small_kernel(), iset)->as_int(), 123);
-  EXPECT_EQ(rt.resolve_feature("index_type", small_kernel(), iset)->as_string(), "range");
-  EXPECT_EQ(rt.resolve_feature("movsd", small_kernel(), iset)->as_int(), 2);
-  EXPECT_EQ(rt.resolve_feature("problem_size", small_kernel(), iset)->as_int(), 48);
-  EXPECT_FALSE(rt.resolve_feature("unknown_feature", small_kernel(), iset).has_value());
+  std::vector<double> features;
+  model.resolve_features(small_kernel(), raja::IndexSet::range(0, 123), features);
+  EXPECT_EQ(features, (std::vector<double>{1.0, 123.0, 1.0, 2.0, 48.0, -1.0}));
 }
 
 TEST_F(RuntimeTest, FlushRecordsToFile) {
@@ -391,27 +395,29 @@ TEST_F(RuntimeTest, StatsReturnsConsistentPointInTimeCopy) {
   EXPECT_EQ(rt.stats().invocations, 2);
 }
 
-// --- inline decision cache, flat evaluation, grouped dispatch ----------------
+// --- inline decision cache, label resolution, grouped dispatch ---------------
 
-#include <cstdlib>
 #include <sstream>
 
 #include "ml/decision_tree.hpp"
-#include "telemetry/env.hpp"
 
 namespace {
 
-/// A constant policy model: a single-leaf tree always answering `label`.
+/// A constant model: a single-leaf tree always answering `label`.
 /// Deterministic by construction, so cache-correctness tests can tell a
 /// stale cached decision from a fresh evaluation.
-TunerModel leaf_policy_model(const std::string& label) {
+TunerModel leaf_model(TunedParameter parameter, const std::string& label) {
   std::stringstream io;
   io << "apollo-tree 1\n"
      << "features 1 num_indices\n"
      << "labels 1 " << label << "\n"
      << "nodes 1\n"
      << "-1 0 -1 -1 0 1 0\n";
-  return TunerModel(TunedParameter::Policy, ml::DecisionTree::load(io), {});
+  return TunerModel(parameter, ml::DecisionTree::load(io), {});
+}
+
+TunerModel leaf_policy_model(const std::string& label) {
+  return leaf_model(TunedParameter::Policy, label);
 }
 
 }  // namespace
@@ -508,27 +514,26 @@ TEST_F(RuntimeTest, InlineCacheKnobDisablesLookups) {
   EXPECT_EQ(context.inline_cache_misses(), 0);
 }
 
-TEST_F(RuntimeTest, FlatAndPointerEvaluationDecideIdentically) {
+TEST_F(RuntimeTest, MalformedChunkLabelIsRejectedAtPublish) {
+  // A chunk model whose label names no chunk size, built in memory so that
+  // TunerModel::load never checked it. Publishing it must fail and keep the
+  // previous snapshot; tuned launches then decide with that snapshot. With
+  // no policy model, small_kernel() keeps its OpenMP default, the chunk
+  // model applies, and nothing is cached: every launch evaluates it.
   auto& rt = Runtime::instance();
-  rt.set_mode(Mode::Record);
-  for (int rep = 0; rep < 3; ++rep) {
-    forall(small_kernel(), 50, [](raja::Index) {});
-    forall(small_kernel(), 200000, [](raja::Index) {});
-  }
-  const TunerModel model = Trainer::train(rt.records(), TunedParameter::Policy);
   rt.set_mode(Mode::Tune);
-  rt.set_policy_model(model);
-  rt.set_inline_cache_enabled(false);  // force a fresh evaluation per launch
-  const std::int64_t sizes[] = {1, 50, 4096, 100000, 200000, 1 << 20};
-  std::vector<raja::PolicyType> flat_decisions, pointer_decisions;
-  for (const std::int64_t n : sizes) {
-    flat_decisions.push_back(rt.begin(small_kernel(), raja::IndexSet::range(0, n)).policy);
+  rt.set_chunk_model(leaf_model(TunedParameter::ChunkSize, "16"));
+  ml::Dataset data({"num_indices"}, {"abc"});
+  data.add_row({1.0}, 0);
+  const TunerModel bad(TunedParameter::ChunkSize, ml::DecisionTree::fit(data), {});
+  EXPECT_THROW(rt.set_chunk_model(bad), std::invalid_argument);
+  ASSERT_TRUE(rt.has_chunk_model());
+  for (int i = 0; i < 3; ++i) {
+    ModelParams params;
+    EXPECT_NO_THROW(params = rt.begin(small_kernel(), raja::IndexSet::range(0, 1000)));
+    EXPECT_EQ(params.policy, raja::PolicyType::seq_segit_omp_parallel_for_exec);
+    EXPECT_EQ(params.chunk_size, 16);
   }
-  rt.set_flat_eval_enabled(false);
-  for (const std::int64_t n : sizes) {
-    pointer_decisions.push_back(rt.begin(small_kernel(), raja::IndexSet::range(0, n)).policy);
-  }
-  EXPECT_EQ(flat_decisions, pointer_decisions);
 }
 
 TEST_F(RuntimeTest, GroupedForallVisitsEveryIndexOnceInOrder) {
@@ -611,21 +616,26 @@ TEST_F(RuntimeTest, GroupedForallMatchesPlainDecisionsUnderModel) {
   }
 }
 
+// --- environment knobs -------------------------------------------------------
+
+#include <cstdlib>
+
+#include "online/sample_buffer.hpp"
+#include "telemetry/env.hpp"
+
 TEST(RuntimeEnvKnobs, GarbageValuesWarnAndKeepDefaults) {
-  // APOLLO_INLINE_CACHE / APOLLO_FLAT_EVAL route through the hardened env
-  // parser the Runtime constructor uses: garbage warns and keeps the
-  // documented default (on), it never silently disables the fast path.
-  const char* garbage[] = {"", "abc", "64k", "1e6", "-3", "12 34", "0x1", "true"};
+  // APOLLO_SAMPLE_CAPACITY routes through the hardened env parser the Runtime
+  // constructor uses: garbage warns and keeps the documented default, it
+  // never silently shrinks the sample buffer to nothing.
+  const std::size_t fallback = online::kDefaultSampleCapacity;
+  const char* garbage[] = {"", "abc", "64k", "1e6", "-3", "12 34", "0x1", "true", "0"};
   for (const char* value : garbage) {
-    setenv("APOLLO_INLINE_CACHE", value, 1);
-    setenv("APOLLO_FLAT_EVAL", value, 1);
-    EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0), 1) << value;
-    EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0), 1) << value;
+    setenv("APOLLO_SAMPLE_CAPACITY", value, 1);
+    EXPECT_EQ(apollo::telemetry::env_size("APOLLO_SAMPLE_CAPACITY", fallback), fallback)
+        << value;
   }
-  setenv("APOLLO_INLINE_CACHE", "0", 1);
-  EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0), 0);
-  setenv("APOLLO_FLAT_EVAL", "1", 1);
-  EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0), 1);
-  unsetenv("APOLLO_INLINE_CACHE");
-  unsetenv("APOLLO_FLAT_EVAL");
+  setenv("APOLLO_SAMPLE_CAPACITY", "4096", 1);
+  EXPECT_EQ(apollo::telemetry::env_size("APOLLO_SAMPLE_CAPACITY", fallback), 4096u);
+  unsetenv("APOLLO_SAMPLE_CAPACITY");
+  EXPECT_EQ(apollo::telemetry::env_size("APOLLO_SAMPLE_CAPACITY", fallback), fallback);
 }

@@ -8,6 +8,7 @@
 
 #include "core/tuner_model.hpp"
 #include "ml/decision_tree.hpp"
+#include "raja/policy.hpp"
 
 using apollo::TunedParameter;
 using apollo::TunerModel;
@@ -165,6 +166,58 @@ TEST(TunerModelHardening, TruncatedDictsRejected) {
   // Fewer dict lines than promised: the tree header is eaten as a dict line
   // and the stream ends early.
   EXPECT_FALSE(load_error(text).empty());
+}
+
+namespace {
+
+/// valid_model_text() retagged as a `parameter` model with the two labels
+/// `labels` (space separated).
+std::string labeled_model_text(const std::string& parameter, const std::string& labels) {
+  std::string text = valid_model_text();
+  text.replace(text.find("parameter policy"), 16, "parameter " + parameter);
+  text.replace(text.find("labels 2 omp seq"), 16, "labels 2 " + labels);
+  return text;
+}
+
+}  // namespace
+
+// A label the model's parameter cannot name fails at load, not at the first
+// tuned launch that predicts it.
+TEST(TunerModelHardening, NonNumericChunkLabelRejected) {
+  const std::string error = load_error(labeled_model_text("chunk_size", "16 abc"));
+  EXPECT_NE(error.find("label 'abc'"), std::string::npos) << error;
+}
+
+TEST(TunerModelHardening, OverflowingChunkLabelRejected) {
+  const std::string error =
+      load_error(labeled_model_text("chunk_size", "16 99999999999999999999"));
+  EXPECT_NE(error.find("label '99999999999999999999'"), std::string::npos) << error;
+}
+
+TEST(TunerModelHardening, NegativeOrOversizedThreadsLabelRejected) {
+  std::string error = load_error(labeled_model_text("threads", "4 -1"));
+  EXPECT_NE(error.find("label '-1'"), std::string::npos) << error;
+  // One past the largest team size ModelParams::threads can hold.
+  error = load_error(labeled_model_text("threads", "4 4294967296"));
+  EXPECT_NE(error.find("label '4294967296'"), std::string::npos) << error;
+}
+
+TEST(TunerModelHardening, MisspelledPolicyLabelRejected) {
+  const std::string error = load_error(labeled_model_text("policy", "omp_typo seq"));
+  EXPECT_NE(error.find("label 'omp_typo'"), std::string::npos) << error;
+}
+
+TEST(TunerModelHardening, LabelsResolveToTheValuesTheyName) {
+  std::istringstream chunk(labeled_model_text("chunk_size", "0 1024"));
+  EXPECT_EQ(TunerModel::load(chunk).label_values(), (std::vector<std::int64_t>{0, 1024}));
+  std::istringstream threads(labeled_model_text("threads", "1 4294967295"));
+  EXPECT_EQ(TunerModel::load(threads).label_values(),
+            (std::vector<std::int64_t>{1, 4294967295}));
+  std::istringstream policy(valid_model_text());  // labels "omp seq"
+  EXPECT_EQ(TunerModel::load(policy).label_values(),
+            (std::vector<std::int64_t>{
+                static_cast<std::int64_t>(raja::PolicyType::seq_segit_omp_parallel_for_exec),
+                static_cast<std::int64_t>(raja::PolicyType::seq_segit_seq_exec)}));
 }
 
 TEST(TreeHardening, NegativeOrHugeCountsRejected) {

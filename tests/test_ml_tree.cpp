@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "ml/decision_tree.hpp"
 
@@ -38,6 +40,73 @@ TreeParams loose() {
   p.min_samples_leaf = 1;
   p.min_samples_split = 2;
   return p;
+}
+
+/// Random multi-class dataset: `features` columns, `classes` labels, with a
+/// feature-dependent label rule plus noise so fitted trees grow real depth.
+Dataset random_dataset(std::mt19937_64& rng, std::size_t features, int classes,
+                       std::size_t rows) {
+  std::vector<std::string> feature_names;
+  for (std::size_t f = 0; f < features; ++f) feature_names.push_back("f" + std::to_string(f));
+  std::vector<std::string> label_names;
+  for (int c = 0; c < classes; ++c) label_names.push_back("c" + std::to_string(c));
+  Dataset d(feature_names, label_names);
+  std::uniform_real_distribution<double> value(-10.0, 10.0);
+  std::uniform_int_distribution<int> noise(0, 9);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double> row(features);
+    double sum = 0.0;
+    for (auto& v : row) {
+      v = value(rng);
+      sum += v;
+    }
+    int label = static_cast<int>(std::fabs(sum)) % classes;
+    if (noise(rng) == 0) label = (label + 1) % classes;  // 10% label noise
+    d.add_row(row, label);
+  }
+  return d;
+}
+
+/// Feature vectors that stress the walk: random values, exact node
+/// thresholds (the `<=` boundary), +/-inf, and NaN.
+std::vector<std::vector<double>> probe_vectors(std::mt19937_64& rng, const DecisionTree& tree,
+                                               std::size_t features, std::size_t count) {
+  std::vector<std::vector<double>> probes;
+  std::uniform_real_distribution<double> value(-12.0, 12.0);
+  std::uniform_int_distribution<std::size_t> pick_node(0, tree.node_count() - 1);
+  std::uniform_int_distribution<std::size_t> pick_feature(0, features - 1);
+  std::uniform_int_distribution<int> special(0, 9);
+  for (std::size_t p = 0; p < count; ++p) {
+    std::vector<double> v(features);
+    for (auto& x : v) x = value(rng);
+    switch (special(rng)) {
+      case 0: v[pick_feature(rng)] = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: v[pick_feature(rng)] = std::numeric_limits<double>::infinity(); break;
+      case 2: v[pick_feature(rng)] = -std::numeric_limits<double>::infinity(); break;
+      case 3: {
+        const auto& node = tree.nodes()[pick_node(rng)];
+        if (node.feature >= 0) v[static_cast<std::size_t>(node.feature)] = node.threshold;
+        break;
+      }
+      default: break;
+    }
+    probes.push_back(std::move(v));
+  }
+  return probes;
+}
+
+/// One split on x at 5; the root's children are stored swapped (left=2,
+/// right=1), which the loader accepts as long as every edge points forward.
+DecisionTree non_preorder_tree() {
+  std::stringstream io;
+  io << "apollo-tree 1\n"
+     << "features 1 x\n"
+     << "labels 2 lo hi\n"
+     << "nodes 3\n"
+     << "0 5 2 1 0 10 0.5\n"
+     << "-1 0 -1 -1 1 4 0\n"
+     << "-1 0 -1 -1 0 6 0\n";
+  return DecisionTree::load(io);
 }
 
 }  // namespace
@@ -195,6 +264,60 @@ TEST(DecisionTree, SaveLoadRoundTrip) {
   for (std::size_t r = 0; r < d.num_rows(); ++r) {
     EXPECT_EQ(back.predict(d.row(r).data()), tree.predict(d.row(r).data()));
   }
+}
+
+TEST(DecisionTree, PredictPathFollowsTheSplitRuleOnRandomTrees) {
+  // Every step of the recorded path must be the child the split rule picks
+  // (value <= threshold goes left; NaN fails the comparison and goes right),
+  // and the path's leaf must carry the label predict() returns.
+  std::mt19937_64 rng(0xf1a77ee5ULL);
+  std::uniform_int_distribution<std::size_t> feature_count(2, 6);
+  std::uniform_int_distribution<int> class_count(2, 4);
+  for (int round = 0; round < 25; ++round) {
+    const std::size_t features = feature_count(rng);
+    const Dataset d = random_dataset(rng, features, class_count(rng), 250);
+    const DecisionTree tree = DecisionTree::fit(d, loose());
+    ASSERT_FALSE(tree.empty());
+    for (const auto& v : probe_vectors(rng, tree, features, 200)) {
+      std::vector<int> path;
+      const int label = tree.predict_path(v.data(), path);
+      ASSERT_EQ(label, tree.predict(v.data())) << "round " << round;
+      ASSERT_EQ(path.front(), 0);
+      for (std::size_t step = 0; step + 1 < path.size(); ++step) {
+        const auto& node = tree.nodes()[static_cast<std::size_t>(path[step])];
+        ASSERT_GE(node.feature, 0);
+        const double x = v[static_cast<std::size_t>(node.feature)];
+        ASSERT_EQ(path[step + 1], x <= node.threshold ? node.left : node.right);
+      }
+      const auto& leaf = tree.nodes()[static_cast<std::size_t>(path.back())];
+      ASSERT_LT(leaf.feature, 0);
+      ASSERT_EQ(leaf.label, label);
+    }
+  }
+}
+
+TEST(DecisionTree, ThresholdGoesLeftNanGoesRightInfinitiesOrder) {
+  const DecisionTree tree = DecisionTree::fit(separable_1d(), loose());
+  ASSERT_EQ(tree.nodes()[0].feature, 0);
+  const double threshold = tree.nodes()[0].threshold;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(tree.predict(&threshold), 0);  // exactly on the split: left ("lo")
+  EXPECT_EQ(tree.predict(&nan), 1);        // missing: right ("hi")
+  EXPECT_EQ(tree.predict(&inf), 1);
+  const double neg_inf = -inf;
+  EXPECT_EQ(tree.predict(&neg_inf), 0);
+}
+
+TEST(DecisionTree, NonPreorderLoadedTreeFollowsStoredChildren) {
+  const DecisionTree tree = non_preorder_tree();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double x : {-1.0, 4.9, 5.0}) EXPECT_EQ(tree.predict(&x), 0) << "x=" << x;  // node 2
+  for (double x : {5.1, 100.0, nan}) EXPECT_EQ(tree.predict(&x), 1) << "x=" << x;  // node 1
+  const double x = 5.0;
+  std::vector<int> path;
+  EXPECT_EQ(tree.predict_path(&x, path), 0);
+  EXPECT_EQ(path, (std::vector<int>{0, 2}));
 }
 
 TEST(DecisionTree, LoadRejectsGarbage) {

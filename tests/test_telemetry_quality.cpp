@@ -350,10 +350,13 @@ TEST_F(EnvParsingTest, ValidValuesParse) {
 }
 
 TEST_F(EnvParsingTest, GarbageKeepsTheDefault) {
-  for (const char* bad : {"", "abc", "12abc", "64k", "1e6junk", " "}) {
+  for (const char* bad : {"", "abc", "12abc", "64k", "1e6junk", " ", "0x1", "true", "12 34"}) {
     set(bad);
     EXPECT_EQ(telemetry::env_int64("APOLLO_TEST_ENV_KNOB", 64), 64) << "value: " << bad;
   }
+  // Below a minimum of 0 is garbage too, not a clamp to 0.
+  set("-3");
+  EXPECT_EQ(telemetry::env_int64("APOLLO_TEST_ENV_KNOB", 64, /*min_value=*/0), 64);
   set("nan");
   EXPECT_DOUBLE_EQ(telemetry::env_double("APOLLO_TEST_ENV_KNOB", 0.25), 0.25);
 }

@@ -225,10 +225,6 @@ TEST_F(ToolsTest, AdaptAuditReplayPipeline) {
   EXPECT_NE(replay.output.find("decision"), std::string::npos);
   EXPECT_NE(replay.output.find("gen 1 replay match"), std::string::npos) << replay.output;
   EXPECT_NE(replay.output.find("accuracy"), std::string::npos);
-  // Flat-vs-pointer parity is audited per record; with --expect-match a
-  // single divergence fails the run, so status 0 above proves the compiled
-  // table reproduced every decision across the hot-swap.
-  EXPECT_NE(replay.output.find("flat-table parity"), std::string::npos) << replay.output;
 
   // A determinism claim the wrong model cannot honor must fail the gate.
   const auto mismatch = run_command(tool("apollo_replay") + " " + segment + " --model " +

@@ -18,7 +18,6 @@
 
 #include "core/features.hpp"
 #include "core/tuner_model.hpp"
-#include "ml/flat_tree.hpp"
 #include "telemetry/build_info.hpp"
 #include "perf/csv_export.hpp"
 #include "perf/record.hpp"
@@ -86,17 +85,6 @@ int inspect_model(const std::string& path) {
   std::printf("\nfeatures (%zu):", model.tree().feature_names().size());
   for (const auto& name : model.tree().feature_names()) std::printf(" %s", name.c_str());
   std::printf("\ndepth: %d, nodes: %zu\n", model.tree().depth(), model.tree().node_count());
-  // The layout the runtime actually evaluates after compile-at-swap. A model
-  // that exceeds the packed 16-byte node format falls back to the pointer
-  // walk, which is worth knowing before deploying it.
-  const auto flat = apollo::ml::FlatTree::compile(model.tree());
-  if (flat.ok()) {
-    std::printf("flat table: %zu nodes, depth %d, %zu bytes (%zu cache lines)\n",
-                flat.node_count(), flat.depth(), flat.bytes(), flat.cache_lines());
-  } else {
-    std::printf("flat table: not compiled (shape exceeds packed layout; runtime "
-                "uses the pointer walk)\n");
-  }
   if (!model.dictionaries().empty()) {
     std::printf("categorical dictionaries:\n");
     for (const auto& [feature, categories] : model.dictionaries()) {

@@ -9,7 +9,9 @@
 //     be the one that was live as generation GEN; its replayed prediction
 //     must equal the recorded label bit-for-bit on every record that
 //     generation wrote — a failure means the model file and the live model
-//     diverged. Other models report their match rate informationally;
+//     diverged. Replay evaluates DecisionTree::predict, the same evaluator
+//     the runtime runs. Other models report their match rate
+//     informationally;
 //   - accuracy: predictions are scored against the best-known policy per
 //     (kernel, feature-bucket), estimated from every observed runtime in the
 //     log (decisions, explorations, and probes), via ml::ConfusionMatrix;
@@ -43,7 +45,6 @@
 
 #include "core/tuner_model.hpp"
 #include "ml/confusion.hpp"
-#include "ml/flat_tree.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/hwprof.hpp"
 #include "telemetry/build_info.hpp"
@@ -89,8 +90,6 @@ struct ModelReport {
   std::uint64_t gen_matches = 0;     ///< ... whose replayed label equals the recorded one
   std::uint64_t scored = 0;          ///< records with ground truth (>= 2 policies seen)
   std::uint64_t correct = 0;
-  std::uint64_t flat_checked = 0;    ///< records replayed through the compiled flat table
-  std::uint64_t flat_mismatches = 0; ///< ... where flat and pointer walk disagreed
   double regret_seconds = 0.0;       ///< estimated seconds lost vs best-known policy
   apollo::ml::ConfusionMatrix confusion{0};
   std::vector<std::string> labels;
@@ -234,10 +233,6 @@ int main(int argc, char** argv) {
 
     const auto& feature_names = model.tree().feature_names();
     std::vector<double> feature_buffer(feature_names.size());
-    // Replay doubles as a parity audit of the compiled flat table: every
-    // record's features flow through both evaluators, so a hot-swapped model
-    // that replays clean also proves flat == pointer walk on real inputs.
-    const auto flat = apollo::ml::FlatTree::compile(model.tree());
     for (const auto& record : records) {
       if (record.kind != AuditRecord::Kind::Decision) continue;
       // Rebuild the feature vector in this model's feature order from the
@@ -256,10 +251,6 @@ int main(int argc, char** argv) {
       const int predicted = model.tree().predict(feature_buffer.data());
       const std::string& predicted_label = model.label_name(predicted);
       ++report.replayed;
-      if (flat.ok()) {
-        ++report.flat_checked;
-        if (flat.predict(feature_buffer.data()) != predicted) ++report.flat_mismatches;
-      }
 
       if (expect_gen >= 0 && record.model_version == static_cast<std::uint64_t>(expect_gen) &&
           !record.label.empty()) {
@@ -324,13 +315,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.scored),
                 static_cast<unsigned long long>(report.replayed),
                 report.regret_seconds * 1e3);
-    if (report.flat_checked > 0) {
-      std::printf("  flat-table parity: %llu/%llu records identical to the pointer walk\n",
-                  static_cast<unsigned long long>(report.flat_checked - report.flat_mismatches),
-                  static_cast<unsigned long long>(report.flat_checked));
-    } else {
-      std::printf("  flat-table parity: n/a (model not compilable to the packed layout)\n");
-    }
     if (expect_gen >= 0) {
       std::printf("  gen %lld replay match: %llu/%llu recorded labels reproduced\n", expect_gen,
                   static_cast<unsigned long long>(report.gen_matches),
@@ -341,10 +325,6 @@ int main(int argc, char** argv) {
         determinism_failed = true;
       }
     }
-    // --expect-match also asserts the compiled table: the claim "this model
-    // reproduces the recorded decisions" must hold for the representation the
-    // runtime actually evaluates, not just the pointer tree.
-    if (expect_gen >= 0 && report.flat_mismatches > 0) determinism_failed = true;
     if (show_confusion && report.scored > 0) {
       std::printf("%s", report.confusion.to_text(report.labels).c_str());
     }

@@ -101,10 +101,9 @@ struct Snapshot {
   double samples_pushed = 0.0;
   double samples_dropped = 0.0;
   double buffer_occupancy = 0.0;
-  // Decision-path counters (apollo_inline_cache_*, apollo_flat_eval_total).
+  // Decision-path counters (apollo_inline_cache_*).
   double inline_hits = 0.0;
   double inline_misses = 0.0;
-  double flat_evals = 0.0;
   // Tuning-search counters (apollo_search_*): variant-space coverage of the
   // Record sweep / Retrainer augmentation.
   double search_measured = 0.0;
@@ -224,8 +223,6 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
       snap.inline_hits = sample->value;
     } else if (sample->name == "apollo_inline_cache_misses_total") {
       snap.inline_misses = sample->value;
-    } else if (sample->name == "apollo_flat_eval_total") {
-      snap.flat_evals = sample->value;
     } else if (sample->name == "apollo_search_measured_total") {
       snap.search_measured = sample->value;
     } else if (sample->name == "apollo_search_skipped_total") {
@@ -410,14 +407,11 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
               snap.model_generation, snap.hot_swaps, snap.explores, snap.samples_pushed,
               snap.samples_dropped, snap.buffer_occupancy);
   // Decision-path pane: how tuned launches were resolved — served from the
-  // per-site inline cache, or evaluated (compiled flat table vs pointer walk).
-  if (snap.inline_hits > 0.0 || snap.inline_misses > 0.0 || snap.flat_evals > 0.0) {
+  // per-site inline cache, or by evaluating the model on a miss.
+  if (snap.inline_hits > 0.0 || snap.inline_misses > 0.0) {
     const double lookups = snap.inline_hits + snap.inline_misses;
-    const double hit_pct = lookups > 0.0 ? snap.inline_hits / lookups * 100.0 : 0.0;
-    const double pointer_evals = std::max(0.0, snap.inline_misses - snap.flat_evals);
-    std::printf("dispatch: inline cache %.0f hits / %.0f misses (%.1f%% hit) | evals %.0f "
-                "flat, %.0f pointer\n",
-                snap.inline_hits, snap.inline_misses, hit_pct, snap.flat_evals, pointer_evals);
+    std::printf("dispatch: inline cache %.0f hits / %.0f misses (%.1f%% hit)\n",
+                snap.inline_hits, snap.inline_misses, snap.inline_hits / lookups * 100.0);
   }
   // Search pane: variant-space coverage of the tuning sweeps. Exhaustive
   // runs measure everything (skipped stays 0); two-stage runs show the
