@@ -29,13 +29,15 @@ namespace {
 struct PendingLaunch {
   std::uint64_t start_ns = 0;
   std::uint64_t decide_dur_ns = 0;
-  bool introspect_armed = false;
-  telemetry::Decision decision;
-  /// Audit capture (APOLLO_AUDIT_FILE): the model's chosen label and the
-  /// exact feature vector, recorded for every tuned launch when armed.
-  bool audit_armed = false;
-  std::string audit_label;
-  std::vector<std::pair<std::string, double>> audit_features;
+  /// ModelSnapshot::version of the snapshot this launch decided with: the
+  /// generation its Decide span, decision record and probe record carry,
+  /// whatever a concurrent hot-swap published before end().
+  std::uint64_t generation = 0;
+  /// The launch's decision record, filled by begin() when introspection
+  /// (APOLLO_INTROSPECT_STRIDE) or the audit log (APOLLO_AUDIT_FILE) is due
+  /// and completed by end().
+  bool record_armed = false;
+  telemetry::AuditRecord record;
   /// Hardware-counter window opened by begin() on the profiling stride
   /// (APOLLO_HW_STRIDE); closed and aggregated by end().
   bool hw_armed = false;
@@ -521,6 +523,7 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
       context.observe_decision(static_cast<double>(decide_end - decide_start) * 1e-9);
       if (telem) {
         t_pending.decide_dur_ns = decide_end - decide_start;
+        t_pending.generation = snapshot->version;
         static telemetry::Counter& hits = telemetry::MetricsRegistry::instance().counter(
             "apollo_inline_cache_hits_total",
             "Tuned launches that reused the call site's cached decision.");
@@ -543,6 +546,7 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
   context.observe_decision(static_cast<double>(decide_end - decide_start) * 1e-9);
   if (telem) {
     t_pending.decide_dur_ns = decide_end - decide_start;
+    t_pending.generation = snapshot != nullptr ? snapshot->version : 0;
     if (cacheable) {
       static telemetry::Counter& misses = telemetry::MetricsRegistry::instance().counter(
           "apollo_inline_cache_misses_total",
@@ -563,35 +567,27 @@ void Runtime::maybe_capture_decision(const KernelContext& context, const ModelSn
   const bool audit_due = telemetry::AuditLog::instance().audit_enabled();
   if (!introspect_due && !audit_due) return;
   // Re-evaluate the policy model for this captured launch; t_features then
-  // holds exactly the vector the tree saw. Introspection and the audit log
-  // share the one extra evaluation.
+  // holds exactly the vector the tree saw. end() completes the record with
+  // what the launch executed and measured.
   const TunerModel& policy = snapshot.policy->model();
   const int label = snapshot.policy->predict(kernel, iset, t_features);
   const auto& names = policy.tree().feature_names();
-  if (audit_due) {
-    t_pending.audit_armed = true;
-    t_pending.audit_label = policy.label_name(label);
-    t_pending.audit_features.clear();
-    t_pending.audit_features.reserve(names.size());
-    for (std::size_t f = 0; f < names.size(); ++f) {
-      t_pending.audit_features.emplace_back(names[f], t_features[f]);
-    }
-  }
-  if (!introspect_due) return;
-  telemetry::Decision decision;
-  decision.kernel = kernel.loop_id();
-  decision.ts_ns = telemetry::now_ns();
-  decision.model_version = snapshot.version;
-  decision.features.reserve(names.size());
+  telemetry::AuditRecord& record = t_pending.record;
+  record = telemetry::AuditRecord{};
+  record.kernel = kernel.loop_id();
+  record.model_version = snapshot.version;
+  record.label = policy.label_name(label);
+  record.features.reserve(names.size());
   for (std::size_t f = 0; f < names.size(); ++f) {
-    decision.features.emplace_back(names[f], t_features[f]);
+    record.features.emplace_back(names[f], t_features[f]);
   }
-  policy.tree().predict_path(t_features.data(), decision.tree_path);
-  decision.predicted = policy.label_name(label);
-  decision.predicted_seconds = machine_.cost_seconds(
-      make_query(context, kernel, iset, params.policy, params.chunk_size, params.threads));
-  t_pending.decision = std::move(decision);
-  t_pending.introspect_armed = true;
+  if (introspect_due) {
+    record.sampled = true;
+    policy.tree().predict_path(t_features.data(), record.tree_path);
+    record.predicted_seconds = machine_.cost_seconds(
+        make_query(context, kernel, iset, params.policy, params.chunk_size, params.threads));
+  }
+  t_pending.record_armed = true;
 }
 
 void Runtime::emit_record(const KernelHandle& kernel, const raja::IndexSet& iset,
@@ -796,7 +792,7 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
   if (telem) {
     t_pending.start_ns = telemetry::now_ns();
     t_pending.decide_dur_ns = 0;
-    t_pending.introspect_armed = false;
+    t_pending.record_armed = false;
   }
   // Off-state cost: exactly this one relaxed load + branch (APOLLO_HW_STRIDE=0).
   if (telemetry::hwprof::enabled()) {
@@ -866,6 +862,9 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   const Mode mode = mode_.load(std::memory_order_relaxed);
   const bool telem = telemetry::enabled();
   const bool tuned = mode == Mode::Tune || mode == Mode::Adapt;
+  // Introspection-sampled launch: its record carries the tree path and the
+  // predicted cost.
+  const bool sampled = telem && t_pending.record_armed && t_pending.record.sampled;
   if (accountant_ != nullptr) accountant_->charge(seconds);
   // The stats shard: two relaxed atomic adds plus atomic histogram buckets,
   // in this thread's stripe. The steady-state dispatch path ends here when
@@ -897,7 +896,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     // The registry histogram rides the introspection stride: every launch
     // already feeds the always-on decision_latency_ histogram, so the
     // labeled series trades resolution for ~40ns off the hot path.
-    if (t_pending.introspect_armed && t_pending.decide_dur_ns > 0) {
+    if (sampled && t_pending.decide_dur_ns > 0) {
       entry.decision_seconds->observe(static_cast<double>(t_pending.decide_dur_ns) * 1e-9);
     }
     if (tuned) {
@@ -906,8 +905,8 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       telemetry::QualityAccountant& quality = context.quality_locked();
       const std::uint64_t vkey = online::Variant{params.policy, params.chunk_size}.key();
       quality.observe_choice(context.loop_id(), bucket, vkey, seconds, !params.explored);
-      if (t_pending.introspect_armed) {
-        quality.observe_calibration(context.loop_id(), t_pending.decision.predicted_seconds,
+      if (sampled) {
+        quality.observe_calibration(context.loop_id(), t_pending.record.predicted_seconds,
                                     seconds);
         // The exported gauges ride the introspection stride (and the probe
         // path below): the live files refresh on a 500ms cadence, so
@@ -946,35 +945,25 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     telemetry::emit_span(telemetry::EventKind::Launch, trace_name, t_pending.start_ns, end_ns,
                          online::Variant{params.policy, params.chunk_size}.key(),
                          params.explored ? 1 : 0);
-    if (t_pending.introspect_armed) {
-      // Decide spans ride the introspection stride: every tuned launch feeds
-      // the latency histograms, but only sampled launches pay a second event.
-      if (t_pending.decide_dur_ns > 0) {
-        telemetry::emit_span(telemetry::EventKind::Decide, trace_name, t_pending.start_ns,
-                             t_pending.start_ns + t_pending.decide_dur_ns,
-                             adapt_version_.load(std::memory_order_relaxed), 0);
-      }
-      t_pending.decision.observed_seconds = seconds;
-      t_pending.decision.explored = params.explored;
-      telemetry::DecisionLog::instance().record(std::move(t_pending.decision));
-      t_pending.introspect_armed = false;
+    // Decide spans ride the introspection stride: every tuned launch feeds
+    // the latency histograms, but only sampled launches pay a second event.
+    if (sampled && t_pending.decide_dur_ns > 0) {
+      telemetry::emit_span(telemetry::EventKind::Decide, trace_name, t_pending.start_ns,
+                           t_pending.start_ns + t_pending.decide_dur_ns, t_pending.generation, 0);
     }
     t_pending.start_ns = 0;
   }
 
-  if (telem && t_pending.audit_armed) {
-    telemetry::AuditRecord record;
-    record.kind = telemetry::AuditRecord::Kind::Decision;
+  if (telem && t_pending.record_armed) {
+    // One record per captured launch: the audit log writes it, and a sampled
+    // one also joins the in-memory tail the decisions file is written from.
+    telemetry::AuditRecord& record = t_pending.record;
     record.ts_ns = telemetry::now_ns();
-    record.kernel = kernel.loop_id();
     record.bucket = bucket;
-    record.model_version = adapt_version_.load(std::memory_order_relaxed);
-    record.label = std::move(t_pending.audit_label);
     record.policy = raja::policy_name(params.policy);
     record.chunk = params.chunk_size;
     record.explored = params.explored;
     record.seconds = seconds;
-    record.features = std::move(t_pending.audit_features);
     if (hw_valid) {
       // Counter signature for this exact decision: lets apollo_replay and
       // apollo_prof correlate mispredictions with what the PMU saw.
@@ -987,9 +976,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       record.hw_scale = hw_sample.scale;
     }
     telemetry::AuditLog::instance().append(record);
-    t_pending.audit_armed = false;
-    t_pending.audit_label.clear();
-    t_pending.audit_features.clear();
+    t_pending.record_armed = false;
   }
 
   if (probe_armed) {
@@ -1022,7 +1009,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       record.ts_ns = telemetry::now_ns();
       record.kernel = kernel.loop_id();
       record.bucket = bucket;
-      record.model_version = adapt_version_.load(std::memory_order_relaxed);
+      record.model_version = t_pending.generation;
       record.policy = raja::policy_name(probe_variant.policy);
       record.chunk = probe_variant.chunk;
       record.seconds = probe_seconds;

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "telemetry/audit.hpp"  // json_escape
 #include "telemetry/env.hpp"
 
 namespace apollo::service {
@@ -14,28 +15,7 @@ namespace {
 /// oldest-disconnected are dropped so churning fleets cannot grow the map.
 constexpr std::size_t kMaxDisconnectedClients = 256;
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using telemetry::json_escape;
 
 std::string ts_ms(std::uint64_t now_ns) {
   char buf[32];

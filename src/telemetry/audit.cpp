@@ -6,13 +6,117 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/metrics.hpp"  // write_file_atomically
+
 namespace apollo::telemetry {
 
 namespace fs = std::filesystem;
 
 namespace {
 
-std::string json_escape(const std::string& text) {
+std::string json_number(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+/// Consume `c` at line[pos].
+bool skip(const std::string& line, std::size_t& pos, char c) {
+  if (line[pos] != c) return false;
+  ++pos;
+  return true;
+}
+
+/// Read the JSON string literal at line[pos] (its opening quote), undoing
+/// json_escape, and move pos past the closing quote. nullopt when the
+/// literal is unterminated.
+std::optional<std::string> read_string(const std::string& line, std::size_t& pos) {
+  if (!skip(line, pos, '"')) return std::nullopt;
+  std::string out;
+  for (; pos < line.size(); ++pos) {
+    char c = line[pos];
+    if (c == '"') {
+      ++pos;
+      return out;
+    }
+    if (c == '\\') {
+      if (++pos == line.size()) break;
+      switch (line[pos]) {
+        case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
+        case 't': c = '\t'; break;
+        case 'u':  // \u00XX: the control characters json_escape spells out
+          if (pos + 4 >= line.size()) return std::nullopt;
+          c = static_cast<char>(std::strtol(line.substr(pos + 1, 4).c_str(), nullptr, 16));
+          pos += 4;
+          break;
+        default: c = line[pos];
+      }
+    }
+    out += c;
+  }
+  return std::nullopt;
+}
+
+/// Read the number at line[pos] and move pos past it.
+std::optional<double> read_number(const std::string& line, std::size_t& pos) {
+  const char* start = line.c_str() + pos;
+  char* end = nullptr;
+  const double value = std::strtod(start, &end);
+  if (end == start) return std::nullopt;
+  pos += static_cast<std::size_t>(end - start);
+  return value;
+}
+
+/// Position just past `"key":`, or npos.
+std::size_t value_at(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  return at == std::string::npos ? at : at + needle.size();
+}
+
+std::optional<std::string> string_field(const std::string& line, const std::string& key) {
+  std::size_t pos = value_at(line, key);
+  if (pos == std::string::npos) return std::nullopt;
+  return read_string(line, pos);
+}
+
+std::optional<double> number_field(const std::string& line, const std::string& key) {
+  std::size_t pos = value_at(line, key);
+  if (pos == std::string::npos) return std::nullopt;
+  return read_number(line, pos);
+}
+
+/// Counter fields parse on the integer path: a 64-bit counter above 2^53
+/// (plausible for cycle counts over a long run) must not round through a
+/// double.
+std::optional<std::uint64_t> u64_field(const std::string& line, const std::string& key) {
+  const std::size_t pos = value_at(line, key);
+  if (pos == std::string::npos) return std::nullopt;
+  const char* start = line.c_str() + pos;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(start, &end, 10);
+  if (end == start) return std::nullopt;
+  return static_cast<std::uint64_t>(value);
+}
+
+/// Parse the array value of `"key":[...]`, calling `element(pos)` at each
+/// element's first character; it must move pos past the element. False
+/// unless the array is present, every element parses and the closing ']' is
+/// there.
+template <typename Element>
+bool array_field(const std::string& line, const std::string& key, Element element) {
+  std::size_t pos = value_at(line, key);
+  if (pos == std::string::npos || !skip(line, pos, '[')) return false;
+  for (bool first = true; !skip(line, pos, ']'); first = false) {
+    if (pos == line.size() || (!first && !skip(line, pos, ',')) || !element(pos)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
   for (char c : text) {
@@ -35,64 +139,6 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-std::string json_number(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-/// Extract `"key":"..."` (unescaping) from a fixed-shape line.
-std::optional<std::string> string_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::string out;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: out += line[pos];
-      }
-      ++pos;
-    } else {
-      out += line[pos++];
-    }
-  }
-  if (pos >= line.size()) return std::nullopt;  // unterminated string
-  return out;
-}
-
-std::optional<double> number_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return value;
-}
-
-/// Counter fields parse on the integer path: a 64-bit counter above 2^53
-/// (plausible for cycle counts over a long run) must not round through a
-/// double.
-std::optional<std::uint64_t> u64_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start) return std::nullopt;
-  return static_cast<std::uint64_t>(value);
-}
-
-}  // namespace
-
 std::string to_json_line(const AuditRecord& record) {
   std::ostringstream out;
   out << "{\"type\":\"" << (record.kind == AuditRecord::Kind::Decision ? "decision" : "probe")
@@ -111,6 +157,13 @@ std::string to_json_line(const AuditRecord& record) {
     }
     out << "]";
   }
+  if (record.sampled) {
+    out << ",\"tree_path\":[";
+    for (std::size_t i = 0; i < record.tree_path.size(); ++i) {
+      out << (i > 0 ? "," : "") << record.tree_path[i];
+    }
+    out << "],\"predicted_seconds\":" << json_number(record.predicted_seconds);
+  }
   if (record.has_hw) {
     out << ",\"hw_instructions\":" << record.hw_instructions << ",\"hw_cycles\":"
         << record.hw_cycles << ",\"hw_cache_misses\":" << record.hw_cache_misses
@@ -122,6 +175,8 @@ std::string to_json_line(const AuditRecord& record) {
 }
 
 std::optional<AuditRecord> parse_audit_line(const std::string& line) {
+  // A torn line (a writer cut mid-append) lacks at least its closing brace.
+  if (line.empty() || line.back() != '}') return std::nullopt;
   const auto type = string_field(line, "type");
   if (!type || (*type != "decision" && *type != "probe")) return std::nullopt;
   const auto kernel = string_field(line, "kernel");
@@ -158,40 +213,32 @@ std::optional<AuditRecord> parse_audit_line(const std::string& line) {
     record.hw_stalled_cycles = *hw_stalled;
     record.hw_scale = *hw_scale;
   }
+  // Likewise the introspection sample.
+  if (value_at(line, "tree_path") != std::string::npos) {
+    const bool path_ok = array_field(line, "tree_path", [&](std::size_t& pos) {
+      const auto node = read_number(line, pos);
+      if (node) record.tree_path.push_back(static_cast<int>(*node));
+      return node.has_value();
+    });
+    const auto predicted = number_field(line, "predicted_seconds");
+    if (!path_ok || !predicted) return std::nullopt;
+    record.sampled = true;
+    record.predicted_seconds = *predicted;
+  }
   if (record.kind == AuditRecord::Kind::Decision) {
     const auto label = string_field(line, "label");
     if (!label) return std::nullopt;
     record.label = *label;
     record.explored = line.find("\"explored\":true") != std::string::npos;
-    const std::size_t features_at = line.find("\"features\":[");
-    if (features_at == std::string::npos) return std::nullopt;
-    std::size_t pos = features_at + std::string("\"features\":[").size();
-    while (pos < line.size() && line[pos] != ']') {
-      if (line[pos] != '[') {
-        ++pos;
-        continue;
-      }
-      // One ["name",value] pair.
-      const std::size_t name_start = line.find('"', pos);
-      if (name_start == std::string::npos) return std::nullopt;
-      std::string name;
-      std::size_t p = name_start + 1;
-      while (p < line.size() && line[p] != '"') {
-        if (line[p] == '\\' && p + 1 < line.size()) ++p;
-        name += line[p++];
-      }
-      const std::size_t comma = line.find(',', p);
-      if (comma == std::string::npos) return std::nullopt;
-      const char* start = line.c_str() + comma + 1;
-      char* end = nullptr;
-      const double value = std::strtod(start, &end);
-      if (end == start) return std::nullopt;
-      record.features.emplace_back(std::move(name), value);
-      pos = static_cast<std::size_t>(end - line.c_str());
-      while (pos < line.size() && line[pos] != ']') ++pos;
-      if (pos < line.size()) ++pos;  // closing ']' of the pair
-      while (pos < line.size() && (line[pos] == ',' || line[pos] == ' ')) ++pos;
-    }
+    // Each feature is a ["name",value] pair.
+    const bool features_ok = array_field(line, "features", [&](std::size_t& pos) {
+      auto name = skip(line, pos, '[') ? read_string(line, pos) : std::nullopt;
+      const auto value = name && skip(line, pos, ',') ? read_number(line, pos) : std::nullopt;
+      if (!value || !skip(line, pos, ']')) return false;
+      record.features.emplace_back(std::move(*name), *value);
+      return true;
+    });
+    if (!features_ok) return std::nullopt;
   }
   return record;
 }
@@ -317,6 +364,12 @@ void AuditLog::rotate_locked() {
 }
 
 void AuditLog::append(const AuditRecord& record) {
+  if (record.sampled) {
+    const std::lock_guard<std::mutex> lock(tail_mutex_);
+    std::deque<AuditRecord>& kept = tail_[record.kernel];
+    if (kept.size() == kTailPerKernel) kept.pop_front();
+    kept.push_back(record);
+  }
   if (!audit_enabled()) return;
   std::string line = to_json_line(record);
   line += '\n';
@@ -329,6 +382,19 @@ void AuditLog::append(const AuditRecord& record) {
   } else if (buffer_.size() >= config_.flush_bytes) {
     flush_locked();
   }
+}
+
+std::vector<AuditRecord> AuditLog::tail() const {
+  const std::lock_guard<std::mutex> lock(tail_mutex_);
+  std::vector<AuditRecord> out;
+  for (const auto& [kernel, kept] : tail_) out.insert(out.end(), kept.begin(), kept.end());
+  return out;
+}
+
+void AuditLog::write_tail(const std::string& path) const {
+  std::string lines;
+  for (const AuditRecord& record : tail()) lines += to_json_line(record) + '\n';
+  write_file_atomically(path, lines);
 }
 
 void AuditLog::flush() {
@@ -370,6 +436,8 @@ void AuditLog::reset_for_testing() {
   enabled_.store(false, std::memory_order_relaxed);
   appended_.store(0, std::memory_order_relaxed);
   rotated_.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> tail_lock(tail_mutex_);
+  tail_.clear();
 }
 
 }  // namespace apollo::telemetry

@@ -1,13 +1,18 @@
 #pragma once
 
-// Decision audit log: the complete-record big sibling of the sampled
-// introspection log. When enabled, *every* tuned launch appends one JSON
-// line — model generation, the exact feature vector the policy tree saw, the
-// chosen label, the executed variant, and the measured runtime — and every
-// ground-truth probe appends its measurement. That is exactly the state a
-// replay needs to re-evaluate any candidate model offline and answer "what
-// if this model had been live?" (tools/apollo_replay) without rerunning the
-// application.
+// Decision records: one record type for every tuned-launch decision and
+// ground-truth probe. With the audit log enabled, *every* tuned launch
+// appends one JSON line — model generation, the exact feature vector the
+// policy tree saw, the chosen label, the executed variant, and the measured
+// runtime — and every probe appends its measurement: the state a replay
+// needs to answer "what if this model had been live?" (tools/apollo_replay)
+// without rerunning the application.
+//
+// Introspection is a sampled tail of the same stream: every
+// APOLLO_INTROSPECT_STRIDE-th tuned launch also records its tree path and
+// predicted cost, and the log keeps the last kTailPerKernel such records per
+// kernel in memory, audit file or not. The decisions file (tools/apollo_top)
+// is that tail in the audit line format.
 //
 // Durability is bounded: lines append to rotating segment files
 // (<base>.000001.jsonl, ...) capped in size and count, so a long-running
@@ -15,16 +20,20 @@
 // a byte threshold, the collector cadence, and shutdown; readers tailing a
 // live segment must tolerate one partial trailing line (read_complete_lines).
 //
-// Thread-safety: append/flush are internally synchronized (one mutex; the
-// hot path formats outside any file I/O, which happens only on flush).
+// Thread-safety: append/flush are internally synchronized (one mutex for the
+// segments, one for the tail; the hot path formats outside any file I/O,
+// which happens only on flush).
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -52,6 +61,13 @@ struct AuditRecord {
   double seconds = 0.0;             ///< measured (or model-charged) runtime
   /// Feature vector in the policy model's feature order (decisions only).
   std::vector<std::pair<std::string, double>> features;
+  /// Optional introspection sample: the decision-tree node path the policy
+  /// model walked (root..leaf) and the machine-model cost of its choice.
+  /// `sampled` gates serialization and the in-memory tail, so lines written
+  /// before these fields existed parse unchanged.
+  bool sampled = false;
+  std::vector<int> tree_path;
+  double predicted_seconds = 0.0;
   /// Optional hardware-counter annotation (telemetry/hwprof): scaled counter
   /// deltas for the launch's profiled window. has_hw gates serialization, so
   /// logs written before this field exist parse unchanged.
@@ -64,9 +80,15 @@ struct AuditRecord {
   double hw_scale = 1.0;            ///< multiplexing correction applied to the deltas
 };
 
+/// `text` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped. The one escaper every telemetry export uses.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
 /// Serialize one record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string to_json_line(const AuditRecord& record);
-/// Parse a line written by to_json_line (nullopt on malformed input).
+/// Parse a line written by to_json_line. nullopt on malformed input,
+/// including any torn line: the closing '}' and every array's closing ']'
+/// are required.
 [[nodiscard]] std::optional<AuditRecord> parse_audit_line(const std::string& line);
 
 /// All '\n'-terminated lines of a file. A final unterminated line — a live
@@ -90,8 +112,20 @@ public:
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Format and buffer one record; flushes and rotates as thresholds demand.
+  /// Sampled decisions kept per kernel in the in-memory tail.
+  static constexpr std::size_t kTailPerKernel = 8;
+
+  /// Take one record: a sampled decision joins its kernel's tail (the
+  /// kernel's oldest drops past kTailPerKernel); with the log enabled, every
+  /// record is formatted and buffered, flushing and rotating as thresholds
+  /// demand.
   void append(const AuditRecord& record);
+
+  /// The tail: grouped by kernel, oldest first within a kernel.
+  [[nodiscard]] std::vector<AuditRecord> tail() const;
+  /// Write the tail as audit lines, atomically (temp + rename): the
+  /// decisions file. Throws std::runtime_error on I/O failure.
+  void write_tail(const std::string& path) const;
 
   /// Write buffered lines to the current segment (collector cadence, tests).
   void flush();
@@ -108,8 +142,8 @@ public:
     return rotated_.load(std::memory_order_relaxed);
   }
 
-  /// Close and forget configuration and counters (tests). Existing segment
-  /// files are left on disk.
+  /// Close and forget configuration, counters and the tail (tests).
+  /// Existing segment files are left on disk.
   void reset_for_testing();
 
 private:
@@ -132,6 +166,9 @@ private:
   std::FILE* file_ = nullptr;          ///< current segment (append-only)
   std::atomic<std::uint64_t> appended_{0};
   std::atomic<std::uint64_t> rotated_{0};
+
+  mutable std::mutex tail_mutex_;
+  std::map<std::string, std::deque<AuditRecord>> tail_;  ///< tail_mutex_
 };
 
 }  // namespace apollo::telemetry

@@ -614,15 +614,6 @@ void accumulate_signature(HwSignature& signature, double ipc, double cache_rate,
   signature.mean_stall_fraction += (stall - signature.mean_stall_fraction) / n;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void append_signature_json(std::ostringstream& out, const char* key,
                            const HwSignature& signature) {
   out << "\"" << key << "\":{\"launches\":" << signature.launches << ",\"mean_ipc\":"

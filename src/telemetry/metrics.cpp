@@ -189,19 +189,6 @@ bool series_key_less(const SeriesSnapshot& a, const SeriesSnapshot& b) {
   return a.labels < b.labels;
 }
 
-void write_atomically(const std::string& path, const std::string& what,
-                      const void* self, void (*render)(const void*, std::ostream&)) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) throw std::runtime_error(what + ": cannot open " + tmp);
-    render(self, out);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error(what + ": cannot rename " + tmp + " to " + path);
-  }
-}
-
 }  // namespace
 
 void MetricsSnapshot::upsert(SeriesSnapshot series_snapshot) {
@@ -323,10 +310,22 @@ void MetricsSnapshot::write(std::ostream& out) const {
   }
 }
 
+void write_file_atomically(const std::string& path, std::string_view text) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp);
+    if (!out) throw std::runtime_error("telemetry: cannot open " + tmp);
+    out << text;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("telemetry: cannot rename " + tmp + " to " + path);
+  }
+}
+
 void MetricsSnapshot::write_file(const std::string& path) const {
-  write_atomically(path, "MetricsSnapshot", this, [](const void* self, std::ostream& out) {
-    static_cast<const MetricsSnapshot*>(self)->write(out);
-  });
+  std::ostringstream out;
+  write(out);
+  write_file_atomically(path, out.str());
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -374,15 +373,7 @@ std::string MetricsRegistry::expose() const {
 }
 
 void MetricsRegistry::write_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) throw std::runtime_error("MetricsRegistry: cannot open " + tmp);
-    write(out);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("MetricsRegistry: cannot rename " + tmp + " to " + path);
-  }
+  write_file_atomically(path, expose());
 }
 
 void MetricsRegistry::zero() {

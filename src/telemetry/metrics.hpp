@@ -162,10 +162,14 @@ struct MetricsSnapshot {
 
   /// Prometheus text exposition, same format as MetricsRegistry::write.
   void write(std::ostream& out) const;
-  /// Atomic file export (write temp + rename), same contract as
-  /// MetricsRegistry::write_file.
+  /// Atomic file export (write_file_atomically).
   void write_file(const std::string& path) const;
 };
+
+/// Write `text` to `path` atomically (temp file + rename), so a reader
+/// tailing the path never sees a torn file. Throws std::runtime_error on I/O
+/// failure. Every live export file goes through here.
+void write_file_atomically(const std::string& path, std::string_view text);
 
 class MetricsRegistry {
 public:
@@ -189,8 +193,7 @@ public:
   /// Prometheus text exposition of every series (families sorted by name).
   [[nodiscard]] std::string expose() const;
   void write(std::ostream& out) const;
-  /// Atomic file export (write temp + rename) so tailers never see a torn
-  /// file. Throws std::runtime_error on I/O failure.
+  /// Atomic file export (write_file_atomically).
   void write_file(const std::string& path) const;
 
   /// Freeze every series' current value (relaxed loads; a snapshot taken

@@ -75,7 +75,7 @@ void write_live_files() {
     if (!metrics_file.empty() && metrics_file != "-") {
       MetricsRegistry::instance().write_file(metrics_file);
     }
-    if (!decisions_file.empty()) DecisionLog::instance().write_file(decisions_file);
+    if (!decisions_file.empty()) AuditLog::instance().write_tail(decisions_file);
   } catch (const std::exception&) {
     // Live refresh is best-effort; the shutdown export reports real errors.
   }
@@ -144,7 +144,6 @@ void register_build_info_metric() {
 void configure(Config config) {
   Collector& c = Collector::instance();
   Tracer::instance().set_ring_capacity(config.ring_capacity);
-  if (config.introspect_stride > 0) DecisionLog::instance().set_per_kernel_limit(8);
   AuditConfig audit;
   audit.base_path = config.audit_file;
   audit.segment_bytes = config.audit_segment_bytes;
@@ -272,7 +271,7 @@ void export_all() {
   }
   if (!decisions_file.empty()) {
     try {
-      DecisionLog::instance().write_file(decisions_file);
+      AuditLog::instance().write_tail(decisions_file);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "apollo telemetry: %s\n", error.what());
     }
@@ -297,7 +296,6 @@ void reset_for_testing() {
   }
   Tracer::instance().reset();
   MetricsRegistry::instance().zero();
-  DecisionLog::instance().clear();
   AuditLog::instance().reset_for_testing();
   hwprof::reset_for_testing();
 }

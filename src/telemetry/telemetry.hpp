@@ -16,10 +16,14 @@
 //   APOLLO_TRACE_FILE=path        chrome://tracing JSON (default apollo_trace.json)
 //   APOLLO_METRICS_FILE=path      Prometheus text ("-" or unset = stdout at exit;
 //                                 a path is also refreshed live for apollo_top)
-//   APOLLO_DECISIONS_FILE=path    decision-introspection JSONL (default
-//                                 apollo_decisions.jsonl, refreshed live)
+//   APOLLO_DECISIONS_FILE=path    the audit log's sampled tail: the last 8
+//                                 introspected decisions per kernel as audit
+//                                 lines (default apollo_decisions.jsonl,
+//                                 refreshed live)
 //   APOLLO_TELEMETRY_FLUSH_MS=n   live refresh cadence (default 500, 0 = off)
-//   APOLLO_INTROSPECT_STRIDE=n    sample every nth tuned launch (default 64, 0 = off)
+//   APOLLO_INTROSPECT_STRIDE=n    sample every nth tuned launch into the tail
+//                                 with its tree path and predicted cost
+//                                 (default 64, 0 = off)
 //   APOLLO_PROBE_STRIDE=n         ground-truth probe every nth tuned launch
 //                                 (default 64, 0 = off; model-timing runs only)
 //   APOLLO_AUDIT_FILE=path        decision audit log base path (unset = off);
@@ -46,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/introspect.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -76,7 +79,7 @@ struct Config {
   std::size_t collector_event_limit = std::size_t{1} << 19;  ///< retained trace events
 };
 
-/// Replace the configuration (applies ring capacity and introspection limits
+/// Replace the configuration (applies the ring capacity and the audit log
 /// immediately). Does not flip the enabled switch or start the collector.
 void configure(Config config);
 [[nodiscard]] const Config& config();
@@ -102,14 +105,15 @@ void collect_now();
 [[nodiscard]] std::uint64_t collector_overflow();
 
 /// Drain and write every configured export now: trace JSON, metrics text,
-/// decisions JSONL. Called by shutdown(); usable mid-run.
+/// the decisions file. Called by shutdown(); usable mid-run.
 void export_all();
 
 /// Stop the collector and export. Idempotent; registered via atexit when the
 /// env switch enabled telemetry.
 void shutdown();
 
-/// Forget collected events and zero metrics/decisions (tests, benchmarks).
+/// Forget collected events, zero metrics and reset the audit log and its
+/// tail (tests, benchmarks).
 /// Metric handles stay valid; the tracer starts a new epoch.
 void reset_for_testing();
 

@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 
+#include "telemetry/audit.hpp"  // json_escape
+
 namespace apollo::telemetry {
 
 namespace {
@@ -22,29 +24,6 @@ struct TlsRef {
   std::uint64_t epoch = ~std::uint64_t{0};
 };
 thread_local TlsRef t_ref;
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,6 +26,7 @@
 #include "core/trainer.hpp"
 #include "online/retrainer.hpp"
 #include "perf/blackboard.hpp"
+#include "telemetry/audit.hpp"
 #include "telemetry/telemetry.hpp"
 
 using namespace apollo;
@@ -107,6 +112,14 @@ const TunerModel& stress_model() {
     return trained;
   }();
   return model;
+}
+
+/// A single-leaf policy model that always answers `label`.
+TunerModel leaf_model(const char* label) {
+  std::stringstream io;
+  io << "apollo-tree 1\nfeatures 1 num_indices\nlabels 1 " << label
+     << "\nnodes 1\n-1 0 -1 -1 0 1 0\n";
+  return TunerModel(TunedParameter::Policy, ml::DecisionTree::load(io), {});
 }
 
 class ConcurrentDispatchTest : public ::testing::Test {
@@ -330,14 +343,8 @@ TEST_F(ConcurrentDispatchTest, InlineCacheNeverServesStaleDecisionAcrossHotSwap)
   // key folds in the model epoch, so a cached decision from one model must
   // never be served under the other; once the swapping stops, the very next
   // launch must answer for the finally-published model.
-  auto make_leaf = [](const char* label) {
-    std::stringstream io;
-    io << "apollo-tree 1\nfeatures 1 num_indices\nlabels 1 " << label
-       << "\nnodes 1\n-1 0 -1 -1 0 1 0\n";
-    return TunerModel(TunedParameter::Policy, ml::DecisionTree::load(io), {});
-  };
-  const TunerModel seq_model = make_leaf("seq");
-  const TunerModel omp_model = make_leaf("omp");
+  const TunerModel seq_model = leaf_model("seq");
+  const TunerModel omp_model = leaf_model("omp");
   auto& rt = Runtime::instance();
   rt.set_mode(Mode::Tune);
   rt.set_policy_model(seq_model);
@@ -367,6 +374,94 @@ TEST_F(ConcurrentDispatchTest, InlineCacheNeverServesStaleDecisionAcrossHotSwap)
     EXPECT_EQ(rt.begin(kernel_at(k), iset).policy, raja::PolicyType::seq_segit_seq_exec)
         << kernel_at(k).loop_id();
   }
+}
+
+TEST_F(ConcurrentDispatchTest, RecordsCarryTheGenerationTheLaunchDecidedWith) {
+  // Thread A decides on registry generation 1 (seq). Before A ends, the main
+  // thread publishes generation 2 (omp) and launches on it. A's decision
+  // record, probe record and Decide span must still name generation 1: the
+  // snapshot A decided with, not the one current when its end() runs.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("apollo_decided_gen_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  telemetry::reset_for_testing();
+  telemetry::Config telemetry_config;
+  telemetry_config.trace_file.clear();
+  telemetry_config.decisions_file.clear();
+  telemetry_config.flush_interval_seconds = 0.0;
+  telemetry_config.introspect_stride = 1;  // every launch emits a Decide span
+  telemetry_config.probe_stride = 1;       // and a probe
+  telemetry_config.audit_file = (dir / "audit.jsonl").string();
+  telemetry::configure(telemetry_config);
+  telemetry::set_enabled(true);
+
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Adapt);
+  online::OnlineConfig config;
+  config.explorer.epsilon = 0.0;
+  config.explorer.boosted_epsilon = 0.0;
+  rt.configure_online(config);
+  ASSERT_EQ(rt.online().registry().publish(leaf_model("seq")), 1u);
+
+  const KernelHandle& kernel = kernel_at(0);
+  const raja::IndexSet iset = raja::IndexSet::range(0, 512);
+  std::promise<void> a_decided;
+  std::promise<void> b_ended;
+  ModelParams a_params;
+  std::thread a([&] {
+    a_params = rt.begin(kernel, iset);
+    a_decided.set_value();
+    b_ended.get_future().wait();
+    rt.end(kernel, iset, a_params);
+  });
+  a_decided.get_future().wait();
+  EXPECT_EQ(rt.online().registry().publish(leaf_model("omp")), 2u);
+  const ModelParams b_params = rt.begin(kernel, iset);
+  rt.end(kernel, iset, b_params);
+  b_ended.set_value();
+  a.join();
+  telemetry::set_enabled(false);
+  EXPECT_EQ(a_params.policy, raja::PolicyType::seq_segit_seq_exec);
+  EXPECT_EQ(b_params.policy, raja::PolicyType::seq_segit_omp_parallel_for_exec);
+
+  // B ended first: its decision and probe, then A's.
+  telemetry::AuditLog::instance().flush();
+  std::vector<telemetry::AuditRecord> records;
+  for (const std::string& path : telemetry::AuditLog::instance().segment_paths()) {
+    const auto lines = telemetry::read_complete_lines(path);
+    ASSERT_TRUE(lines.has_value()) << path;
+    for (const std::string& line : *lines) {
+      const auto record = telemetry::parse_audit_line(line);
+      ASSERT_TRUE(record.has_value()) << line;
+      records.push_back(*record);
+    }
+  }
+  using Kind = telemetry::AuditRecord::Kind;
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].kind, Kind::Decision);
+  EXPECT_EQ(records[0].label, "omp");
+  EXPECT_EQ(records[0].model_version, 2u);
+  EXPECT_EQ(records[1].kind, Kind::Probe);
+  EXPECT_EQ(records[1].model_version, 2u);
+  EXPECT_EQ(records[2].kind, Kind::Decision);
+  EXPECT_EQ(records[2].label, "seq");
+  EXPECT_EQ(records[2].model_version, 1u);
+  EXPECT_EQ(records[3].kind, Kind::Probe);
+  EXPECT_EQ(records[3].model_version, 1u);
+
+  std::vector<telemetry::TraceEvent> events;
+  telemetry::Tracer::instance().drain(events);
+  std::multiset<std::uint64_t> decide_generations;
+  for (const auto& event : events) {
+    if (event.kind == telemetry::EventKind::Decide) decide_generations.insert(event.arg0);
+  }
+  EXPECT_EQ(decide_generations, (std::multiset<std::uint64_t>{1, 2}));
+
+  telemetry::configure(telemetry::Config{});
+  telemetry::reset_for_testing();
+  fs::remove_all(dir);
 }
 
 TEST_F(ConcurrentDispatchTest, GroupedDispatchCountsStayExactAcrossThreads) {

@@ -294,6 +294,24 @@ TEST(HwprofCorrelate, SplitsSignaturesByAuditGroundTruth) {
   EXPECT_DOUBLE_EQ(correlation.predicted.mean_stall_fraction, 0.5);
 }
 
+TEST(HwprofReport, JsonEscapesControlCharactersInNames) {
+  // apollo_prof --json must stay valid JSON whatever a kernel is called.
+  hwprof::ProfileReport report;
+  report.provider = "software";
+  hwprof::ProfileRow row;
+  row.kernel = "k\tx\n";
+  row.variant = "omp \"c8\"";
+  row.windows = 1;
+  row.instructions = 10;
+  row.cycles = 10;
+  report.rows.push_back(row);
+  const std::string json = hwprof::render_report_json(report, 0);
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+  EXPECT_NE(json.find("\"kernel\":\"k\\tx\\n\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"variant\":\"omp \\\"c8\\\"\""), std::string::npos) << json;
+}
+
 // ---------------------------------------------------------------------------
 // The full chain, per provider: counter window -> apollo_hw_* series ->
 // audit annotation -> apollo_prof report.

@@ -86,11 +86,18 @@ TEST_F(AdaptModeTest, RecoversFromWorkloadShiftViaHotSwap) {
   ASSERT_GE(status.model_version, 1u);
 
   // After one more launch begin() notices the published version and
-  // hot-swaps; large launches must now be predicted parallel.
+  // hot-swaps; large launches must now be predicted parallel. Any launch may
+  // be an exploration draw (the draw index depends on how many launches ran
+  // while the retrain was in flight), so judge the first model decision.
   launch(200000);
   const raja::IndexSet big = raja::IndexSet::range(0, 200000);
-  const ModelParams params = rt.begin(stream_kernel(), big);
-  rt.end(stream_kernel(), big, params);
+  ModelParams params;
+  for (int attempt = 0; attempt < 32; ++attempt) {
+    params = rt.begin(stream_kernel(), big);
+    rt.end(stream_kernel(), big, params);
+    if (!params.explored) break;
+  }
+  ASSERT_FALSE(params.explored) << "32 exploration draws in a row";
   EXPECT_EQ(params.policy, raja::PolicyType::seq_segit_omp_parallel_for_exec);
 }
 

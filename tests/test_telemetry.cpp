@@ -1,21 +1,29 @@
 // Unit tests for the telemetry subsystem: SPSC trace rings with exact drop
 // accounting, the metrics registry and its Prometheus text exposition,
-// histogram quantiles, decision introspection, the Chrome trace exporter,
-// build provenance, and the runtime's per-launch series.
+// histogram quantiles, the sampled decision tail, the Chrome trace exporter,
+// build provenance, and the runtime's per-launch series and records.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "core/tuner_model.hpp"
+#include "ml/decision_tree.hpp"
 #include "raja/forall.hpp"
+#include "telemetry/audit.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace telemetry = apollo::telemetry;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -185,34 +193,43 @@ TEST_F(TelemetryTest, ZeroResetsValuesButKeepsHandles) {
   EXPECT_EQ(counter.value(), 1u);
 }
 
-TEST_F(TelemetryTest, DecisionLogRollsOffPerKernel) {
-  auto& log = telemetry::DecisionLog::instance();
-  log.clear();
-  log.set_per_kernel_limit(2);
-  for (int i = 0; i < 3; ++i) {
-    telemetry::Decision d;
-    d.kernel = "telemetry:decisions";
-    d.predicted = "omp";
-    d.predicted_seconds = 1.0 + i;
-    d.observed_seconds = 2.0 + i;
-    d.features.emplace_back("num_indices", 64.0 + i);
-    d.tree_path = {0, 1};
-    log.record(std::move(d));
+TEST_F(TelemetryTest, DecisionTailRollsOffPerKernel) {
+  auto& log = telemetry::AuditLog::instance();
+  ASSERT_FALSE(log.audit_enabled());  // the tail does not need the audit file
+  const std::size_t pushed = telemetry::AuditLog::kTailPerKernel + 1;
+  for (std::size_t i = 0; i < pushed; ++i) {
+    telemetry::AuditRecord record;
+    record.kernel = "telemetry:decisions";
+    record.label = "omp";
+    record.policy = "omp";
+    record.seconds = 2.0 + static_cast<double>(i);
+    record.features.emplace_back("num_indices", 64.0 + static_cast<double>(i));
+    record.sampled = true;
+    record.tree_path = {0, 1};
+    record.predicted_seconds = 1.0 + static_cast<double>(i);
+    log.append(record);
   }
-  EXPECT_EQ(log.recorded(), 3u);
-  const auto kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 2u);  // oldest rolled off
-  EXPECT_DOUBLE_EQ(kept.front().predicted_seconds, 2.0);
+  telemetry::AuditRecord unsampled;  // an audit-only record never joins the tail
+  unsampled.kernel = "telemetry:decisions";
+  log.append(unsampled);
 
-  std::ostringstream out;
-  log.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"kernel\":\"telemetry:decisions\""), std::string::npos);
-  EXPECT_NE(json.find("\"predicted\":\"omp\""), std::string::npos);
-  EXPECT_NE(json.find("\"num_indices\""), std::string::npos);
-  EXPECT_NE(json.find("\"tree_path\":[0,1]"), std::string::npos);
-  log.clear();
-  log.set_per_kernel_limit(8);
+  const auto kept = log.tail();
+  ASSERT_EQ(kept.size(), telemetry::AuditLog::kTailPerKernel);
+  for (std::size_t i = 0; i < kept.size(); ++i) {  // the oldest rolled off
+    EXPECT_DOUBLE_EQ(kept[i].predicted_seconds, 2.0 + static_cast<double>(i));
+  }
+
+  // The decisions file is the tail in the audit line format.
+  const std::string path = ::testing::TempDir() + "telemetry_decisions.jsonl";
+  log.write_tail(path);
+  const auto lines = telemetry::read_complete_lines(path);
+  ASSERT_TRUE(lines.has_value());
+  ASSERT_EQ(lines->size(), kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ((*lines)[i], telemetry::to_json_line(kept[i]));
+  }
+  EXPECT_NE(lines->front().find("\"tree_path\":[0,1]"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST_F(TelemetryTest, ChromeTraceExportPhasesAndMetadata) {
@@ -275,4 +292,69 @@ TEST_F(TelemetryTest, RuntimeEmitsDispatchSeriesAndLaunchSpans) {
   const std::string text = telemetry::MetricsRegistry::instance().expose();
   EXPECT_NE(text.find("apollo_dispatch_total{kernel=\"telemetry:test\""), std::string::npos);
   rt.reset();
+}
+
+TEST_F(TelemetryTest, AuditLineAndDecisionsFileLineAreIdentical) {
+  // One record per launch: with the audit log on and every tuned launch
+  // sampled, the audit segment and the decisions file hold the same line.
+  const fs::path dir =
+      fs::temp_directory_path() / ("apollo_one_record_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  // num_indices <= 10000 -> seq (node 1), else omp (node 2).
+  std::stringstream tree;
+  tree << "apollo-tree 1\nfeatures 1 num_indices\nlabels 2 seq omp\nnodes 3\n"
+          "0 10000 1 2 0 2 0.5\n-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 1 0\n";
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(apollo::Mode::Tune);
+  rt.set_policy_model(apollo::TunerModel(apollo::TunedParameter::Policy,
+                                         apollo::ml::DecisionTree::load(tree), {}));
+
+  telemetry::Config config;
+  config.trace_file.clear();
+  config.metrics_file = (dir / "metrics.prom").string();
+  config.decisions_file = (dir / "decisions.jsonl").string();
+  config.flush_interval_seconds = 0.0;
+  config.introspect_stride = 1;
+  config.probe_stride = 0;
+  config.audit_file = (dir / "audit.jsonl").string();
+  telemetry::configure(config);
+  telemetry::set_enabled(true);
+
+  const apollo::KernelHandle kernel{
+      "telemetry:one_record", "OneRecord",
+      apollo::instr::MixBuilder{}.fp(1).load(1).store(1).build(), 8};
+  apollo::forall(kernel, raja::IndexSet::range(0, 512), [](raja::Index) {});
+  telemetry::set_enabled(false);
+  telemetry::export_all();
+  telemetry::AuditLog::instance().flush();
+
+  const auto segments = telemetry::AuditLog::instance().segment_paths();
+  ASSERT_EQ(segments.size(), 1u);
+  const auto audit_lines = telemetry::read_complete_lines(segments.front());
+  const auto decision_lines = telemetry::read_complete_lines(config.decisions_file);
+  ASSERT_TRUE(audit_lines.has_value());
+  ASSERT_TRUE(decision_lines.has_value());
+  ASSERT_EQ(audit_lines->size(), 1u);
+  ASSERT_EQ(decision_lines->size(), 1u);
+  EXPECT_EQ(audit_lines->front(), decision_lines->front());
+
+  const auto record = telemetry::parse_audit_line(decision_lines->front());
+  ASSERT_TRUE(record.has_value()) << decision_lines->front();
+  EXPECT_TRUE(record->sampled);
+  EXPECT_EQ(record->kernel, "telemetry:one_record");
+  EXPECT_EQ(record->label, "seq");
+  EXPECT_EQ(record->policy, "seq");
+  EXPECT_EQ(record->tree_path, (std::vector<int>{0, 1}));
+  EXPECT_GT(record->predicted_seconds, 0.0);
+  EXPECT_GT(record->seconds, 0.0);
+  ASSERT_EQ(record->features.size(), 1u);
+  EXPECT_DOUBLE_EQ(record->features[0].second, 512.0);
+
+  telemetry::configure(telemetry::Config{});
+  rt.reset();
+  fs::remove_all(dir);
 }

@@ -63,6 +63,19 @@ telemetry::AuditRecord make_decision() {
   return record;
 }
 
+telemetry::AuditRecord make_probe() {
+  telemetry::AuditRecord record;
+  record.kind = telemetry::AuditRecord::Kind::Probe;
+  record.ts_ns = 99;
+  record.kernel = "k";
+  record.bucket = 5;
+  record.model_version = 1;
+  record.policy = "omp";
+  record.chunk = 0;
+  record.seconds = 0.5;
+  return record;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -184,7 +197,11 @@ TEST(QualityAccountant, SnapshotIsSortedByKernelName) {
 // Audit records: JSON round-trip
 
 TEST(AuditRecordJson, DecisionRoundTripsWithFeaturesAndEscapes) {
-  const telemetry::AuditRecord record = make_decision();
+  telemetry::AuditRecord record = make_decision();
+  record.kernel = "stream \"triad\"\t{x}\n\x01";  // quotes, braces, control characters
+  record.sampled = true;
+  record.tree_path = {0, 2, 5};
+  record.predicted_seconds = 0.000875;
   const std::string line = to_json_line(record);
   EXPECT_EQ(line.find('\n'), std::string::npos);
 
@@ -192,7 +209,7 @@ TEST(AuditRecordJson, DecisionRoundTripsWithFeaturesAndEscapes) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->kind, telemetry::AuditRecord::Kind::Decision);
   EXPECT_EQ(parsed->ts_ns, record.ts_ns);
-  EXPECT_EQ(parsed->kernel, record.kernel);  // quotes survive escaping
+  EXPECT_EQ(parsed->kernel, record.kernel);  // escapes survive
   EXPECT_EQ(parsed->bucket, record.bucket);
   EXPECT_EQ(parsed->model_version, record.model_version);
   EXPECT_EQ(parsed->label, record.label);
@@ -205,22 +222,27 @@ TEST(AuditRecordJson, DecisionRoundTripsWithFeaturesAndEscapes) {
   EXPECT_DOUBLE_EQ(parsed->features[0].second, 4096.0);
   EXPECT_EQ(parsed->features[1].first, "segment\\kind");  // backslash survives
   EXPECT_DOUBLE_EQ(parsed->features[1].second, -1.0);
+  EXPECT_TRUE(parsed->sampled);
+  EXPECT_EQ(parsed->tree_path, record.tree_path);
+  EXPECT_DOUBLE_EQ(parsed->predicted_seconds, record.predicted_seconds);
+  EXPECT_EQ(to_json_line(*parsed), line);
+
+  // An unsampled decision carries neither optional field.
+  const std::string plain = to_json_line(make_decision());
+  EXPECT_EQ(plain.find("tree_path"), std::string::npos);
+  EXPECT_EQ(plain.find("predicted_seconds"), std::string::npos);
+  const auto parsed_plain = telemetry::parse_audit_line(plain);
+  ASSERT_TRUE(parsed_plain.has_value());
+  EXPECT_FALSE(parsed_plain->sampled);
+  EXPECT_TRUE(parsed_plain->tree_path.empty());
 }
 
 TEST(AuditRecordJson, ProbeRoundTripsWithoutDecisionFields) {
-  telemetry::AuditRecord record;
-  record.kind = telemetry::AuditRecord::Kind::Probe;
-  record.ts_ns = 99;
-  record.kernel = "k";
-  record.bucket = 5;
-  record.model_version = 1;
-  record.policy = "omp";
-  record.chunk = 0;
-  record.seconds = 0.5;
-  const auto parsed = telemetry::parse_audit_line(to_json_line(record));
+  const auto parsed = telemetry::parse_audit_line(to_json_line(make_probe()));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->kind, telemetry::AuditRecord::Kind::Probe);
   EXPECT_EQ(parsed->policy, "omp");
+  EXPECT_DOUBLE_EQ(parsed->seconds, 0.5);
   EXPECT_TRUE(parsed->label.empty());
   EXPECT_TRUE(parsed->features.empty());
 }
@@ -229,9 +251,30 @@ TEST(AuditRecordJson, MalformedLinesAreRejected) {
   EXPECT_FALSE(telemetry::parse_audit_line("").has_value());
   EXPECT_FALSE(telemetry::parse_audit_line("not json").has_value());
   EXPECT_FALSE(telemetry::parse_audit_line("{\"type\":\"unknown\"}").has_value());
-  // A truncated prefix of a valid line (torn write) must not parse.
-  const std::string line = to_json_line(make_decision());
-  EXPECT_FALSE(telemetry::parse_audit_line(line.substr(0, line.size() / 2)).has_value());
+
+  // Torn writes: no proper prefix of a valid line may parse. The decision
+  // line carries every optional block (features, introspection sample, hw
+  // annotation) and names holding the characters the parser scans for.
+  telemetry::AuditRecord decision = make_decision();
+  decision.kernel = "k}]\"";
+  decision.features.emplace_back("x}],[\"y", 110592.5);
+  decision.sampled = true;
+  decision.tree_path = {0, 1, 4};
+  decision.predicted_seconds = 0.0625;
+  decision.has_hw = true;
+  decision.hw_instructions = 1000;
+  decision.hw_cycles = 2000;
+  decision.hw_cache_misses = 30;
+  decision.hw_branch_misses = 4;
+  decision.hw_stalled_cycles = 500;
+  decision.hw_scale = 1.5;
+  for (const std::string& line : {to_json_line(decision), to_json_line(make_probe())}) {
+    ASSERT_TRUE(telemetry::parse_audit_line(line).has_value()) << line;
+    for (std::size_t size = 0; size < line.size(); ++size) {
+      EXPECT_FALSE(telemetry::parse_audit_line(line.substr(0, size)).has_value())
+          << line.substr(0, size);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

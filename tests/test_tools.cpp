@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef APOLLO_TOOLS_DIR
 #define APOLLO_TOOLS_DIR "."
@@ -186,9 +188,11 @@ TEST_F(ToolsTest, AdaptAuditReplayPipeline) {
   const std::string offline = (workdir_ / "offline.policy.model").string();
   const std::string audit_base = (workdir_ / "audit.jsonl").string();
   const std::string metrics = (workdir_ / "metrics.prom").string();
+  const std::string decisions = (workdir_ / "decisions.jsonl").string();
 
   const auto adapt = run_command(
       "APOLLO_TELEMETRY=1 APOLLO_AUDIT_FILE=" + audit_base + " APOLLO_METRICS_FILE=" + metrics +
+      " APOLLO_DECISIONS_FILE=" + decisions +
       " APOLLO_PROBE_STRIDE=16 APOLLO_HW_STRIDE=1 APOLLO_HW_PROVIDER=software " +
       tool("apollo_adapt") + " --model-dir " + model_dir + " --save-offline " + offline);
   ASSERT_EQ(adapt.status, 0) << adapt.output;
@@ -246,6 +250,26 @@ TEST_F(ToolsTest, AdaptAuditReplayPipeline) {
   EXPECT_NE(prof_json.output.find("\"provider\":\"software\""), std::string::npos);
   EXPECT_NE(prof_json.output.find("\"rows\":["), std::string::npos);
   EXPECT_NE(prof_json.output.find("\"annotated_decisions\":"), std::string::npos);
+
+  // apollo_top reads the decisions file (the sampled tail of the same
+  // records): some kernel row shows a sampled label and a pred/obs ratio.
+  ASSERT_TRUE(fs::exists(decisions));
+  const auto top = run_command(tool("apollo_top") + " --once --metrics " + metrics +
+                               " --decisions " + decisions);
+  ASSERT_EQ(top.status, 0) << top.output;
+  bool sampled_row = false;
+  std::istringstream rows(top.output);
+  for (std::string row; std::getline(rows, row);) {
+    std::istringstream fields(row);
+    const std::vector<std::string> cells{std::istream_iterator<std::string>(fields),
+                                         std::istream_iterator<std::string>()};
+    if (cells.size() != 8) continue;  // kernel launches variant share p50 p95 pred pred/obs
+    const std::string& label = cells[6];
+    if ((label == "seq" || label == "omp") && std::atof(cells[7].c_str()) > 0.0) {
+      sampled_row = true;
+    }
+  }
+  EXPECT_TRUE(sampled_row) << top.output;
 }
 
 #ifdef APOLLO_EXAMPLES_DIR

@@ -1,11 +1,12 @@
 // apollo-top: live per-kernel status for a telemetry-enabled Apollo run.
 //
-// Tails the Prometheus metrics file and decision-introspection JSONL that a
-// run exports when APOLLO_TELEMETRY=1 and APOLLO_METRICS_FILE points at a
-// path (both files are refreshed atomically on the flush cadence, so this
-// tool never sees a torn file). Prints one row per kernel: launch count,
+// Tails the Prometheus metrics file and the decisions file that a run
+// exports when APOLLO_TELEMETRY=1 and APOLLO_METRICS_FILE points at a path
+// (both files are refreshed atomically on the flush cadence, so this tool
+// never sees a torn file). The decisions file is the audit log's sampled
+// tail, in the audit line format. Prints one row per kernel: launch count,
 // dominant variant and its share, decision-latency percentiles, and the most
-// recent sampled decision's predicted-vs-observed runtime.
+// recent sampled decision's label and predicted-vs-observed runtime.
 //
 // Usage:
 //   apollo_top [--metrics FILE] [--decisions FILE] [--fleet FILE]
@@ -31,7 +32,7 @@
 #include <vector>
 
 #include "perf/quantile.hpp"
-#include "telemetry/audit.hpp"  // read_complete_lines: tolerate live writers
+#include "telemetry/audit.hpp"  // decision records; read_complete_lines
 #include "telemetry/build_info.hpp"
 
 namespace {
@@ -361,27 +362,6 @@ void print_fleet(const FleetSnapshot& fleet) {
   }
 }
 
-/// Minimal field extraction from the fixed-shape decision JSONL lines.
-std::string json_string_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return {};
-  std::string out;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-    out += line[pos++];
-  }
-  return out;
-}
-
-double json_number_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::atof(line.c_str() + at + needle.size());
-}
-
 void load_decisions(const std::string& path, Snapshot& snap) {
   // read_complete_lines drops a final unterminated line, so tailing a file a
   // writer is appending to mid-flush never misparses the torn record.
@@ -390,12 +370,12 @@ void load_decisions(const std::string& path, Snapshot& snap) {
   // Lines are grouped per kernel, oldest first: the last line seen per
   // kernel is its freshest sampled decision.
   for (const std::string& line : *lines) {
-    const std::string kernel = json_string_field(line, "kernel");
-    if (kernel.empty()) continue;
-    KernelRow& row = snap.kernels[kernel];
-    row.predicted = json_string_field(line, "predicted");
-    row.predicted_seconds = json_number_field(line, "predicted_seconds");
-    row.observed_seconds = json_number_field(line, "observed_seconds");
+    const auto record = apollo::telemetry::parse_audit_line(line);
+    if (!record || !record->sampled) continue;
+    KernelRow& row = snap.kernels[record->kernel];
+    row.predicted = record->label;
+    row.predicted_seconds = record->predicted_seconds;
+    row.observed_seconds = record->seconds;
   }
 }
 
