@@ -40,9 +40,8 @@ inline constexpr const char* kMeasureRuntime = "measure:runtime";
 /// accumulates it as that many unit samples.
 inline constexpr const char* kMeasureCount = "measure:count";
 /// Kernel bytes-per-iteration, carried as sample metadata (not a model
-/// feature) so an offline consumer — the Retrainer's search augmentation,
-/// apollo_train --search — can rebuild the launch's machine-model CostQuery
-/// without the live KernelHandle.
+/// feature) so an offline consumer of a records file can rebuild the
+/// launch's machine-model CostQuery without the live KernelHandle.
 inline constexpr const char* kMeasureBytesPerIter = "measure:bytes_per_iter";
 
 /// True for record keys that describe the sample rather than the launch.

@@ -4,15 +4,12 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
-#include "core/search_support.hpp"
-#include "ml/search/two_stage.hpp"
 #include "perf/blackboard.hpp"
 #include "service/client.hpp"
 #include "telemetry/audit.hpp"
@@ -152,15 +149,6 @@ void unpack_decision(std::uint64_t packed, ModelParams& params) noexcept {
 
 }  // namespace
 
-namespace {
-/// Defined with the rest of the training-search support further down; the
-/// online-tuner wiring above it needs the declaration.
-online::Retrainer::AugmentFn make_search_augment(sim::MachineModel machine,
-                                                 std::vector<std::int64_t> chunk_values,
-                                                 std::vector<unsigned> thread_values,
-                                                 unsigned default_team, SearchOptions options);
-}  // namespace
-
 const char* mode_name(Mode mode) noexcept {
   switch (mode) {
     case Mode::Off: return "off";
@@ -186,9 +174,6 @@ Runtime::Runtime() {
   const std::size_t capacity =
       telemetry::env_size("APOLLO_SAMPLE_CAPACITY", online::kDefaultSampleCapacity);
   if (capacity != online::kDefaultSampleCapacity) records_.set_capacity(capacity);
-  // Training-search knobs (APOLLO_SEARCH family), hardened the same way.
-  env_search_defaults_ = search_options_from_env();
-  search_options_ = env_search_defaults_;
   // The paper's training protocol: re-run the same binary once per parameter
   // value, selected through the RAJA_POLICY / RAJA_CHUNK_SIZE environment
   // variables (SIII-A). An explicit policy disables sweep recording.
@@ -313,16 +298,6 @@ online::OnlineTuner& Runtime::online_locked() {
   if (!online_) {
     online_ = std::make_unique<online::OnlineTuner>(&records_);
     online_ptr_.store(online_.get(), std::memory_order_release);
-    // Two-stage search in the retrain lane: each duty cycle's window is
-    // augmented with budgeted, model-searched variant measurements for its
-    // newest launch groups before fitting. The closure copies the machine
-    // model and training lanes now — it runs on the Retrainer's background
-    // thread, concurrently with tuned dispatch.
-    if (search_options_.mode == SearchMode::TwoStage) {
-      online_->retrainer().set_augment(make_search_augment(
-          machine_, training_.chunk_values, training_.thread_values, threads(),
-          search_options_));
-    }
     // Fleet mode: when APOLLO_SERVICE_SOCKET names a trainer daemon, a
     // background client drains the sample buffer to it and applies pushed
     // model generations through the registry — the same hot-swap path local
@@ -346,18 +321,7 @@ online::OnlineTuner& Runtime::online() {
 void Runtime::configure_online(online::OnlineConfig config) {
   {
     const std::lock_guard<std::mutex> lock(online_mutex_);
-    online::OnlineTuner& tuner = online_locked();
-    tuner.configure(std::move(config));
-    // Re-capture the (possibly reconfigured) machine model and training
-    // lanes for the retrain-lane search; clear the hook when the mode was
-    // switched back to exhaustive.
-    if (search_options_.mode == SearchMode::TwoStage) {
-      tuner.retrainer().set_augment(make_search_augment(
-          machine_, training_.chunk_values, training_.thread_values, threads(),
-          search_options_));
-    } else {
-      tuner.retrainer().set_augment(nullptr);
-    }
+    online_locked().configure(std::move(config));
   }
   // Re-examine the registry (it may hold restored models).
   adapt_version_.store(0, std::memory_order_release);
@@ -376,7 +340,6 @@ void Runtime::reset() {
   machine_ = sim::MachineModel{};
   threads_ = 0;
   training_ = TrainingConfig{};
-  search_options_ = env_search_defaults_;
   default_override_.reset();
   execute_selected_ = true;
   accountant_ = nullptr;
@@ -675,115 +638,6 @@ const std::shared_ptr<const ModelSnapshot>& Runtime::refresh_adapt_models() {
   return current_models();
 }
 
-// --- training-search support -------------------------------------------------
-
-namespace {
-
-/// Searched-vs-skipped accounting (the sweep path and the Retrainer's
-/// augmentation both report here; apollo_top renders the pane).
-void record_search_metrics(std::size_t measured, std::size_t skipped, std::size_t seeded) {
-  if (!telemetry::enabled()) return;
-  auto& registry = telemetry::MetricsRegistry::instance();
-  static telemetry::Counter& measured_total = registry.counter(
-      "apollo_search_measured_total",
-      "Variant configurations measured while covering a tuning space.");
-  static telemetry::Counter& skipped_total = registry.counter(
-      "apollo_search_skipped_total",
-      "Variant configurations the two-stage search never measured.");
-  static telemetry::Counter& seeded_total = registry.counter(
-      "apollo_search_seeded_total",
-      "Seed configurations selected by the model-ranked search stage.");
-  measured_total.inc(measured);
-  skipped_total.inc(skipped);
-  seeded_total.inc(seeded);
-}
-
-/// Distinct launch groups searched per retrain window: bounds the synthesis
-/// cost of one duty cycle independently of the window size.
-constexpr std::size_t kMaxSearchGroupsPerRetrain = 8;
-
-/// Build the Retrainer's pre-fit augmentation: for the newest launch groups
-/// in the window, run the budgeted two-stage search against the machine
-/// model and synthesize one record per measured configuration. Everything is
-/// captured by value (machine model included), so the closure is
-/// self-contained on the background lane — it shares no mutable state with
-/// tuned dispatch on the application threads.
-online::Retrainer::AugmentFn make_search_augment(sim::MachineModel machine,
-                                                 std::vector<std::int64_t> chunk_values,
-                                                 std::vector<unsigned> thread_values,
-                                                 unsigned default_team, SearchOptions options) {
-  auto sample_id = std::make_shared<std::atomic<std::uint64_t>>(0x5eedULL);
-  return [machine, chunk_values = std::move(chunk_values),
-          thread_values = std::move(thread_values), default_team, options,
-          sample_id](const std::vector<perf::SampleRecord>& window) {
-    std::vector<perf::SampleRecord> extra;
-    if (window.empty()) return extra;
-    // Newest-first distinct groups: the budget goes to the launch shapes the
-    // application produced most recently.
-    std::vector<const perf::SampleRecord*> exemplars;
-    std::set<std::string> seen;
-    for (auto it = window.rbegin(); it != window.rend(); ++it) {
-      if (exemplars.size() >= kMaxSearchGroupsPerRetrain) break;
-      if (seen.insert(search_group_key(*it)).second) exemplars.push_back(&*it);
-    }
-    const ml::search::Space space = make_variant_space(chunk_values, thread_values);
-    std::size_t measured = 0;
-    std::size_t skipped = 0;
-    std::size_t seeded = 0;
-    for (const perf::SampleRecord* exemplar : exemplars) {
-      sim::CostQuery base = query_from_record(*exemplar);
-      if (base.num_indices <= 0) continue;
-      const auto with_variant = [&](const ml::search::Point& point) {
-        sim::CostQuery query = base;
-        const SearchVariant variant = variant_at(space, point);
-        query.policy = variant.policy == raja::PolicyType::seq_segit_seq_exec
-                           ? sim::PolicyKind::Sequential
-                           : sim::PolicyKind::OpenMP;
-        query.chunk = variant.chunk;
-        query.threads = variant.team > 0 ? variant.team : default_team;
-        return query;
-      };
-      const auto cheap = [&](const ml::search::Point& point) {
-        return machine.cost_seconds(with_variant(point));
-      };
-      const auto measure = [&](const ml::search::Point& point) {
-        return machine.measured_seconds(with_variant(point),
-                                        sample_id->fetch_add(1, std::memory_order_relaxed));
-      };
-      const auto canonical = [&](const ml::search::Point& point) {
-        return canonical_variant_key(space, point);
-      };
-      // Two samples per configuration: the dominance early-abort prunes the
-      // second sample of clearly-dominated variants.
-      const ml::search::SearchConfig config = search_engine_config(
-          options, std::hash<std::string>{}(search_group_key(*exemplar)), 2);
-      const ml::search::Result result = ml::search::TwoStageSearch(config).run(
-          space, cheap, measure, {{0, 0, 0}, {1, 0, 0}}, canonical);
-      for (const auto& m : result.measurements) {
-        const SearchVariant variant = variant_at(space, m.point);
-        perf::SampleRecord record = *exemplar;
-        record[features::kParamPolicy] = raja::policy_name(variant.policy);
-        record[features::kParamChunk] = variant.chunk;
-        if (variant.team > 0) {
-          record[features::kParamThreads] = static_cast<std::int64_t>(variant.team);
-        } else {
-          record.erase(features::kParamThreads);
-        }
-        record[features::kMeasureRuntime] = m.seconds;
-        record.erase(features::kMeasureCount);  // one measurement, not a collapsed group
-        extra.push_back(std::move(record));
-      }
-      measured += result.stats.measured;
-      skipped += result.stats.skipped;
-      seeded += result.stats.seeded;
-    }
-    record_search_metrics(measured, skipped, seeded);
-    return extra;
-  };
-}
-
-}  // namespace
-
 // --- the begin/end hooks -----------------------------------------------------
 
 ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
@@ -1050,10 +904,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
         "Runtime: sweep_variants recording requires TimingSource::Model; "
         "use forced-policy recording for wall-clock training runs");
   }
-  if (search_options_.mode == SearchMode::TwoStage) {
-    sweep_twostage(context, kernel, iset);
-    return;
-  }
   const auto variant_seconds = [&](raja::PolicyType policy, std::int64_t chunk, unsigned team) {
     return measure_seconds(context, make_query(context, kernel, iset, policy, chunk, team));
   };
@@ -1074,43 +924,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     emit_record(kernel, iset, raja::PolicyType::seq_segit_omp_parallel_for_exec, 0, team_seconds,
                 team);
   }
-  record_search_metrics(2 + training_.chunk_values.size() + training_.thread_values.size(), 0, 0);
-}
-
-void Runtime::sweep_twostage(KernelContext& context, const KernelHandle& kernel,
-                             const raja::IndexSet& iset) {
-  const ml::search::Space space =
-      make_variant_space(training_.chunk_values, training_.thread_values);
-  const auto query_at = [&](const ml::search::Point& point) {
-    const SearchVariant variant = variant_at(space, point);
-    return make_query(context, kernel, iset, variant.policy, variant.chunk, variant.team);
-  };
-  const auto cheap = [&](const ml::search::Point& point) {
-    return machine_.cost_seconds(query_at(point));
-  };
-  const auto measure = [&](const ml::search::Point& point) {
-    return measure_seconds(context, query_at(point));
-  };
-  const auto canonical = [&](const ml::search::Point& point) {
-    return canonical_variant_key(space, point);
-  };
-  // Deterministic per launch shape: the same kernel at the same size repeats
-  // the same trajectory, so repeated launches accumulate evidence on the
-  // same searched variants instead of scattering one sample everywhere.
-  const std::uint64_t seed =
-      std::hash<std::string>{}(kernel.loop_id()) ^ static_cast<std::uint64_t>(iset.getLength());
-  // One sample per configuration, like the exhaustive sweep: record-mode
-  // noise averaging comes from launch repetition, not per-launch resampling.
-  const ml::search::SearchConfig config = search_engine_config(search_options_, seed, 1);
-  // Anchors: the trainer's policy labels compare seq against OpenMP at the
-  // default schedule, so those two variants are always measured.
-  const ml::search::Result result = ml::search::TwoStageSearch(config).run(
-      space, cheap, measure, {{0, 0, 0}, {1, 0, 0}}, canonical);
-  for (const auto& m : result.measurements) {
-    const SearchVariant variant = variant_at(space, m.point);
-    emit_record(kernel, iset, variant.policy, variant.chunk, m.seconds, variant.team);
-  }
-  record_search_metrics(result.stats.measured, result.stats.skipped, result.stats.seeded);
 }
 
 }  // namespace apollo

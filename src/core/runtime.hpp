@@ -47,7 +47,6 @@
 #include "core/kernel_context.hpp"
 #include "core/model_params.hpp"
 #include "core/model_snapshot.hpp"
-#include "core/search_options.hpp"
 #include "core/tuner_model.hpp"
 #include "online/online_tuner.hpp"
 #include "online/sample_buffer.hpp"
@@ -126,15 +125,6 @@ public:
 
   void set_training_config(TrainingConfig config) { training_ = std::move(config); }
   [[nodiscard]] const TrainingConfig& training_config() const noexcept { return training_; }
-
-  /// How training runs cover the variant space (APOLLO_SEARCH family):
-  /// exhaustive measures every variant per sweep launch; twostage runs the
-  /// model-seeded + evolutionary search in src/ml/search/ under a
-  /// measurement budget. Applies to the Record-mode sweep and, through the
-  /// Retrainer's sample augmentation, to Adapt-mode retrains. Restored to
-  /// the env-derived default by reset().
-  void set_search_options(SearchOptions options) noexcept { search_options_ = options; }
-  [[nodiscard]] const SearchOptions& search_options() const noexcept { return search_options_; }
 
   /// Override every kernel's static default policy (the paper's "OpenMP
   /// everywhere" baseline). nullopt restores per-kernel defaults.
@@ -335,12 +325,6 @@ private:
                    raja::PolicyType policy, std::int64_t chunk, double seconds,
                    unsigned team = 0);
 
-  /// Record-mode variant coverage for one launch under SearchMode::TwoStage:
-  /// measure a budgeted, searched subset of the (policy x chunk x team)
-  /// space instead of every variant, and emit one record per measurement.
-  void sweep_twostage(KernelContext& context, const KernelHandle& kernel,
-                      const raja::IndexSet& iset);
-
   /// Global strided probe budget: at most one true per `stride` calls across
   /// all kernels and threads, so the probe count stays within
   /// tuned launches / stride + 1 process-wide.
@@ -355,8 +339,6 @@ private:
   sim::MachineModel machine_{};
   unsigned threads_ = 0;  // 0 = machine cores
   TrainingConfig training_{};
-  SearchOptions search_options_{};
-  SearchOptions env_search_defaults_{};
   std::optional<raja::PolicyType> default_override_;
   bool execute_selected_ = true;
   ClusterAccountant* accountant_ = nullptr;

@@ -85,27 +85,25 @@ LabeledData Trainer::build_labeled_data(const std::vector<perf::SampleRecord>& r
     const auto threads_it = record.find(features::kParamThreads);
     const bool is_omp = policy_it == record.end() || policy_it->second.as_string() == "omp";
     const bool default_chunk = chunk_it == record.end() || chunk_it->second.as_int() <= 0;
+    const bool default_team = threads_it == record.end() || threads_it->second.as_int() <= 0;
     switch (parameter) {
       case TunedParameter::Policy:
         // Policy labels compare seq against OpenMP at the *default* schedule
         // and team size; sweep samples of the other parameters are excluded.
         if (policy_it == record.end() || !default_chunk) continue;
-        if (threads_it != record.end() && policy_it->second.as_string() == "omp" &&
-            threads_it->second.as_int() > 0) {
+        if (policy_it->second.as_string() == "omp" && !default_team) {
           continue;  // explicit team-size sample, not the default
         }
         break;
       case TunedParameter::ChunkSize:
         // Chunk models choose among the explicit values (paper: 1..1024) on
-        // OpenMP executions; the default-schedule sample is not a label.
-        if (chunk_it == record.end() || chunk_it->second.as_int() <= 0 || !is_omp) continue;
+        // OpenMP executions at the default team; the default-schedule sample
+        // is not a label.
+        if (default_chunk || !is_omp || !default_team) continue;
         break;
       case TunedParameter::Threads:
         // Team-size models: OpenMP at the default schedule, explicit teams.
-        if (threads_it == record.end() || threads_it->second.as_int() <= 0 || !is_omp ||
-            !default_chunk) {
-          continue;
-        }
+        if (default_team || !is_omp || !default_chunk) continue;
         break;
     }
     usable.push_back(&record);

@@ -42,9 +42,11 @@ struct LabeledData {
 
 class Trainer {
 public:
-  /// Build the labeled dataset for one tuned parameter. Policy uses every
-  /// sample; ChunkSize uses only OpenMP samples (chunking is meaningless for
-  /// sequential execution).
+  /// Build the labeled dataset for one tuned parameter from the records that
+  /// vary that parameter alone: Policy reads records at the default chunk
+  /// (OpenMP ones also at the default team); ChunkSize reads OpenMP records
+  /// with an explicit chunk at the default team; Threads reads OpenMP records
+  /// with an explicit team at the default chunk.
   [[nodiscard]] static LabeledData build_labeled_data(
       const std::vector<perf::SampleRecord>& records, TunedParameter parameter);
 

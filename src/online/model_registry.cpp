@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 
@@ -22,6 +23,25 @@ std::string version_file_name(std::uint64_t version, const char* parameter) {
 std::optional<TunerModel> load_if_present(const fs::path& path) {
   if (!fs::exists(path)) return std::nullopt;
   return TunerModel::load_file(path.string());
+}
+
+/// Throws std::invalid_argument unless each model sits in the slot of the
+/// parameter it was fitted for and every label names a value of that
+/// parameter: a generation the registry holds must compile at the next Adapt
+/// launch.
+void validate(const ModelSnapshot& snapshot) {
+  const auto check = [](const std::optional<TunerModel>& model, TunedParameter slot) {
+    if (!model) return;
+    if (model->parameter() != slot) {
+      throw std::invalid_argument(std::string("ModelRegistry: ") +
+                                  tuned_parameter_name(model->parameter()) + " model in the " +
+                                  tuned_parameter_name(slot) + " slot");
+    }
+    (void)model->label_values();
+  };
+  check(snapshot.policy, TunedParameter::Policy);
+  check(snapshot.chunk, TunedParameter::ChunkSize);
+  check(snapshot.threads, TunedParameter::Threads);
 }
 
 }  // namespace
@@ -51,6 +71,7 @@ std::uint64_t ModelRegistry::publish(std::optional<TunerModel> policy,
   next->policy = policy ? std::move(policy) : (current_ ? current_->policy : std::nullopt);
   next->chunk = chunk ? std::move(chunk) : (current_ ? current_->chunk : std::nullopt);
   next->threads = threads ? std::move(threads) : (current_ ? current_->threads : std::nullopt);
+  validate(*next);
   if (!dir_.empty()) persist_locked(*next);
   current_ = std::move(next);
   version_.store(current_->version, std::memory_order_release);
@@ -101,6 +122,7 @@ std::uint64_t ModelRegistry::load_latest() {
   snapshot->policy = load_if_present(dir / version_file_name(version, "policy"));
   snapshot->chunk = load_if_present(dir / version_file_name(version, "chunk"));
   snapshot->threads = load_if_present(dir / version_file_name(version, "threads"));
+  validate(*snapshot);
   if (snapshot->empty()) return 0;
   current_ = std::move(snapshot);
   version_.store(version, std::memory_order_release);

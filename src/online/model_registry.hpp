@@ -55,7 +55,9 @@ public:
 
   /// Publish a new generation and return its version. Parameters that are
   /// nullopt carry forward from the previous snapshot, so a policy-only
-  /// retrain does not discard a still-deployed chunk model.
+  /// retrain does not discard a still-deployed chunk model. A model fitted
+  /// for another parameter than its slot, or with a label its parameter
+  /// cannot name, throws std::invalid_argument and publishes nothing.
   std::uint64_t publish(std::optional<TunerModel> policy,
                         std::optional<TunerModel> chunk = std::nullopt,
                         std::optional<TunerModel> threads = std::nullopt);
@@ -63,7 +65,8 @@ public:
   /// Restore the newest persisted generation from the persist dir. Returns
   /// the restored version, or 0 when the dir holds none. The restored
   /// snapshot keeps its persisted version number so a restarted process
-  /// continues the sequence instead of re-publishing version 1.
+  /// continues the sequence instead of re-publishing version 1. A persisted
+  /// model publish would reject throws std::invalid_argument.
   std::uint64_t load_latest();
 
 private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -114,16 +113,6 @@ void Retrainer::run(std::vector<perf::SampleRecord> samples,
   const telemetry::ScopedSpan span(telemetry::EventKind::Retrain, "retrain", samples.size());
   bool ok = true;
   Result result;
-  if (augment_) {
-    try {
-      std::vector<perf::SampleRecord> extra = augment_(samples);
-      samples.insert(samples.end(), std::make_move_iterator(extra.begin()),
-                     std::make_move_iterator(extra.end()));
-    } catch (const std::exception&) {
-      // Augmentation is an accelerant, never a dependency: fall back to the
-      // raw window.
-    }
-  }
   try {
     result.policy = Trainer::train(samples, TunedParameter::Policy, params_);
     if (train_chunk_) {

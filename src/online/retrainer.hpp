@@ -33,9 +33,8 @@ namespace apollo::online {
 /// measure:runtime is the exact sum of its group's runtimes, summed in
 /// window order, and measure:count its size when above 1, so the Trainer
 /// labels the collapsed window exactly as it would the raw one. Records come
-/// out in order of their group's last appearance, so newest-first consumers
-/// (the two-stage search augment) still see the most recent launch shapes
-/// first. Only the collapsed records are materialized.
+/// out in order of their group's last appearance. Only the collapsed records
+/// are materialized.
 [[nodiscard]] std::vector<perf::SampleRecord> collapse_window(
     const std::vector<SampleBuffer::SharedSample>& window);
 
@@ -49,24 +48,12 @@ public:
   /// Called on the background thread after a successful retrain. Must be
   /// thread-safe (ModelRegistry::publish is).
   using PublishFn = std::function<void(Result)>;
-  /// Sample augmentation run on the background lane before fitting: returns
-  /// extra records to train on (the two-stage search synthesizes budgeted
-  /// variant measurements for the window's launch groups; see docs/search.md).
-  /// Runs inside the timed retrain, so its cost feeds the duty-cycle
-  /// throttle like any other training work. Must be self-contained — it
-  /// executes concurrently with tuned dispatch on the application threads.
-  using AugmentFn =
-      std::function<std::vector<perf::SampleRecord>(const std::vector<perf::SampleRecord>&)>;
 
   explicit Retrainer(ml::TreeParams params = {});
   ~Retrainer();
 
   void set_publisher(PublishFn publisher) { publisher_ = std::move(publisher); }
   void set_tree_params(const ml::TreeParams& params) { params_ = params; }
-  /// Install (or clear, with nullptr) the pre-fit augmentation. Configure
-  /// before retrains begin: the hook is read on the background lane.
-  void set_augment(AugmentFn augment) { augment_ = std::move(augment); }
-  [[nodiscard]] bool has_augment() const noexcept { return static_cast<bool>(augment_); }
 
   /// Which parameters to (re)fit. Policy is always fitted; chunk/threads are
   /// fitted only when enabled AND the samples contain usable sweep data.
@@ -106,7 +93,6 @@ private:
 
   ml::TreeParams params_;
   PublishFn publisher_;
-  AugmentFn augment_;
   bool train_chunk_ = false;
   bool train_threads_ = false;
   std::atomic<bool> busy_{false};

@@ -357,20 +357,21 @@ void ServiceClient::apply_push(const ModelPushFrame& push) {
         std::istringstream in(*push.threads_text);
         threads = TunerModel::load(in);
       }
+      // The registry's publish is the same atomic hot-swap path the local
+      // Retrainer uses; dispatch threads pick the new generation up at their
+      // next version poll without blocking.
+      registry_->publish(std::move(policy), std::move(chunk), std::move(threads));
     } catch (const std::exception& error) {
-      // A push that fails to parse must not poison the deployed models:
-      // publish nothing, count it, keep the connection (the frame itself was
-      // CRC-clean; this is a daemon-side serialization bug, not line noise).
+      // A push that fails to parse, or that the registry rejects, must not
+      // poison the deployed models: publish nothing, count it, keep the
+      // connection (the frame itself was CRC-clean; this is a daemon-side
+      // bug, not line noise).
       const std::lock_guard<std::mutex> lock(mutex_);
       status_.apply_failures += 1;
       status_.last_error = std::string("model apply: ") + error.what();
       status_.transport_seconds += transport;
       return;
     }
-    // The registry's publish is the same atomic hot-swap path the local
-    // Retrainer uses; dispatch threads pick the new generation up at their
-    // next version poll without blocking.
-    registry_->publish(std::move(policy), std::move(chunk), std::move(threads));
   }
   applied_generation_ = push.generation;
   const std::uint64_t applied_ns = monotonic_ns();

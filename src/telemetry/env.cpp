@@ -60,20 +60,4 @@ std::string env_string(const char* name, const std::string& fallback) {
   return value != nullptr ? std::string(value) : fallback;
 }
 
-std::string env_choice(const char* name, const std::string& fallback,
-                       const std::vector<std::string>& allowed) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  for (const auto& choice : allowed) {
-    if (choice == value) return choice;
-  }
-  std::string expected = "expected one of:";
-  for (const auto& choice : allowed) {
-    expected += ' ';
-    expected += choice;
-  }
-  warn(name, value, expected.c_str());
-  return fallback;
-}
-
 }  // namespace apollo::telemetry

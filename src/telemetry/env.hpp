@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace apollo::telemetry {
 
@@ -28,11 +27,5 @@ namespace apollo::telemetry {
 
 /// String value ("" when unset).
 [[nodiscard]] std::string env_string(const char* name, const std::string& fallback = "");
-
-/// Enumerated string knob (APOLLO_SEARCH, ...): the value must equal one of
-/// `allowed` exactly. Unset -> fallback; anything else -> warn on stderr
-/// listing the accepted spellings + fallback.
-[[nodiscard]] std::string env_choice(const char* name, const std::string& fallback,
-                                     const std::vector<std::string>& allowed);
 
 }  // namespace apollo::telemetry

@@ -35,16 +35,6 @@
 //                                 without APOLLO_TELEMETRY; see hwprof.hpp
 //   APOLLO_HW_EVENTS=list         comma list of the counters to collect
 //   APOLLO_HW_PROVIDER=p          auto | perf | software (default auto)
-//
-// Tuning-search knobs (read once by the Runtime constructor and by
-// apollo_train, same hardened parser; see docs/search.md):
-//   APOLLO_SEARCH=mode            exhaustive | twostage variant-space coverage
-//                                 for Record sweeps, Retrainer augmentation,
-//                                 and apollo_train (default exhaustive)
-//   APOLLO_SEARCH_BUDGET=n        max configurations measured per search
-//                                 (default 0 = fraction-derived)
-//   APOLLO_SEARCH_SEED_K=n        model-ranked seed population size (default 8)
-//   APOLLO_SEARCH_GENERATIONS=n   evolutionary refinement generations (default 4)
 
 #include <cstdint>
 #include <string>

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <tuple>
 
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
 #include "perf/blackboard.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace apollo;
 
@@ -38,6 +41,17 @@ protected:
   void TearDown() override {
     Runtime::instance().reset();
     perf::Blackboard::instance().clear();
+  }
+};
+
+// The Record-mode sweep is the runtime's only search over the variant space,
+// and it is exhaustive: every configured variant is measured once per launch.
+class SearchRuntimeTest : public ::testing::Test {
+protected:
+  void SetUp() override { Runtime::instance().reset(); }
+  void TearDown() override {
+    Runtime::instance().reset();
+    telemetry::set_enabled(false);
   }
 };
 
@@ -215,6 +229,46 @@ TEST_F(RuntimeTest, ThreadSweepRecordsTeamSizes) {
     if (r.count(features::kParamThreads)) ++with_team;
   }
   EXPECT_EQ(with_team, 3);
+
+  // With the default chunk ladder one launch records the paper's 13
+  // variants, then each team size at the default chunk, one record each.
+  rt.clear_records();
+  cfg = TrainingConfig{};
+  cfg.thread_values = {2, 8, 16};
+  rt.set_training_config(cfg);
+  forall(small_kernel(), 5000, [](raja::Index) {});
+  using Variant = std::tuple<std::string, std::int64_t, std::int64_t>;  // policy, chunk, team
+  std::vector<Variant> expected{{"seq", 0, 0}, {"omp", 0, 0}};
+  for (std::int64_t chunk = 1; chunk <= 1024; chunk *= 2) expected.emplace_back("omp", chunk, 0);
+  for (std::int64_t team : {2, 8, 16}) expected.emplace_back("omp", 0, team);
+  const auto records = rt.records();
+  ASSERT_EQ(records.size(), 16u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto team = records[i].find(features::kParamThreads);
+    EXPECT_EQ(Variant(records[i].at(features::kParamPolicy).as_string(),
+                      records[i].at(features::kParamChunk).as_int(),
+                      team != records[i].end() ? team->second.as_int() : 0),
+              expected[i])
+        << "record " << i;
+  }
+}
+
+TEST_F(SearchRuntimeTest, ExhaustiveSweepAlsoCountsMeasured) {
+  auto& rt = Runtime::instance();
+  rt.set_execute_selected(false);
+  rt.set_mode(Mode::Record);  // default training config: the full chunk ladder
+  telemetry::set_enabled(true);
+  forall(small_kernel(), 5000, [](raja::Index) {});
+  telemetry::set_enabled(false);
+  // seq + omp-default + 11 chunk variants, each measured once, none skipped.
+  EXPECT_EQ(rt.record_count(), 13u);
+  std::set<std::pair<std::string, std::int64_t>> variants;
+  for (const auto& r : rt.records()) {
+    EXPECT_GT(r.at(features::kMeasureRuntime).as_real(), 0.0);
+    variants.emplace(r.at(features::kParamPolicy).as_string(),
+                     r.at(features::kParamChunk).as_int());
+  }
+  EXPECT_EQ(variants.size(), 13u);
 }
 
 TEST_F(RuntimeTest, ThreadsModelSelectsTeamSize) {

@@ -111,6 +111,21 @@ TEST(Trainer, ChunkDataUsesOnlyOmpSamples) {
   EXPECT_EQ(data.dataset.label_names()[static_cast<std::size_t>(data.dataset.label(0))], "128");
 }
 
+TEST(Trainer, ChunkLabelsReadOnlyDefaultTeamRecords) {
+  // One launch shape: chunk 8 wins at the default team, and a slow run of
+  // chunk 8 on an explicit team of 2 must not drag its mean above chunk 64.
+  std::vector<SampleRecord> records;
+  records.push_back(make_record(1000, "omp", 8, 1.0));
+  records.push_back(make_record(1000, "omp", 64, 1.5));
+  SampleRecord team = make_record(1000, "omp", 8, 5.0);
+  team[apollo::features::kParamThreads] = std::int64_t{2};
+  records.push_back(team);
+  const LabeledData data = Trainer::build_labeled_data(records, TunedParameter::ChunkSize);
+  ASSERT_EQ(data.dataset.num_rows(), 1u);
+  EXPECT_EQ(data.dataset.label_names()[static_cast<std::size_t>(data.dataset.label(0))], "8");
+  EXPECT_DOUBLE_EQ(data.runtimes[0].at(data.dataset.label(0)), 1.0);
+}
+
 TEST(Trainer, ChunkLabelsSortedNumerically) {
   std::vector<SampleRecord> records;
   for (std::int64_t chunk : {1024, 2, 128, 16}) {

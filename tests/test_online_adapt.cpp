@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
+#include "ml/decision_tree.hpp"
 
 using namespace apollo;
 
@@ -39,6 +42,15 @@ TunerModel small_regime_model() {
     for (int i = 0; i < 4; ++i) launch(size);
   }
   return Trainer::train(rt.records(), TunedParameter::Policy);
+}
+
+/// A fitted model whose single leaf predicts `label`, which nothing checks.
+TunerModel constant_model(TunedParameter parameter, const std::string& label) {
+  ml::Dataset data({"num_indices"}, {label});
+  for (int i = 0; i < 8; ++i) data.add_row({static_cast<double>(i)}, 0);
+  ml::TreeParams params;
+  params.min_samples_leaf = 1;
+  return TunerModel(parameter, ml::DecisionTree::fit(data, params), {});
 }
 
 class AdaptModeTest : public ::testing::Test {
@@ -135,4 +147,27 @@ TEST_F(AdaptModeTest, ConfigureOnlineResetsState) {
   rt.configure_online(config);
   EXPECT_EQ(rt.online().status().explorations, 0u);
   EXPECT_EQ(rt.online().status().launches, 0u);
+}
+
+TEST_F(AdaptModeTest, RegistryRejectsModelsTheRuntimeCannotCompile) {
+  auto& rt = Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(Mode::Adapt);
+  online::OnlineConfig config;
+  config.explorer.epsilon = 0.0;
+  rt.configure_online(config);
+
+  online::ModelRegistry& registry = rt.online().registry();
+  ASSERT_EQ(registry.publish(constant_model(TunedParameter::Policy, "seq")), 1u);
+  launch(1000);
+  // A chunk-size model in the policy slot, and a policy label no policy has.
+  EXPECT_THROW(registry.publish(constant_model(TunedParameter::ChunkSize, "64")),
+               std::invalid_argument);
+  EXPECT_THROW(registry.publish(constant_model(TunedParameter::Policy, "omp_typo")),
+               std::invalid_argument);
+  EXPECT_EQ(registry.version(), 1u);
+  // Adapt launches keep deciding with generation 1 instead of throwing.
+  for (int i = 0; i < 32; ++i) EXPECT_NO_THROW(launch(1000));
+  EXPECT_EQ(registry.version(), 1u);
 }

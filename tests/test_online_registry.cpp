@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 
 #include "core/tuner_model.hpp"
@@ -125,5 +126,24 @@ TEST(ModelRegistry, LoadLatestOnEmptyDirReturnsZero) {
   registry.set_persist_dir(dir.string());
   EXPECT_EQ(registry.load_latest(), 0u);
   EXPECT_EQ(registry.current(), nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelRegistry, RestoreRejectsAModelInTheWrongSlot) {
+  const auto dir = std::filesystem::temp_directory_path() / "apollo_registry_wrong_slot";
+  std::filesystem::remove_all(dir);
+  {
+    ModelRegistry registry;
+    registry.set_persist_dir(dir.string());
+    registry.publish(constant_model(TunedParameter::Policy, "seq"));
+  }
+  // A chunk-size model saved under the policy slot's file name.
+  constant_model(TunedParameter::ChunkSize, "64")
+      .save_file((dir / "v000001.policy.model").string());
+  ModelRegistry restored;
+  restored.set_persist_dir(dir.string());
+  EXPECT_THROW(restored.load_latest(), std::invalid_argument);
+  EXPECT_EQ(restored.version(), 0u);
+  EXPECT_EQ(restored.current(), nullptr);
   std::filesystem::remove_all(dir);
 }

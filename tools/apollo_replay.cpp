@@ -23,17 +23,9 @@
 // hard floor. Candidate models must come from the same training pipeline as
 // the recording model so categorical feature encodings line up.
 //
-// With --oracle FILE, records from FILE feed the ground-truth pass only:
-// they strengthen the per-(kernel, bucket) policy baselines but are never
-// replayed or scored themselves. This is how the two-stage search gate works
-// — replay a budgeted-search run's decisions against an exhaustive-sweep
-// audit log as the oracle, and --min-accuracy asserts the label quality the
-// cheaper search must preserve (see docs/search.md).
-//
 // Usage:
 //   apollo_replay LOG.jsonl... --model FILE [--model FILE]...
-//                 [--oracle FILE]... [--expect-match GEN] [--min-accuracy X]
-//                 [--confusion]
+//                 [--expect-match GEN] [--min-accuracy X] [--confusion]
 
 #include <algorithm>
 #include <cstdio>
@@ -102,12 +94,8 @@ struct ModelReport {
 int usage() {
   std::fprintf(stderr,
                "usage: apollo_replay LOG.jsonl... --model FILE [--model FILE]...\n"
-               "                     [--oracle FILE]... [--expect-match GEN]\n"
-               "                     [--min-accuracy X] [--confusion] [--version]\n"
-               "\n"
-               "--oracle FILE adds FILE's records to the ground-truth baselines without\n"
-               "replaying them (e.g. an exhaustive-sweep audit log scoring a budgeted\n"
-               "two-stage search run).\n");
+               "                     [--expect-match GEN] [--min-accuracy X]\n"
+               "                     [--confusion] [--version]\n");
   return 2;
 }
 
@@ -116,7 +104,6 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> log_paths;
   std::vector<std::string> model_paths;
-  std::vector<std::string> oracle_paths;
   long long expect_gen = -1;
   double min_accuracy = -1.0;
   bool show_confusion = false;
@@ -130,10 +117,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       model_paths.emplace_back(v);
-    } else if (arg == "--oracle") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      oracle_paths.emplace_back(v);
     } else if (arg == "--expect-match") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -155,27 +138,21 @@ int main(int argc, char** argv) {
   // Load every complete line from every segment (a live writer's partial
   // trailing line is skipped, not misparsed), oldest segment first.
   std::vector<AuditRecord> records;
-  std::vector<AuditRecord> oracle_records;
   std::uint64_t malformed = 0;
-  const auto load = [&malformed](const std::vector<std::string>& paths,
-                                 std::vector<AuditRecord>& out) {
-    for (const auto& path : paths) {
-      const auto lines = apollo::telemetry::read_complete_lines(path);
-      if (!lines) {
-        std::fprintf(stderr, "apollo_replay: cannot read %s\n", path.c_str());
-        return false;
-      }
-      for (const auto& line : *lines) {
-        if (auto record = apollo::telemetry::parse_audit_line(line)) {
-          out.push_back(std::move(*record));
-        } else {
-          ++malformed;
-        }
+  for (const auto& path : log_paths) {
+    const auto lines = apollo::telemetry::read_complete_lines(path);
+    if (!lines) {
+      std::fprintf(stderr, "apollo_replay: cannot read %s\n", path.c_str());
+      return 2;
+    }
+    for (const auto& line : *lines) {
+      if (auto record = apollo::telemetry::parse_audit_line(line)) {
+        records.push_back(std::move(*record));
+      } else {
+        ++malformed;
       }
     }
-    return true;
-  };
-  if (!load(log_paths, records) || !load(oracle_paths, oracle_records)) return 2;
+  }
   if (records.empty()) {
     std::fprintf(stderr, "apollo_replay: no audit records in %zu file(s)\n", log_paths.size());
     return 2;
@@ -194,11 +171,6 @@ int main(int argc, char** argv) {
     } else {
       ++probes;
     }
-  }
-  // Oracle records feed the baselines only — they are never replayed, so a
-  // budgeted run is scored against evidence it never had to measure itself.
-  for (const auto& record : oracle_records) {
-    truth[{record.kernel, record.bucket}].add(record.policy, record.seconds);
   }
 
   // Pass 2 — replay each candidate model over the decision records.
@@ -277,9 +249,6 @@ int main(int argc, char** argv) {
   std::printf("replayed %llu decision + %llu probe records from %zu file(s)",
               static_cast<unsigned long long>(decisions),
               static_cast<unsigned long long>(probes), log_paths.size());
-  if (!oracle_records.empty()) {
-    std::printf(" + %zu oracle records (truth only)", oracle_records.size());
-  }
   if (malformed > 0) {
     std::printf(" (%llu malformed lines skipped)", static_cast<unsigned long long>(malformed));
   }

@@ -105,11 +105,6 @@ struct Snapshot {
   // Decision-path counters (apollo_inline_cache_*).
   double inline_hits = 0.0;
   double inline_misses = 0.0;
-  // Tuning-search counters (apollo_search_*): variant-space coverage of the
-  // Record sweep / Retrainer augmentation.
-  double search_measured = 0.0;
-  double search_skipped = 0.0;
-  double search_seeded = 0.0;
   // Fork-join executor counters (apollo_pool_*).
   double pool_launches = 0.0;
   double pool_inline = 0.0;
@@ -224,12 +219,6 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
       snap.inline_hits = sample->value;
     } else if (sample->name == "apollo_inline_cache_misses_total") {
       snap.inline_misses = sample->value;
-    } else if (sample->name == "apollo_search_measured_total") {
-      snap.search_measured = sample->value;
-    } else if (sample->name == "apollo_search_skipped_total") {
-      snap.search_skipped = sample->value;
-    } else if (sample->name == "apollo_search_seeded_total") {
-      snap.search_seeded = sample->value;
     } else if (sample->name == "apollo_pool_launches_total") {
       snap.pool_launches = sample->value;
     } else if (sample->name == "apollo_pool_inline_total") {
@@ -392,15 +381,6 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
     const double lookups = snap.inline_hits + snap.inline_misses;
     std::printf("dispatch: inline cache %.0f hits / %.0f misses (%.1f%% hit)\n",
                 snap.inline_hits, snap.inline_misses, snap.inline_hits / lookups * 100.0);
-  }
-  // Search pane: variant-space coverage of the tuning sweeps. Exhaustive
-  // runs measure everything (skipped stays 0); two-stage runs show the
-  // measured fraction the budget actually paid for.
-  if (snap.search_measured > 0.0 || snap.search_skipped > 0.0 || snap.search_seeded > 0.0) {
-    const double space = snap.search_measured + snap.search_skipped;
-    const double measured_pct = space > 0.0 ? snap.search_measured / space * 100.0 : 0.0;
-    std::printf("search: %.0f measured / %.0f skipped (%.1f%% of space) | %.0f model-seeded\n",
-                snap.search_measured, snap.search_skipped, measured_pct, snap.search_seeded);
   }
   // Fork-join executor pane: how regions launched and how their waits ended.
   if (snap.pool_launches > 0.0 || snap.pool_inline > 0.0) {

@@ -4,42 +4,25 @@
 // cross-validated accuracy and feature importances, and writes the
 // deployable model file — optionally also the generated C++ tuner source.
 //
-// With --search twostage (or APOLLO_SEARCH=twostage) the trainer does not
-// consume every recorded configuration: it treats the records file as an
-// exhaustive oracle, runs the model-seeded evolutionary search over each
-// launch group, trains only on the selected subset, and reports the measured
-// fraction plus the per-group label agreement against the full oracle. See
-// docs/tuning-workflow.md ("Search") and docs/search.md.
-//
 // Usage:
 //   apollo_train <records> <output.model>
 //       [--parameter policy|chunk_size] [--max-depth N] [--top-features K]
 //       [--folds N] [--per-kernel] [--codegen out.cpp] [--quiet]
-//       [--search exhaustive|twostage]
 
-#include <cmath>
-#include <cstdint>
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
-#include <limits>
-#include <map>
 #include <numeric>
-#include <set>
+#include <stdexcept>
 #include <string>
-#include <thread>
-#include <tuple>
 #include <vector>
 
-#include "core/features.hpp"
 #include "core/model_set.hpp"
-#include "core/search_options.hpp"
-#include "core/search_support.hpp"
 #include "core/trainer.hpp"
 #include "ml/codegen.hpp"
 #include "ml/cross_validation.hpp"
-#include "sim/machine.hpp"
 #include "telemetry/build_info.hpp"
 
 using namespace apollo;
@@ -56,23 +39,13 @@ struct Options {
   bool per_kernel = false;
   bool quiet = false;
   std::string codegen_path;
-  /// Defaults honour APOLLO_SEARCH / APOLLO_SEARCH_* (hardened in
-  /// telemetry::env); --search overrides the mode explicitly.
-  SearchOptions search = search_options_from_env();
 };
 
 void usage() {
   std::fprintf(stderr,
                "usage: apollo_train <records> <output.model>\n"
                "  [--parameter policy|chunk_size] [--max-depth N] [--top-features K]\n"
-               "  [--folds N] [--per-kernel] [--codegen out.cpp] [--quiet]\n"
-               "  [--search exhaustive|twostage]\n"
-               "\n"
-               "--search twostage trains on a model-seeded evolutionary subset of the\n"
-               "recorded configurations instead of all of them, and reports label\n"
-               "agreement against the full file as the exhaustive oracle. Defaults\n"
-               "follow APOLLO_SEARCH / APOLLO_SEARCH_{BUDGET,SEED_K,GENERATIONS}.\n"
-               "See docs/tuning-workflow.md (\"Search\") and docs/search.md.\n");
+               "  [--folds N] [--per-kernel] [--codegen out.cpp] [--quiet]\n");
 }
 
 bool parse(int argc, char** argv, Options& options) {
@@ -107,167 +80,12 @@ bool parse(int argc, char** argv, Options& options) {
       const char* value = next();
       if (value == nullptr) return false;
       options.codegen_path = value;
-    } else if (arg == "--search") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      if (std::strcmp(value, "twostage") == 0) {
-        options.search.mode = SearchMode::TwoStage;
-      } else if (std::strcmp(value, "exhaustive") == 0) {
-        options.search.mode = SearchMode::Exhaustive;
-      } else {
-        std::fprintf(stderr, "unknown --search mode: %s\n", value);
-        return false;
-      }
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
     }
   }
   return true;
-}
-
-/// Subset selection against the records file as the exhaustive oracle. One
-/// (kernel, shape, deck) launch group = one search: the group's recorded
-/// configurations form the measurable table, the analytic machine model
-/// supplies the cheap stage-1 ranking, and the evolutionary stage refines
-/// within the recorded table. Configurations the search never reaches are
-/// dropped from training — exactly what a live two-stage Record run would
-/// never have measured.
-struct SearchSelection {
-  std::vector<perf::SampleRecord> selected;
-  std::size_t groups = 0;
-  std::size_t agreed = 0;        ///< groups whose best default-chunk policy survives
-  std::size_t table_configs = 0; ///< distinct recorded configurations (the oracle)
-  std::size_t measured = 0;      ///< ... of which the search selected
-  std::size_t misses = 0;        ///< budget spent on combos the file never measured
-};
-
-SearchSelection select_searched_subset(const std::vector<perf::SampleRecord>& records,
-                                       const SearchOptions& options) {
-  using ConfigKey = std::tuple<std::int64_t, std::int64_t, std::int64_t>;  // omp, chunk, team
-  struct Group {
-    const perf::SampleRecord* exemplar = nullptr;
-    std::map<ConfigKey, std::pair<double, std::uint64_t>> table;  // sum, count
-    std::vector<std::pair<ConfigKey, const perf::SampleRecord*>> rows;
-  };
-
-  const auto config_key = [](const perf::SampleRecord& record) -> ConfigKey {
-    const auto policy = record.find(features::kParamPolicy);
-    const bool omp = policy != record.end() && policy->second.is_string() &&
-                     policy->second.as_string() ==
-                         raja::policy_name(raja::PolicyType::seq_segit_omp_parallel_for_exec);
-    if (!omp) return {0, 0, 0};
-    const auto chunk = record.find(features::kParamChunk);
-    const auto team = record.find(features::kParamThreads);
-    return {1, chunk != record.end() ? chunk->second.as_int() : 0,
-            team != record.end() ? team->second.as_int() : 0};
-  };
-
-  std::map<std::string, Group> groups;
-  for (const auto& record : records) {
-    const auto runtime = record.find(features::kMeasureRuntime);
-    if (runtime == record.end() || record.find(features::kParamPolicy) == record.end()) continue;
-    Group& group = groups[search_group_key(record)];
-    if (group.exemplar == nullptr) group.exemplar = &record;
-    const ConfigKey key = config_key(record);
-    auto& [sum, count] = group.table[key];
-    sum += runtime->second.as_number();
-    count += 1;
-    group.rows.emplace_back(key, &record);
-  }
-
-  const sim::MachineModel machine;
-  const unsigned default_team =
-      std::thread::hardware_concurrency() > 0 ? std::thread::hardware_concurrency() : 16;
-  SearchSelection result;
-  for (const auto& [group_key, group] : groups) {
-    // Recorded lane values: the space the original sweep drew from.
-    std::set<std::int64_t> chunk_set;
-    std::set<unsigned> team_set;
-    for (const auto& [key, acc] : group.table) {
-      (void)acc;
-      if (std::get<1>(key) > 0) chunk_set.insert(std::get<1>(key));
-      if (std::get<2>(key) > 0) team_set.insert(static_cast<unsigned>(std::get<2>(key)));
-    }
-    const ml::search::Space space =
-        make_variant_space({chunk_set.begin(), chunk_set.end()}, {team_set.begin(), team_set.end()});
-
-    const sim::CostQuery base = query_from_record(*group.exemplar);
-    const auto with_variant = [&](const ml::search::Point& point) {
-      sim::CostQuery query = base;
-      const SearchVariant variant = variant_at(space, point);
-      query.policy = variant.policy == raja::PolicyType::seq_segit_seq_exec
-                         ? sim::PolicyKind::Sequential
-                         : sim::PolicyKind::OpenMP;
-      query.chunk = variant.chunk;
-      query.threads = variant.team > 0 ? variant.team : default_team;
-      return query;
-    };
-    const auto mean = [&](const ConfigKey& key) {
-      const auto it = group.table.find(key);
-      if (it == group.table.end() || it->second.second == 0) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return it->second.first / static_cast<double>(it->second.second);
-    };
-    std::size_t group_misses = 0;
-    const auto measure = [&](const ml::search::Point& point) {
-      const SearchVariant variant = variant_at(space, point);
-      const ConfigKey key{variant.policy == raja::PolicyType::seq_segit_seq_exec ? 0 : 1,
-                          variant.chunk, static_cast<std::int64_t>(variant.team)};
-      const double seconds = mean(key);
-      if (!std::isfinite(seconds)) ++group_misses;  // combo the file never measured
-      return seconds;
-    };
-    const auto cheap = [&](const ml::search::Point& point) {
-      return machine.cost_seconds(with_variant(point));
-    };
-    const auto canonical = [&](const ml::search::Point& point) {
-      return canonical_variant_key(space, point);
-    };
-
-    const ml::search::SearchConfig config =
-        search_engine_config(options, std::hash<std::string>{}(group_key), 1);
-    const ml::search::Result searched = ml::search::TwoStageSearch(config).run(
-        space, cheap, measure, {{0, 0, 0}, {1, 0, 0}}, canonical);
-
-    std::set<ConfigKey> selected_keys;
-    for (const auto& m : searched.measurements) {
-      if (!std::isfinite(m.seconds)) continue;
-      const SearchVariant variant = variant_at(space, m.point);
-      selected_keys.insert({variant.policy == raja::PolicyType::seq_segit_seq_exec ? 0 : 1,
-                            variant.chunk, static_cast<std::int64_t>(variant.team)});
-    }
-    for (const auto& [key, record] : group.rows) {
-      if (selected_keys.count(key) > 0) result.selected.push_back(*record);
-    }
-
-    // Label agreement: the best default-chunk policy (the trainer's Policy
-    // labelling rule) must survive the subset.
-    const auto best_policy = [&](const std::set<ConfigKey>* filter) -> int {
-      double best = std::numeric_limits<double>::infinity();
-      int label = -1;
-      for (const auto& [key, acc] : group.table) {
-        (void)acc;
-        if (std::get<1>(key) != 0 || std::get<2>(key) != 0) continue;  // default chunk/team only
-        if (filter != nullptr && filter->count(key) == 0) continue;
-        const double seconds = mean(key);
-        if (seconds < best) {
-          best = seconds;
-          label = static_cast<int>(std::get<0>(key));
-        }
-      }
-      return label;
-    };
-    const int oracle = best_policy(nullptr);
-    const int searched_label = best_policy(&selected_keys);
-    ++result.groups;
-    if (oracle >= 0 && oracle == searched_label) ++result.agreed;
-    result.table_configs += group.table.size();
-    result.measured += selected_keys.size();
-    result.misses += group_misses;
-  }
-  return result;
 }
 
 }  // namespace
@@ -286,35 +104,6 @@ int main(int argc, char** argv) {
   try {
     auto records = perf::read_records_file(options.records_path);
     if (!options.quiet) std::printf("read %zu samples from %s\n", records.size(), options.records_path.c_str());
-
-    if (options.search.mode == SearchMode::TwoStage) {
-      SearchSelection selection = select_searched_subset(records, options.search);
-      if (!options.quiet) {
-        const double fraction =
-            selection.table_configs > 0
-                ? static_cast<double>(selection.measured) / static_cast<double>(selection.table_configs)
-                : 0.0;
-        std::printf("two-stage search: selected %zu/%zu recorded configurations across %zu "
-                    "launch groups (%.1f%% measured",
-                    selection.measured, selection.table_configs, selection.groups,
-                    fraction * 100.0);
-        if (selection.misses > 0) {
-          std::printf(", %zu probes outside the recorded table", selection.misses);
-        }
-        std::printf(")\n");
-        std::printf("label agreement vs exhaustive oracle: %zu/%zu groups (%.1f%%)\n",
-                    selection.agreed, selection.groups,
-                    selection.groups > 0
-                        ? 100.0 * static_cast<double>(selection.agreed) /
-                              static_cast<double>(selection.groups)
-                        : 0.0);
-      }
-      if (!selection.selected.empty()) {
-        records = std::move(selection.selected);
-      } else if (!options.quiet) {
-        std::printf("two-stage search selected nothing usable; training on all records\n");
-      }
-    }
 
     ml::TreeParams params;
     params.max_depth = options.max_depth;
