@@ -40,9 +40,6 @@ ClientConfig ClientConfig::from_env() {
   config.socket_path = telemetry::env_string("APOLLO_SERVICE_SOCKET");
   config.batch = telemetry::env_size("APOLLO_SERVICE_BATCH", config.batch);
   config.retry_ms = telemetry::env_int64("APOLLO_SERVICE_RETRY_MS", config.retry_ms);
-  // min_value 0: zero is a deliberate "don't ship telemetry", not garbage.
-  config.telemetry_ship_ms =
-      telemetry::env_int64("APOLLO_TELEMETRY_SHIP_MS", config.telemetry_ship_ms, 0);
   return config;
 }
 
@@ -136,7 +133,6 @@ void ServiceClient::run() {
     }
     if (!pump_inbound()) continue;
     if (!ship_pending()) continue;
-    if (!ship_telemetry()) continue;
     // Idle: wait for either the poll period (then check the buffer again) or
     // an inbound push (readable wakes early).
     if (!conn_.readable(static_cast<int>(config_.poll_ms))) continue;
@@ -178,13 +174,10 @@ bool ServiceClient::connect_and_hello() {
     conn_.close();
     return false;
   }
-  client_id_ = ack.client_id;
-  last_telemetry_ns_ = 0;  // ship a fresh snapshot promptly after (re)connect
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     status_.connected = true;
     status_.connects += 1;
-    status_.client_id = client_id_;
   }
   cv_.notify_all();
   if (telemetry::enabled()) {
@@ -248,36 +241,21 @@ bool ServiceClient::ship_pending() {
       outbox_.erase(outbox_.begin(),
                     outbox_.begin() + static_cast<std::ptrdiff_t>(outbox_.size() - outbox_cap_));
     }
-    const bool traced = telemetry::enabled();
     while (!outbox_.empty() && conn_.valid()) {
-      const std::uint64_t span_start = traced ? telemetry::now_ns() : 0;
       const std::size_t n = std::min(outbox_.size(), config_.batch);
       SampleBatch batch;
       batch.seq = ++next_seq_;
-      batch.client_id = client_id_;
-      batch.origin_generation = applied_generation_;
       batch.records.reserve(n);
       for (std::size_t i = 0; i < n; ++i) batch.records.push_back(outbox_[i]->materialize());
-      batch.sent_ns = monotonic_ns();
       const std::string payload = encode_sample_batch(batch);
       if (!conn_.send(FrameType::SampleBatch, payload)) {
         ok = false;
         break;
       }
-      // Remember when each in-flight seq left, so a later push whose lineage
-      // names it yields the true sample->swap pipeline latency. Bounded: a
-      // daemon that trains rarely must not grow this map.
-      sent_ns_by_seq_[batch.seq] = batch.sent_ns;
-      while (sent_ns_by_seq_.size() > 4096) sent_ns_by_seq_.erase(sent_ns_by_seq_.begin());
       shipped_batches += 1;
       shipped_samples += n;
       shipped_bytes += payload.size() + kFrameHeaderBytes;
       outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<std::ptrdiff_t>(n));
-      if (traced) {
-        // Stitches against the daemon's batch_ingest span via (client id, seq).
-        telemetry::emit_span(telemetry::EventKind::BatchShip, "batch_ship", span_start,
-                             telemetry::now_ns(), client_id_, batch.seq);
-      }
     }
   }
   {
@@ -298,42 +276,6 @@ bool ServiceClient::ship_pending() {
         .inc(static_cast<double>(shipped_bytes));
   }
   if (!ok) note_disconnect("batch send: " + conn_.last_error());
-  return ok;
-}
-
-bool ServiceClient::ship_telemetry() {
-  if (config_.telemetry_ship_ms <= 0 || !conn_.valid()) return true;
-  // Nothing worth shipping: no injected source and the global registry is
-  // dark (telemetry off means the process isn't recording metrics).
-  if (metrics_source_ == nullptr && !telemetry::enabled()) return true;
-  const std::uint64_t now = monotonic_ns();
-  const auto interval_ns =
-      static_cast<std::uint64_t>(config_.telemetry_ship_ms) * 1000ull * 1000ull;
-  if (last_telemetry_ns_ != 0 && now - last_telemetry_ns_ < interval_ns) return true;
-  double transport = 0.0;
-  bool ok = true;
-  {
-    const TransportTimer timer(&transport);
-    TelemetryFrame frame;
-    frame.applied_generation = applied_generation_;
-    frame.sent_ns = now;
-    frame.snapshot = (metrics_source_ != nullptr ? *metrics_source_
-                                                 : telemetry::MetricsRegistry::instance())
-                         .snapshot();
-    ok = conn_.send(FrameType::Telemetry, encode_telemetry(frame));
-  }
-  last_telemetry_ns_ = now;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    status_.transport_seconds += transport;
-    if (ok) status_.telemetry_shipped += 1;
-  }
-  if (ok && telemetry::enabled()) {
-    telemetry::MetricsRegistry::instance()
-        .counter("apollo_service_telemetry_total", "TELEMETRY snapshots shipped to the daemon.")
-        .inc();
-  }
-  if (!ok) note_disconnect("telemetry send: " + conn_.last_error());
   return ok;
 }
 
@@ -373,34 +315,11 @@ void ServiceClient::apply_push(const ModelPushFrame& push) {
       return;
     }
   }
-  applied_generation_ = push.generation;
-  const std::uint64_t applied_ns = monotonic_ns();
-  // Cross-process correlation closes here: the push's lineage names the
-  // batch seqs that fed the fit, and we remember when each of ours left.
-  // Oldest contributing batch send -> this apply is the true sample->swap
-  // pipeline latency.
-  double pipeline_seconds = -1.0;
-  for (const auto& entry : push.lineage) {
-    if (entry.client_id != client_id_) continue;
-    for (const std::uint64_t seq : entry.seqs) {
-      const auto it = sent_ns_by_seq_.find(seq);
-      if (it == sent_ns_by_seq_.end() || applied_ns <= it->second) continue;
-      const double latency = static_cast<double>(applied_ns - it->second) * 1e-9;
-      pipeline_seconds = std::max(pipeline_seconds, latency);
-    }
-    break;  // lineage is sorted by client_id; ours appears once
-  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     status_.pushes_applied += 1;
     status_.generation = push.generation;
     status_.transport_seconds += transport;
-    if (pipeline_seconds >= 0.0) {
-      status_.pipeline.push_back(PipelineSample{push.generation, applied_ns, pipeline_seconds});
-      if (status_.pipeline.size() > 64) {
-        status_.pipeline.erase(status_.pipeline.begin());
-      }
-    }
   }
   cv_.notify_all();
   if (telemetry::enabled()) {
@@ -418,15 +337,6 @@ void ServiceClient::apply_push(const ModelPushFrame& push) {
             .observe(static_cast<double>(now - push.pushed_ns) * 1e-9);
       }
     }
-    if (pipeline_seconds >= 0.0) {
-      registry
-          .histogram("apollo_service_pipeline_latency_seconds",
-                     "Oldest contributing sample send to model apply.",
-                     telemetry::duration_bounds())
-          .observe(pipeline_seconds);
-    }
-    telemetry::emit_instant(telemetry::EventKind::ModelApply, "model_apply", push.generation,
-                            client_id_);
   }
 }
 

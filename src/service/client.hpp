@@ -18,7 +18,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,15 +41,10 @@ struct ClientConfig {
   std::int64_t poll_ms = 20;
   /// Identity string sent in HELLO (defaults to "pid:<pid>").
   std::string client_name;
-  /// TELEMETRY shipping cadence: every `telemetry_ship_ms` while connected
-  /// the client ships its MetricsRegistry snapshot for fleet aggregation.
-  /// 0 disables shipping.
-  std::int64_t telemetry_ship_ms = 1000;
 
   /// Read APOLLO_SERVICE_SOCKET / APOLLO_SERVICE_BATCH /
-  /// APOLLO_SERVICE_RETRY_MS / APOLLO_TELEMETRY_SHIP_MS through the hardened
-  /// warn-and-default env parsers. enabled() is false when the socket knob is
-  /// unset.
+  /// APOLLO_SERVICE_RETRY_MS through the hardened warn-and-default env
+  /// parsers. enabled() is false when the socket knob is unset.
   [[nodiscard]] static ClientConfig from_env();
   [[nodiscard]] bool enabled() const noexcept { return !socket_path.empty(); }
 };
@@ -71,29 +65,16 @@ public:
   /// Signal, join, close. Idempotent. Undrained samples stay in the buffer.
   void stop();
 
-  /// One applied push whose lineage named batches this client shipped: the
-  /// true sample->swap pipeline latency (oldest contributing batch send to
-  /// model apply), measurable only because the daemon echoes lineage.
-  struct PipelineSample {
-    std::uint64_t generation = 0;
-    std::uint64_t applied_ns = 0;  ///< client CLOCK_MONOTONIC at apply
-    double latency_seconds = 0.0;
-  };
-
   struct Status {
     bool connected = false;       ///< socket open and HELLO acked
     std::uint64_t connects = 0;   ///< successful HELLO handshakes
     std::uint64_t fallbacks = 0;  ///< disconnects (daemon absent/dead/slow)
-    std::uint64_t client_id = 0;  ///< daemon-assigned id from the hello ack
     std::uint64_t batches_sent = 0;
     std::uint64_t samples_sent = 0;
     std::uint64_t bytes_sent = 0;
-    std::uint64_t telemetry_shipped = 0;  ///< TELEMETRY frames sent
     std::uint64_t pushes_applied = 0;
     std::uint64_t apply_failures = 0;
     std::uint64_t generation = 0;  ///< last applied daemon generation
-    /// Recent sample->swap pipeline latencies (newest last, bounded).
-    std::vector<PipelineSample> pipeline;
     /// Background-thread seconds spent on transport work (drain +
     /// materialize + encode + send + apply) — the fleet bench's overhead
     /// numerator.
@@ -102,13 +83,6 @@ public:
   };
   [[nodiscard]] Status status() const;
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
-
-  /// Ship snapshots of `registry` instead of the process-global one (tests
-  /// and benches that run several clients in one process). Call before
-  /// start(); the registry must outlive the client.
-  void set_metrics_source(const telemetry::MetricsRegistry* registry) {
-    metrics_source_ = registry;
-  }
 
   /// Wait until the HELLO handshake completes (tests/benches).
   bool wait_connected(double timeout_s);
@@ -125,8 +99,6 @@ private:
   bool pump_inbound();
   /// Drain the buffer and ship up to everything pending. False on failure.
   bool ship_pending();
-  /// Ship one TELEMETRY frame when the cadence has elapsed. False on failure.
-  bool ship_telemetry();
   void apply_push(const ModelPushFrame& push);
   void note_disconnect(const std::string& reason);
   [[nodiscard]] std::int64_t backoff_capped_hello_ms() const;
@@ -142,15 +114,6 @@ private:
   std::vector<online::SampleBuffer::SharedSample> outbox_;
   std::size_t outbox_cap_ = 0;
   std::uint64_t next_seq_ = 0;
-
-  // Run-thread-only state (connect, ship, and apply all happen on the one
-  // background thread; no lock needed).
-  std::uint64_t client_id_ = 0;           ///< from the hello ack
-  std::uint64_t applied_generation_ = 0;  ///< stamped into batch trace contexts
-  std::uint64_t last_telemetry_ns_ = 0;
-  /// seq -> CLOCK_MONOTONIC send time of batches awaiting lineage (bounded).
-  std::map<std::uint64_t, std::uint64_t> sent_ns_by_seq_;
-  const telemetry::MetricsRegistry* metrics_source_ = nullptr;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

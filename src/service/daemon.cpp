@@ -38,8 +38,7 @@ void bump_daemon_counter(const char* name, const char* help, const char* labels 
 
 }  // namespace
 
-TrainerDaemon::TrainerDaemon(DaemonConfig config)
-    : config_(std::move(config)), fleet_(config_.fleet) {
+TrainerDaemon::TrainerDaemon(DaemonConfig config) : config_(std::move(config)) {
   if (config_.train_batch == 0) config_.train_batch = 1;
   if (config_.per_kernel_cap == 0) config_.per_kernel_cap = 1;
 }
@@ -78,40 +77,25 @@ void TrainerDaemon::stop() {
   generation_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (trainer_thread_.joinable()) trainer_thread_.join();
-  for (auto& thread : serve_threads_) {
-    if (thread.joinable()) thread.join();
-  }
+  // The accept thread is gone, so nothing else touches serve_threads_.
+  for (auto& [id, thread] : serve_threads_) thread.join();
   serve_threads_.clear();
+  finished_serves_.clear();
   connections_.clear();
   close_fd(listen_fd);
   listen_fd_ = -1;
   ::unlink(config_.socket_path.c_str());
-  // Final export so a short-lived daemon still leaves a coherent fleet file.
-  if (config_.fleet.enabled()) fleet_.export_now(generation(), monotonic_ns());
   running_ = false;
 }
 
 TrainerDaemon::Stats TrainerDaemon::stats() const {
-  Stats out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out = stats_;
-    out.generation = generation_;
-    out.clients_connected = connections_.size();
-    out.per_kernel_samples.clear();
-    for (const auto& [loop_id, shard] : shards_) out.per_kernel_samples[loop_id] = shard.size();
-  }
-  // Fleet counters live behind the fleet's own mutex; taken after mutex_ is
-  // released so the two locks never nest in this direction.
-  out.telemetry_snapshots = fleet_.telemetry_snapshots();
-  out.slo_breaches = fleet_.slo_breaches();
-  return out;
-}
-
-std::vector<LineageEntry> TrainerDaemon::lineage(std::uint64_t generation) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = lineage_by_generation_.find(generation);
-  return it == lineage_by_generation_.end() ? std::vector<LineageEntry>{} : it->second;
+  Stats out = stats_;
+  out.generation = generation_;
+  out.clients_connected = connections_.size();
+  out.per_kernel_samples.clear();
+  for (const auto& [loop_id, shard] : shards_) out.per_kernel_samples[loop_id] = shard.size();
+  return out;
 }
 
 std::uint64_t TrainerDaemon::generation() const {
@@ -140,6 +124,22 @@ StatsFrame TrainerDaemon::stats_frame() const {
   return frame;
 }
 
+void TrainerDaemon::reap_finished_serve_threads() {
+  std::vector<std::thread> finished;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const std::uint64_t id : finished_serves_) {
+      const auto it = serve_threads_.find(id);
+      finished.push_back(std::move(it->second));
+      serve_threads_.erase(it);
+    }
+    finished_serves_.clear();
+  }
+  // Each of these has already recorded its exit, so the joins return at once
+  // and release the threads' stacks.
+  for (auto& thread : finished) thread.join();
+}
+
 void TrainerDaemon::accept_loop() {
   std::uint64_t next_id = 1;
   for (;;) {
@@ -156,6 +156,7 @@ void TrainerDaemon::accept_loop() {
       if (stopping_) return;
       continue;
     }
+    reap_finished_serve_threads();
     auto connection = std::make_shared<Connection>();
     connection->conn = FrameConn(fd);
     connection->id = next_id++;
@@ -164,7 +165,8 @@ void TrainerDaemon::accept_loop() {
       if (stopping_) return;  // fd closed by ~Connection
       connections_.push_back(connection);
       stats_.clients_total += 1;
-      serve_threads_.emplace_back([this, connection] { serve(connection); });
+      serve_threads_.emplace(connection->id,
+                             std::thread([this, connection] { serve(connection); }));
     }
     bump_daemon_counter("apollo_served_clients_total", "Client connections accepted.");
   }
@@ -172,7 +174,6 @@ void TrainerDaemon::accept_loop() {
 
 void TrainerDaemon::serve(std::shared_ptr<Connection> connection) {
   FrameConn& conn = connection->conn;
-  std::string drop_cause = "peer closed";
   for (;;) {
     auto frame = conn.recv(-1);
     if (!frame) {
@@ -182,7 +183,6 @@ void TrainerDaemon::serve(std::shared_ptr<Connection> connection) {
       // peers from clean disconnects. A plain EOF ("peer closed") or a reset
       // from a client that died between frames is peer death, not protocol.
       const std::string& reason = conn.last_error();
-      if (!reason.empty()) drop_cause = reason;
       const bool peer_death = reason.empty() || reason == "peer closed" ||
                               reason.find("Connection reset") != std::string::npos;
       if (!peer_death) {
@@ -214,17 +214,13 @@ void TrainerDaemon::serve(std::shared_ptr<Connection> connection) {
             nack.generation = 0;
             nack.samples_accepted = 0;
             conn.send(FrameType::Ack, encode_ack(nack));
-            fleet_.hello_nacked(connection->id, hello.protocol, monotonic_ns());
             throw WireError("protocol skew: client " + std::to_string(hello.protocol) +
                             ", daemon " + std::to_string(kProtocolVersion));
           }
           connection->helloed = true;
-          connection->client_name = hello.client_name;
           AckFrame ack;
           ack.generation = generation();
-          ack.client_id = connection->id;
           conn.send(FrameType::Ack, encode_ack(ack));
-          fleet_.client_connected(connection->id, hello.client_name, monotonic_ns());
           // A late joiner gets the current model immediately instead of
           // waiting for the next train.
           push_generation(*connection);
@@ -233,21 +229,13 @@ void TrainerDaemon::serve(std::shared_ptr<Connection> connection) {
         case FrameType::SampleBatch: {
           if (!connection->helloed) throw WireError("sample batch before hello");
           std::uint64_t seq = 0;
-          const std::int64_t accepted = ingest_batch(connection->id, payload, &seq);
+          const std::int64_t accepted = ingest_batch(payload, &seq);
           AckFrame ack;
           ack.batch_seq = seq;
           ack.generation = generation();
           ack.samples_accepted = static_cast<std::uint64_t>(accepted);
-          ack.client_id = connection->id;
           conn.send(FrameType::Ack, encode_ack(ack));
           train_cv_.notify_one();
-          break;
-        }
-        case FrameType::Telemetry: {
-          if (!connection->helloed) throw WireError("telemetry before hello");
-          const TelemetryFrame telemetry_frame = decode_telemetry(payload);
-          fleet_.telemetry_received(connection->id, telemetry_frame, generation(),
-                                    monotonic_ns());
           break;
         }
         case FrameType::Stats: {
@@ -266,35 +254,28 @@ void TrainerDaemon::serve(std::shared_ptr<Connection> connection) {
                           "Frames rejected as malformed or out of protocol.");
       std::fprintf(stderr, "apollo_served: client %llu dropped: %s\n",
                    static_cast<unsigned long long>(connection->id), error.what());
-      drop_cause = error.what();
       conn.close();
       break;
     }
   }
-  if (connection->helloed) {
-    fleet_.client_disconnected(connection->id, drop_cause, monotonic_ns());
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
   connections_.erase(std::remove(connections_.begin(), connections_.end(), connection),
                      connections_.end());
+  finished_serves_.push_back(connection->id);
 }
 
-std::int64_t TrainerDaemon::ingest_batch(std::uint64_t client_id, std::string_view payload,
-                                         std::uint64_t* seq) {
-  const bool traced = telemetry::enabled();
-  const std::uint64_t span_start = traced ? telemetry::now_ns() : 0;
+std::int64_t TrainerDaemon::ingest_batch(std::string_view payload, std::uint64_t* seq) {
   // Decode (the expensive, throwing part) outside the lock.
   SampleBatch batch = decode_sample_batch(payload);
   *seq = batch.seq;
   std::int64_t accepted = 0;
-  std::uint64_t daemon_generation = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto& record : batch.records) {
       const auto it = record.find(features::kLoopId);
       if (it == record.end() || !it->second.is_string()) continue;  // unkeyable: drop quietly
       auto& shard = shards_[it->second.as_string()];
-      shard.push_back(ShardEntry{std::move(record), client_id, batch.seq});
+      shard.push_back(std::move(record));
       ++accepted;
       ++total_samples_;
       if (shard.size() > config_.per_kernel_cap) {
@@ -305,18 +286,12 @@ std::int64_t TrainerDaemon::ingest_batch(std::uint64_t client_id, std::string_vi
     stats_.batches_received += 1;
     stats_.samples_received += static_cast<std::uint64_t>(accepted);
     since_last_train_ += static_cast<std::size_t>(accepted);
-    daemon_generation = generation_;
   }
-  fleet_.batch_received(client_id, batch, static_cast<std::uint64_t>(accepted),
-                        daemon_generation, monotonic_ns());
-  if (traced) {
+  if (telemetry::enabled()) {
     auto& registry = telemetry::MetricsRegistry::instance();
     registry.counter("apollo_served_batches_total", "Sample batches ingested.").inc();
     registry.counter("apollo_served_samples_total", "Samples ingested across batches.")
         .inc(static_cast<std::uint64_t>(accepted));
-    // Stitches against the client's batch_ship span via (client id, seq).
-    telemetry::emit_span(telemetry::EventKind::BatchIngest, "batch_ingest", span_start,
-                         telemetry::now_ns(), client_id, batch.seq);
   }
   return accepted;
 }
@@ -336,66 +311,37 @@ void TrainerDaemon::push_generation(Connection& connection) {
 
 void TrainerDaemon::trainer_loop() {
   par::lower_current_thread_priority();  // training yields to serving threads
-  const bool fleet_enabled = config_.fleet.enabled();
-  const auto export_interval = std::chrono::milliseconds(
-      config_.fleet.export_ms > 0 ? config_.fleet.export_ms : 500);
   for (;;) {
-    bool ready = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      const auto predicate = [&] {
+      train_cv_.wait(lock, [&] {
         return stopping_ ||
                (since_last_train_ >= config_.train_batch &&
                 total_samples_ >= config_.min_train_samples);
-      };
-      if (fleet_enabled) {
-        // Wake on the export cadence even when no training is due, so the
-        // fleet metrics file and the staleness SLO stay fresh.
-        ready = train_cv_.wait_for(lock, export_interval, predicate);
-      } else {
-        train_cv_.wait(lock, predicate);
-        ready = true;
-      }
+      });
       if (stopping_) return;
-      if (ready) since_last_train_ = 0;
+      since_last_train_ = 0;
     }
-    if (fleet_enabled) fleet_.tick(generation(), monotonic_ns());
-    if (ready) train_once();
+    train_once();
   }
 }
 
 void TrainerDaemon::train_once() {
   const auto started = std::chrono::steady_clock::now();
-  const std::uint64_t span_start = telemetry::enabled() ? telemetry::now_ns() : 0;
-  // Snapshot the aggregate under the lock, fit outside it. Collect the
-  // lineage — which (client, batch seq) pairs the fit will consume — in the
-  // same pass so the push can name its provenance exactly.
+  // Snapshot the aggregate under the lock, fit outside it.
   std::vector<perf::SampleRecord> records;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> seqs_by_client;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     records.reserve(total_samples_);
     for (const auto& [loop_id, shard] : shards_) {
-      for (const auto& entry : shard) {
-        records.push_back(entry.record);
-        seqs_by_client[entry.client_id].push_back(entry.batch_seq);
-      }
+      records.insert(records.end(), shard.begin(), shard.end());
     }
   }
   if (records.empty()) return;
-  std::vector<LineageEntry> lineage;
-  lineage.reserve(seqs_by_client.size());
-  for (auto& [client_id, seqs] : seqs_by_client) {
-    std::sort(seqs.begin(), seqs.end());
-    seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
-    lineage.push_back(LineageEntry{client_id, std::move(seqs)});
-  }
 
   ModelPushFrame push;
   push.trained_on_samples = records.size();
-  push.lineage = lineage;
   bool ok = true;
-  std::string fail_cause;
   try {
     push.policy_text = model_text(Trainer::train(records, TunedParameter::Policy, config_.tree_params));
     if (config_.train_chunk) {
@@ -408,33 +354,26 @@ void TrainerDaemon::train_once() {
     }
   } catch (const std::exception& error) {
     ok = false;
-    fail_cause = error.what();
     const std::lock_guard<std::mutex> lock(mutex_);
     stats_.trains_failed += 1;
     std::fprintf(stderr, "apollo_served: train failed: %s\n", error.what());
   }
 
-  std::uint64_t trained_generation = 0;
-  std::uint64_t pushed = 0;
   if (ok) {
     std::vector<std::shared_ptr<Connection>> targets;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       generation_ += 1;
-      trained_generation = generation_;
       push.generation = generation_;
       push.pushed_ns = monotonic_ns();
       push_payload_ = encode_model_push(push);
       stats_.trains_completed += 1;
-      lineage_by_generation_[generation_] = lineage;
-      while (lineage_by_generation_.size() > kLineageHistory) {
-        lineage_by_generation_.erase(lineage_by_generation_.begin());
-      }
       for (const auto& connection : connections_) {
         if (connection->helloed) targets.push_back(connection);
       }
     }
     generation_cv_.notify_all();
+    std::uint64_t pushed = 0;
     for (const auto& connection : targets) {
       // A dead client just fails its send; its serving thread reaps it.
       if (connection->conn.send(FrameType::ModelPush, push_payload_)) ++pushed;
@@ -447,13 +386,6 @@ void TrainerDaemon::train_once() {
 
   const double duration =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  if (ok) {
-    fleet_.generation_trained(trained_generation, records.size(), duration, lineage,
-                              monotonic_ns());
-    fleet_.push_sent(trained_generation, pushed, monotonic_ns());
-  } else {
-    fleet_.train_failed(fail_cause, monotonic_ns());
-  }
   if (telemetry::enabled()) {
     auto& registry = telemetry::MetricsRegistry::instance();
     registry
@@ -464,8 +396,6 @@ void TrainerDaemon::train_once() {
         .counter("apollo_served_trains_total", "Aggregate trains by outcome.",
                  ok ? "result=\"ok\"" : "result=\"failed\"")
         .inc();
-    telemetry::emit_span(telemetry::EventKind::FleetTrain, "fleet_train", span_start,
-                         telemetry::now_ns(), trained_generation, records.size());
   }
 }
 

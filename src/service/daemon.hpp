@@ -30,7 +30,6 @@
 
 #include "ml/decision_tree.hpp"
 #include "perf/record.hpp"
-#include "service/fleet_metrics.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
 
@@ -47,8 +46,6 @@ struct DaemonConfig {
   /// Also fit a chunk-size model when the aggregate has usable sweep data.
   bool train_chunk = false;
   ml::TreeParams tree_params;
-  /// Fleet observability plane: merged metrics export, event log, SLOs.
-  FleetConfig fleet;
 };
 
 class TrainerDaemon {
@@ -64,6 +61,8 @@ public:
   bool start();
 
   /// Close the listener and every connection, join all threads. Idempotent.
+  /// Serve threads of connections that already closed are joined earlier, by
+  /// the accept thread, before it starts the next one.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -79,20 +78,10 @@ public:
     std::uint64_t trains_failed = 0;
     std::uint64_t generation = 0;
     std::uint64_t pushes_sent = 0;
-    std::uint64_t telemetry_snapshots = 0;  ///< TELEMETRY frames merged
-    std::uint64_t slo_breaches = 0;         ///< staleness SLO breach episodes
     std::map<std::string, std::uint64_t> per_kernel_samples;
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::uint64_t generation() const;
-
-  /// The fleet observability plane (per-client views, merged snapshot).
-  [[nodiscard]] FleetMetrics& fleet() noexcept { return fleet_; }
-  [[nodiscard]] const FleetMetrics& fleet() const noexcept { return fleet_; }
-
-  /// Which (client, batch seq) pairs fed a trained generation (the last
-  /// kLineageHistory generations are retained). Empty when unknown.
-  [[nodiscard]] std::vector<LineageEntry> lineage(std::uint64_t generation) const;
 
   /// Block until `generation()` >= `at_least` or `timeout_s` elapses (tests
   /// and benches; the serving path never waits on training).
@@ -103,27 +92,16 @@ private:
     FrameConn conn;
     std::uint64_t id = 0;
     bool helloed = false;
-    std::string client_name;
   };
-
-  /// One retained sample plus the batch that carried it — what lets a
-  /// trained generation name its exact lineage.
-  struct ShardEntry {
-    perf::SampleRecord record;
-    std::uint64_t client_id = 0;
-    std::uint64_t batch_seq = 0;
-  };
-
-  /// Trained generations whose lineage is kept for lineage() lookups.
-  static constexpr std::size_t kLineageHistory = 64;
 
   void accept_loop();
+  /// Join the serve threads whose connections have closed (accept thread).
+  void reap_finished_serve_threads();
   void serve(std::shared_ptr<Connection> connection);
   void trainer_loop();
   /// Decode + shard one batch; returns accepted count or -1 on a protocol
   /// violation (caller disconnects).
-  std::int64_t ingest_batch(std::uint64_t client_id, std::string_view payload,
-                            std::uint64_t* seq);
+  std::int64_t ingest_batch(std::string_view payload, std::uint64_t* seq);
   void push_generation(Connection& connection);
   void train_once();
   [[nodiscard]] StatsFrame stats_frame() const;
@@ -137,19 +115,19 @@ private:
   std::condition_variable generation_cv_; ///< wakes wait_generation
   bool stopping_ = false;
   std::vector<std::shared_ptr<Connection>> connections_;
-  std::map<std::string, std::deque<ShardEntry>> shards_;
+  std::map<std::string, std::deque<perf::SampleRecord>> shards_;
   std::size_t total_samples_ = 0;       ///< currently retained across shards
   std::size_t since_last_train_ = 0;
   Stats stats_{};
   /// The latest trained generation, pre-encoded once for pushing.
   std::string push_payload_;
   std::uint64_t generation_ = 0;
-  std::map<std::uint64_t, std::vector<LineageEntry>> lineage_by_generation_;
-  FleetMetrics fleet_;
+  /// Ids of connections whose serve thread has returned but is not joined.
+  std::vector<std::uint64_t> finished_serves_;
 
   std::thread accept_thread_;
   std::thread trainer_thread_;
-  std::vector<std::thread> serve_threads_;
+  std::map<std::uint64_t, std::thread> serve_threads_;  ///< by connection id
 };
 
 }  // namespace apollo::service

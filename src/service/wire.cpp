@@ -12,7 +12,6 @@ const char* frame_type_name(FrameType type) noexcept {
     case FrameType::ModelPush: return "MODEL_PUSH";
     case FrameType::Ack: return "ACK";
     case FrameType::Stats: return "STATS";
-    case FrameType::Telemetry: return "TELEMETRY";
   }
   return "?";
 }
@@ -161,7 +160,6 @@ std::string encode_ack(const AckFrame& ack) {
   w.u64(ack.batch_seq);
   w.u64(ack.generation);
   w.u64(ack.samples_accepted);
-  w.u64(ack.client_id);
   return w.take();
 }
 
@@ -172,7 +170,6 @@ AckFrame decode_ack(std::string_view payload) {
   ack.batch_seq = r.u64();
   ack.generation = r.u64();
   ack.samples_accepted = r.u64();
-  ack.client_id = r.u64();
   if (!r.done()) throw WireError("wire: trailing bytes after ACK");
   return ack;
 }
@@ -227,18 +224,6 @@ std::string encode_model_push(const ModelPushFrame& push) {
   w.u64(push.generation);
   w.u64(push.trained_on_samples);
   w.u64(push.pushed_ns);
-  // Lineage: per contributing client, its ascending batch seqs delta-coded
-  // (consecutive seqs — the common case — cost one byte each).
-  w.varint(push.lineage.size());
-  for (const auto& entry : push.lineage) {
-    w.varint(entry.client_id);
-    w.varint(entry.seqs.size());
-    std::uint64_t prev = 0;
-    for (const std::uint64_t seq : entry.seqs) {
-      w.varint(seq - prev);
-      prev = seq;
-    }
-  }
   std::uint8_t flags = 0;
   if (push.policy_text) flags |= kHasPolicy;
   if (push.chunk_text) flags |= kHasChunk;
@@ -256,22 +241,6 @@ ModelPushFrame decode_model_push(std::string_view payload) {
   push.generation = r.u64();
   push.trained_on_samples = r.u64();
   push.pushed_ns = r.u64();
-  const std::uint64_t entries = r.varint();
-  if (entries > payload.size()) throw WireError("wire: MODEL_PUSH lineage exceeds payload");
-  push.lineage.reserve(static_cast<std::size_t>(entries));
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    LineageEntry entry;
-    entry.client_id = r.varint();
-    const std::uint64_t seqs = r.varint();
-    if (seqs > payload.size()) throw WireError("wire: MODEL_PUSH lineage seqs exceed payload");
-    entry.seqs.reserve(static_cast<std::size_t>(seqs));
-    std::uint64_t prev = 0;
-    for (std::uint64_t s = 0; s < seqs; ++s) {
-      prev += r.varint();
-      entry.seqs.push_back(prev);
-    }
-    push.lineage.push_back(std::move(entry));
-  }
   const std::uint8_t flags = r.u8();
   if ((flags & ~(kHasPolicy | kHasChunk | kHasThreads)) != 0) {
     throw WireError("wire: MODEL_PUSH has unknown model flags");
@@ -314,10 +283,6 @@ std::string encode_sample_batch(const SampleBatch& batch) {
 
   WireWriter w;
   w.varint(batch.seq);
-  // Trace context (v2): who shipped this, against which model, and when.
-  w.varint(batch.client_id);
-  w.varint(batch.origin_generation);
-  w.u64(batch.sent_ns);
   w.varint(strings.size());
   for (const std::string_view s : strings) w.string(s);
   w.varint(batch.records.size());
@@ -344,9 +309,6 @@ SampleBatch decode_sample_batch(std::string_view payload) {
   WireReader r(payload);
   SampleBatch batch;
   batch.seq = r.varint();
-  batch.client_id = r.varint();
-  batch.origin_generation = r.varint();
-  batch.sent_ns = r.u64();
   const std::uint64_t table_size = r.varint();
   if (table_size > payload.size()) throw WireError("wire: batch string table exceeds payload");
   std::vector<std::string_view> strings;
@@ -379,124 +341,6 @@ SampleBatch decode_sample_batch(std::string_view payload) {
   return batch;
 }
 
-// --- TELEMETRY ----------------------------------------------------------------
-
-namespace {
-
-/// Series kind tags on the wire (decoupled from the enum's binary layout).
-constexpr std::uint8_t kKindCounter = 0;
-constexpr std::uint8_t kKindGauge = 1;
-constexpr std::uint8_t kKindHistogram = 2;
-
-}  // namespace
-
-std::string encode_telemetry(const TelemetryFrame& frame) {
-  // Same dictionary trick as SAMPLE_BATCH: metric names, label bodies, and
-  // help strings repeat across series (and help strings repeat across every
-  // labeled series of a family), so they are interned once per frame.
-  std::map<std::string_view, std::uint64_t> table;
-  std::vector<std::string_view> strings;
-  const auto intern = [&](std::string_view s) -> std::uint64_t {
-    const auto [it, inserted] = table.emplace(s, strings.size());
-    if (inserted) strings.push_back(s);
-    return it->second;
-  };
-  for (const auto& series : frame.snapshot.series) {
-    intern(series.name);
-    intern(series.labels);
-    intern(series.help);
-  }
-
-  WireWriter w;
-  w.varint(frame.applied_generation);
-  w.u64(frame.sent_ns);
-  w.varint(strings.size());
-  for (const std::string_view s : strings) w.string(s);
-  w.varint(frame.snapshot.series.size());
-  for (const auto& series : frame.snapshot.series) {
-    w.varint(table.at(series.name));
-    w.varint(table.at(series.labels));
-    w.varint(table.at(series.help));
-    switch (series.kind) {
-      case telemetry::MetricKind::Counter:
-        w.u8(kKindCounter);
-        w.varint(series.counter_value);
-        break;
-      case telemetry::MetricKind::Gauge:
-        w.u8(kKindGauge);
-        w.f64(series.gauge_value);
-        break;
-      case telemetry::MetricKind::Histogram:
-        w.u8(kKindHistogram);
-        w.varint(series.hist_count);
-        w.f64(series.hist_sum);
-        w.varint(series.hist_bounds.size());
-        for (const double bound : series.hist_bounds) w.f64(bound);
-        for (std::size_t i = 0; i <= series.hist_bounds.size(); ++i) {
-          w.varint(i < series.hist_buckets.size() ? series.hist_buckets[i] : 0);
-        }
-        break;
-    }
-  }
-  return w.take();
-}
-
-TelemetryFrame decode_telemetry(std::string_view payload) {
-  WireReader r(payload);
-  TelemetryFrame frame;
-  frame.applied_generation = r.varint();
-  frame.sent_ns = r.u64();
-  const std::uint64_t table_size = r.varint();
-  if (table_size > payload.size()) throw WireError("wire: telemetry string table exceeds payload");
-  std::vector<std::string_view> strings;
-  strings.reserve(static_cast<std::size_t>(table_size));
-  for (std::uint64_t i = 0; i < table_size; ++i) strings.push_back(r.string());
-  const auto lookup = [&](std::uint64_t index) -> std::string_view {
-    if (index >= strings.size()) throw WireError("wire: telemetry string index out of range");
-    return strings[static_cast<std::size_t>(index)];
-  };
-  const std::uint64_t count = r.varint();
-  if (count > payload.size()) throw WireError("wire: telemetry series count exceeds payload");
-  frame.snapshot.series.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t n = 0; n < count; ++n) {
-    telemetry::SeriesSnapshot series;
-    series.name = std::string(lookup(r.varint()));
-    series.labels = std::string(lookup(r.varint()));
-    series.help = std::string(lookup(r.varint()));
-    switch (r.u8()) {
-      case kKindCounter:
-        series.kind = telemetry::MetricKind::Counter;
-        series.counter_value = r.varint();
-        break;
-      case kKindGauge:
-        series.kind = telemetry::MetricKind::Gauge;
-        series.gauge_value = r.f64();
-        break;
-      case kKindHistogram: {
-        series.kind = telemetry::MetricKind::Histogram;
-        series.hist_count = r.varint();
-        series.hist_sum = r.f64();
-        const std::uint64_t bounds = r.varint();
-        if (bounds > payload.size()) {
-          throw WireError("wire: telemetry histogram bounds exceed payload");
-        }
-        series.hist_bounds.reserve(static_cast<std::size_t>(bounds));
-        for (std::uint64_t b = 0; b < bounds; ++b) series.hist_bounds.push_back(r.f64());
-        series.hist_buckets.reserve(static_cast<std::size_t>(bounds) + 1);
-        for (std::uint64_t b = 0; b <= bounds; ++b) series.hist_buckets.push_back(r.varint());
-        break;
-      }
-      default:
-        throw WireError("wire: unknown telemetry series kind");
-    }
-    // upsert keeps the snapshot's sorted-by-(name,labels) invariant without
-    // trusting the peer's ordering (and dedupes a hostile repeated key).
-    frame.snapshot.upsert(std::move(series));
-  }
-  if (!r.done()) throw WireError("wire: trailing bytes after TELEMETRY");
-  return frame;
-}
-
 // --- framing ------------------------------------------------------------------
 
 std::string encode_frame(FrameType type, std::string_view payload) {
@@ -520,7 +364,6 @@ FrameHeader decode_frame_header(const char (&bytes)[kFrameHeaderBytes]) {
     case FrameType::ModelPush:
     case FrameType::Ack:
     case FrameType::Stats:
-    case FrameType::Telemetry:
       header.type = static_cast<FrameType>(type);
       break;
     default:

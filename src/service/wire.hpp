@@ -21,16 +21,6 @@
 //      decode error), and the protocol number is the first field of the nack
 //      ack so any version can read how far apart the two sides are.
 //
-// Protocol v2 (the fleet observability plane) extends v1:
-//   - SAMPLE_BATCH carries a trace context — client id, origin model
-//     generation, and a monotonic send timestamp — ahead of the records.
-//   - MODEL_PUSH carries the generation's lineage: exactly which (client id,
-//     batch seq) pairs contributed retained samples to the fit.
-//   - ACK carries the daemon-assigned client id (how a client learns the id
-//     it stamps into batches and trace spans).
-//   - A new TELEMETRY frame ships a dictionary-coded MetricsSnapshot of the
-//     client's registry for daemon-side fleet aggregation.
-//
 // Frame layout on the wire (all integers little-endian):
 //
 //   [u8 type][u32 payload_len][u32 crc32(payload)][payload bytes]
@@ -48,13 +38,12 @@
 #include <vector>
 
 #include "perf/record.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace apollo::service {
 
 /// Bumped whenever a frame layout changes incompatibly.
-/// v2: batch trace context + push lineage + ack client id + TELEMETRY frame.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v3: SAMPLE_BATCH, MODEL_PUSH and ACK lose v2's observability fields.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Upper bound on a single frame's payload. Large enough for a model push or
 /// a few thousand dictionary-coded samples; small enough that a corrupt
@@ -70,7 +59,6 @@ enum class FrameType : std::uint8_t {
   ModelPush = 3,    ///< daemon -> client: a new model generation
   Ack = 4,          ///< daemon -> client: batch/hello acknowledgement
   Stats = 5,        ///< either direction: request (empty) / reply (counters)
-  Telemetry = 6,    ///< client -> daemon: dictionary-coded metrics snapshot
 };
 
 [[nodiscard]] const char* frame_type_name(FrameType type) noexcept;
@@ -146,20 +134,6 @@ struct AckFrame {
   std::uint64_t batch_seq = 0;    ///< sequence being acknowledged (0 = hello)
   std::uint64_t generation = 0;   ///< daemon's current model generation
   std::uint64_t samples_accepted = 0;
-  /// Daemon-assigned fleet-unique client id (stable for the connection's
-  /// lifetime). The hello ack is where a client learns the id it stamps into
-  /// batch trace contexts and cross-process trace spans.
-  std::uint64_t client_id = 0;
-};
-
-/// The batch seqs one client contributed to a trained generation.
-struct LineageEntry {
-  std::uint64_t client_id = 0;
-  std::vector<std::uint64_t> seqs;  ///< ascending batch sequence numbers
-
-  friend bool operator==(const LineageEntry& a, const LineageEntry& b) {
-    return a.client_id == b.client_id && a.seqs == b.seqs;
-  }
 };
 
 /// One pushed model generation. Models travel in their text persistence form
@@ -169,10 +143,6 @@ struct ModelPushFrame {
   std::uint64_t generation = 0;
   std::uint64_t trained_on_samples = 0;
   std::uint64_t pushed_ns = 0;  ///< daemon CLOCK_MONOTONIC at push (same-host latency)
-  /// Which (client, batch seq) pairs fed retained samples into this fit —
-  /// how a client attributes a hot-swap back to the batches it shipped and
-  /// measures true sample->swap pipeline latency. Sorted by client_id.
-  std::vector<LineageEntry> lineage;
   std::optional<std::string> policy_text;
   std::optional<std::string> chunk_text;
   std::optional<std::string> threads_text;
@@ -189,21 +159,10 @@ struct StatsFrame {
   std::map<std::string, std::uint64_t> per_kernel_samples;
 };
 
-/// A decoded SAMPLE_BATCH. The v2 trace context (client_id, origin
-/// generation, send timestamp) precedes the records on the wire.
+/// A decoded SAMPLE_BATCH.
 struct SampleBatch {
   std::uint64_t seq = 0;
-  std::uint64_t client_id = 0;          ///< daemon-assigned id from the hello ack
-  std::uint64_t origin_generation = 0;  ///< model generation live on the client at encode time
-  std::uint64_t sent_ns = 0;            ///< client CLOCK_MONOTONIC at send (same-host latency)
   std::vector<perf::SampleRecord> records;
-};
-
-/// One client's periodic metrics shipment for fleet aggregation.
-struct TelemetryFrame {
-  std::uint64_t applied_generation = 0;  ///< model generation live on the client
-  std::uint64_t sent_ns = 0;             ///< client CLOCK_MONOTONIC at send
-  telemetry::MetricsSnapshot snapshot;
 };
 
 [[nodiscard]] std::string encode_hello(const HelloFrame& hello);
@@ -219,15 +178,9 @@ struct TelemetryFrame {
 [[nodiscard]] StatsFrame decode_stats(std::string_view payload);
 
 /// Dictionary-coded batch of records. Keys and string values are interned in
-/// a per-batch table; numeric values are varint/f64-coded per type. The
-/// batch's trace context travels ahead of the table.
+/// a per-batch table; numeric values are varint/f64-coded per type.
 [[nodiscard]] std::string encode_sample_batch(const SampleBatch& batch);
 [[nodiscard]] SampleBatch decode_sample_batch(std::string_view payload);
-
-///// Dictionary-coded metrics snapshot: one string table (names, label bodies,
-/// and help strings repeat heavily across series), then per-series values.
-[[nodiscard]] std::string encode_telemetry(const TelemetryFrame& frame);
-[[nodiscard]] TelemetryFrame decode_telemetry(std::string_view payload);
 
 // --- framing ------------------------------------------------------------------
 

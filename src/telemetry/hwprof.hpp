@@ -27,8 +27,7 @@
 // stride (64) stays within 5% of the telemetry-on baseline. Windows ride a
 // process-wide stride rotor (the QualityAccountant probe pattern), aggregate
 // under one mutex per window (not per launch) into apollo_hw_* series in the
-// MetricsRegistry, annotate audit-log decisions, and ship fleet-wide through
-// the existing TELEMETRY frame with zero wire changes.
+// MetricsRegistry, and annotate audit-log decisions.
 //
 // Environment (read by init_from_env, via the hardened telemetry/env parsers):
 //   APOLLO_HW_STRIDE=n     profile every nth launch (0 = off, default;

@@ -191,17 +191,6 @@ bool series_key_less(const SeriesSnapshot& a, const SeriesSnapshot& b) {
 
 }  // namespace
 
-void MetricsSnapshot::upsert(SeriesSnapshot series_snapshot) {
-  const auto it =
-      std::lower_bound(series.begin(), series.end(), series_snapshot, series_key_less);
-  if (it != series.end() && it->name == series_snapshot.name &&
-      it->labels == series_snapshot.labels) {
-    *it = std::move(series_snapshot);
-  } else {
-    series.insert(it, std::move(series_snapshot));
-  }
-}
-
 const SeriesSnapshot* MetricsSnapshot::find(std::string_view name, std::string_view labels) const {
   SeriesSnapshot probe;
   probe.name = std::string(name);
@@ -209,68 +198,6 @@ const SeriesSnapshot* MetricsSnapshot::find(std::string_view name, std::string_v
   const auto it = std::lower_bound(series.begin(), series.end(), probe, series_key_less);
   if (it == series.end() || it->name != probe.name || it->labels != probe.labels) return nullptr;
   return &*it;
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& theirs : other.series) {
-    const auto it = std::lower_bound(series.begin(), series.end(), theirs, series_key_less);
-    if (it == series.end() || it->name != theirs.name || it->labels != theirs.labels) {
-      series.insert(it, theirs);
-      continue;
-    }
-    SeriesSnapshot& ours = *it;
-    if (ours.kind != theirs.kind) continue;  // kind clash: keep ours, drop theirs
-    switch (ours.kind) {
-      case MetricKind::Counter:
-        ours.counter_value += theirs.counter_value;
-        break;
-      case MetricKind::Gauge:
-        ours.gauge_value = theirs.gauge_value;  // last write wins
-        break;
-      case MetricKind::Histogram: {
-        ours.hist_count += theirs.hist_count;
-        ours.hist_sum += theirs.hist_sum;
-        if (ours.hist_buckets.size() != ours.hist_bounds.size() + 1) {
-          ours.hist_buckets.assign(ours.hist_bounds.size() + 1, 0);
-        }
-        if (theirs.hist_bounds == ours.hist_bounds &&
-            theirs.hist_buckets.size() == ours.hist_buckets.size()) {
-          for (std::size_t i = 0; i < ours.hist_buckets.size(); ++i) {
-            ours.hist_buckets[i] += theirs.hist_buckets[i];
-          }
-        } else {
-          // Re-bucket by upper bound: each foreign bucket lands in the first
-          // of our buckets whose bound covers its bound (overflow otherwise).
-          // Exact when our bounds are a superset of theirs.
-          for (std::size_t i = 0; i < theirs.hist_buckets.size(); ++i) {
-            const std::uint64_t in_bucket = theirs.hist_buckets[i];
-            if (in_bucket == 0) continue;
-            std::size_t target = ours.hist_bounds.size();  // overflow by default
-            if (i < theirs.hist_bounds.size()) {
-              const auto pos = std::lower_bound(ours.hist_bounds.begin(),
-                                                ours.hist_bounds.end(), theirs.hist_bounds[i]);
-              target = static_cast<std::size_t>(pos - ours.hist_bounds.begin());
-            }
-            ours.hist_buckets[target] += in_bucket;
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
-void MetricsSnapshot::tag(MetricKind kind, std::string_view key, std::string_view value) {
-  bool changed = false;
-  for (auto& s : series) {
-    if (s.kind != kind) continue;
-    std::string label;
-    label.reserve(key.size() + value.size() + 3);
-    label.append(key).append("=\"").append(value).append("\"");
-    s.labels = s.labels.empty() ? std::move(label) : s.labels + "," + label;
-    changed = true;
-  }
-  if (changed) std::sort(series.begin(), series.end(), series_key_less);
 }
 
 void MetricsSnapshot::write(std::ostream& out) const {
@@ -320,12 +247,6 @@ void write_file_atomically(const std::string& path, std::string_view text) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("telemetry: cannot rename " + tmp + " to " + path);
   }
-}
-
-void MetricsSnapshot::write_file(const std::string& path) const {
-  std::ostringstream out;
-  write(out);
-  write_file_atomically(path, out.str());
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

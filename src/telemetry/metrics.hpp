@@ -118,9 +118,7 @@ private:
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
 /// One series' values frozen at snapshot time. Counters keep their exact
-/// integer value (merging must be exact, not a double round-trip); histograms
-/// carry bounds + per-bucket counts so two snapshots with identical bounds
-/// merge bucket-for-bucket.
+/// integer value; histograms carry bounds + per-bucket counts.
 struct SeriesSnapshot {
   std::string name;
   std::string labels;  ///< pre-rendered label body ("" for unlabeled)
@@ -134,36 +132,15 @@ struct SeriesSnapshot {
   std::vector<std::uint64_t> hist_buckets;   ///< hist_bounds.size() + 1 (overflow last)
 };
 
-/// A value-semantic copy of a registry's series: what a service client ships
-/// to the trainer daemon and what the daemon merges into the fleet view.
-/// Series are kept sorted by (name, labels) so encode/merge/lookup are
-/// deterministic regardless of insertion order.
+/// A value-semantic copy of a registry's series, sorted by (name, labels).
 struct MetricsSnapshot {
   std::vector<SeriesSnapshot> series;
 
-  /// Insert or overwrite one series (keeps the sort order).
-  void upsert(SeriesSnapshot series_snapshot);
   [[nodiscard]] const SeriesSnapshot* find(std::string_view name,
                                            std::string_view labels = "") const;
 
-  /// Merge `other` into this snapshot, matching series on (name, labels):
-  /// counters add exactly, gauges take the other side's value (last write
-  /// wins), histograms add count/sum and — when the bounds match — add
-  /// bucket-for-bucket. Mismatched bounds re-bucket the other side's counts
-  /// by upper bound into this side's buckets (exact when this side's bounds
-  /// are a superset; conservative otherwise), preserving the invariant that
-  /// bucket totals equal the count. Series present only in `other` are
-  /// copied in whole, so merging disjoint snapshots is a union.
-  void merge(const MetricsSnapshot& other);
-
-  /// Append `,key="value"` (or set it, when unlabeled) on every series of
-  /// the given kind — how the daemon tags a client's gauges before merging.
-  void tag(MetricKind kind, std::string_view key, std::string_view value);
-
   /// Prometheus text exposition, same format as MetricsRegistry::write.
   void write(std::ostream& out) const;
-  /// Atomic file export (write_file_atomically).
-  void write_file(const std::string& path) const;
 };
 
 /// Write `text` to `path` atomically (temp file + rename), so a reader
@@ -175,9 +152,8 @@ class MetricsRegistry {
 public:
   static MetricsRegistry& instance();
 
-  /// Standalone registries back tests and fleet fixtures that need several
-  /// independent "processes" worth of metrics in one binary; production code
-  /// uses instance().
+  /// A standalone registry keeps its series apart from the process-wide one;
+  /// production code uses instance().
   MetricsRegistry() = default;
 
   /// Find-or-create a series. `labels` is the pre-rendered label body, e.g.
@@ -198,8 +174,7 @@ public:
 
   /// Freeze every series' current value (relaxed loads; a snapshot taken
   /// concurrently with updates sees each value at some point in the update
-  /// order). The snapshot owns its strings — safe to ship across a process
-  /// boundary or merge long after the registry moved on.
+  /// order). The snapshot owns its strings.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Reset every value in place. Handles stay valid.

@@ -37,10 +37,6 @@ const char* event_kind_name(EventKind kind) noexcept {
     case EventKind::DriftFire: return "drift_fire";
     case EventKind::HotSwap: return "hot_swap";
     case EventKind::Explore: return "explore";
-    case EventKind::BatchShip: return "batch_ship";
-    case EventKind::BatchIngest: return "batch_ingest";
-    case EventKind::FleetTrain: return "fleet_train";
-    case EventKind::ModelApply: return "model_apply";
   }
   return "?";
 }
@@ -153,8 +149,7 @@ void write_chrome_trace(std::ostream& out, const std::vector<TraceEvent>& events
     first = false;
     const bool span = event.dur_ns > 0 || event.kind == EventKind::Launch ||
                       event.kind == EventKind::Decide || event.kind == EventKind::Phase ||
-                      event.kind == EventKind::Retrain || event.kind == EventKind::BatchShip ||
-                      event.kind == EventKind::BatchIngest || event.kind == EventKind::FleetTrain;
+                      event.kind == EventKind::Retrain;
     const char* name = event.name != nullptr ? event.name : event_kind_name(event.kind);
     out << "\n{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
         << event_kind_name(event.kind) << "\",\"pid\":1,\"tid\":" << event.tid

@@ -36,13 +36,6 @@ enum class EventKind : std::uint8_t {
   DriftFire,   ///< instant: a kernel's drift detector fired; arg0 = total fires
   HotSwap,     ///< instant: runtime swapped in registry models; arg0 = version
   Explore,     ///< instant: explorer substituted a variant; arg0 = variant key
-  // Fleet correlation kinds: client and daemon stamp the same (client id,
-  // batch seq) pair into arg0/arg1, so traces from the two processes stitch
-  // on shared ids when viewed together (see docs/observability.md).
-  BatchShip,   ///< span: client encodes+sends one SAMPLE_BATCH; arg0 = client id, arg1 = seq
-  BatchIngest, ///< span: daemon decodes+shards one batch; arg0 = client id, arg1 = seq
-  FleetTrain,  ///< span: daemon aggregate train; arg0 = generation, arg1 = samples
-  ModelApply,  ///< instant: client applied a pushed generation; arg0 = generation, arg1 = client id
 };
 
 [[nodiscard]] const char* event_kind_name(EventKind kind) noexcept;

@@ -4,12 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
+#include "core/kernel.hpp"
+#include "core/model_snapshot.hpp"
 #include "core/tuner_model.hpp"
+#include "instr/mix.hpp"
 #include "ml/decision_tree.hpp"
+#include "raja/index_set.hpp"
 #include "raja/policy.hpp"
 
+using apollo::CompiledModel;
+using apollo::KernelHandle;
 using apollo::TunedParameter;
 using apollo::TunerModel;
 using apollo::ml::Dataset;
@@ -269,4 +278,97 @@ TEST(TreeHardening, BackwardChildEdgeRejectedAsCycle) {
   text.replace(text.find("nodes 1\n-1 0 -1 -1 0 10 0\n"), 26,
                "nodes 3\n0 1.5 1 2 -1 10 0\n0 0.5 0 2 -1 5 0\n-1 0 -1 -1 1 5 0\n");
   EXPECT_NE(load_error(text).find("does not point forward"), std::string::npos);
+}
+
+// --- Mutation sweeps over a saved model ------------------------------------
+//
+// The saved text is what model files hold and what ServiceClient::apply_push
+// parses out of every MODEL_PUSH. Whatever the damage, loading must either
+// throw, or yield a model that compiles (or is refused with
+// std::invalid_argument) and then predicts a label the model has.
+
+namespace {
+
+/// A trained policy model with a categorical dictionary and a tree several
+/// levels deep: omp wins every other pair of launch sizes, except on "sod",
+/// where the pattern flips.
+std::string saved_policy_model() {
+  Dataset d({"num_indices", "problem_name"}, {"omp", "seq"});
+  for (int i = 0; i < 96; ++i) {
+    const int size_step = i % 8;
+    const int problem = i % 3;  // code into {"lulesh", "sedov", "sod"}
+    const bool omp = (size_step / 2 % 2 == 1) != (problem == 2);
+    d.add_row({1000.0 * (size_step + 1), static_cast<double>(problem)}, omp ? 0 : 1);
+  }
+  TreeParams p;
+  p.min_samples_leaf = 1;
+  p.min_samples_split = 2;
+  const TunerModel model(TunedParameter::Policy, DecisionTree::fit(d, p),
+                         {{"problem_name", {"lulesh", "sedov", "sod"}}});
+  std::ostringstream out;
+  model.save(out);
+  return out.str();
+}
+
+/// Load `text`; when it loads and compiles, predict a few launches. Returns
+/// true when the text produced a compiled model.
+bool load_compile_predict(const std::string& text, const std::string& what) {
+  static const KernelHandle kernel{"fuzz:kernel", "FuzzKernel",
+                                   apollo::instr::MixBuilder{}.fp(2).load(2).store(1).build(),
+                                   24};
+  std::optional<TunerModel> model;
+  try {
+    std::istringstream in(text);
+    model = TunerModel::load(in);
+  } catch (const std::exception&) {
+    return false;
+  }
+  std::optional<CompiledModel> compiled;
+  try {
+    compiled = CompiledModel::compile(*model);
+  } catch (const std::invalid_argument&) {
+    return false;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << what << ": compile threw something other than invalid_argument: "
+                  << error.what();
+    return false;
+  }
+  std::vector<double> scratch;
+  for (const raja::Index size : {raja::Index{1}, raja::Index{2500}, raja::Index{7000}}) {
+    const int label = compiled->predict(kernel, raja::IndexSet::range(0, size), scratch);
+    EXPECT_GE(label, 0) << what;
+    EXPECT_LT(static_cast<std::size_t>(label), model->num_labels()) << what;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(TunerModelFuzz, EveryProperPrefixThrowsOrLoadsSafely) {
+  const std::string text = saved_policy_model();
+  ASSERT_TRUE(load_compile_predict(text, "unmutated"));
+  std::size_t rejected = 0;
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    if (!load_compile_predict(text.substr(0, cut), "prefix " + std::to_string(cut))) ++rejected;
+  }
+  // At most the prefix missing only the final newline parses.
+  EXPECT_GE(rejected + 1, text.size());
+}
+
+TEST(TunerModelFuzz, EverySingleBitFlipThrowsOrLoadsSafely) {
+  const std::string text = saved_policy_model();
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^ (1u << bit));
+      if (load_compile_predict(flipped, "byte " + std::to_string(i) + " bit " +
+                                            std::to_string(bit))) {
+        ++loaded;
+      }
+    }
+  }
+  // Flips in thresholds and sample counts leave a valid model, so the sweep
+  // also reaches compile and predict.
+  EXPECT_GT(loaded, 0u);
 }

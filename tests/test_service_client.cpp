@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,6 +100,13 @@ bool wait_until(const std::function<bool()>& pred, double timeout_s) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
+}
+
+/// Lines in /proc/self/maps: each unjoined exited thread keeps its stack
+/// mapping (and guard page) listed there.
+std::ptrdiff_t map_lines() {
+  std::ifstream maps("/proc/self/maps");
+  return std::count(std::istreambuf_iterator<char>(maps), std::istreambuf_iterator<char>(), '\n');
 }
 
 }  // namespace
@@ -279,28 +289,75 @@ TEST(ServiceDaemon, ProtocolSkewIsNackedAndDisconnected) {
   TrainerDaemon daemon(daemon_cfg(socket));
   ASSERT_TRUE(daemon.start());
 
-  FrameConn conn(connect_unix(socket));
-  ASSERT_TRUE(conn.valid());
-  HelloFrame hello;
-  hello.protocol = kProtocolVersion + 1;  // a client from the future
-  hello.pid = static_cast<std::uint64_t>(::getpid());
-  hello.client_name = "time-traveler";
-  ASSERT_TRUE(conn.send(FrameType::Hello, encode_hello(hello)));
+  // Older clients (v1, v2) and one from the future. HELLO's layout is the
+  // same in every version, so each decodes and earns a nack naming the
+  // daemon's protocol, then a hang-up; none is a decode error.
+  const std::uint32_t skewed[] = {1, 2, kProtocolVersion + 1};
+  for (const std::uint32_t protocol : skewed) {
+    FrameConn conn(connect_unix(socket));
+    ASSERT_TRUE(conn.valid());
+    HelloFrame hello;
+    hello.protocol = protocol;
+    hello.pid = static_cast<std::uint64_t>(::getpid());
+    hello.client_name = "v" + std::to_string(protocol);
+    ASSERT_TRUE(conn.send(FrameType::Hello, encode_hello(hello)));
 
-  // The daemon answers with a nack carrying its own protocol, then hangs up.
-  const auto nack = conn.recv(5000);
-  ASSERT_TRUE(nack.has_value());
-  ASSERT_EQ(nack->first, FrameType::Ack);
-  EXPECT_EQ(decode_ack(nack->second).protocol, kProtocolVersion);
-  EXPECT_FALSE(conn.recv(5000).has_value());
-  EXPECT_FALSE(conn.valid());
+    const auto nack = conn.recv(5000);
+    ASSERT_TRUE(nack.has_value()) << "protocol " << protocol;
+    ASSERT_EQ(nack->first, FrameType::Ack);
+    const AckFrame ack = decode_ack(nack->second);
+    EXPECT_EQ(ack.protocol, kProtocolVersion) << "protocol " << protocol;
+    EXPECT_EQ(ack.samples_accepted, 0u);
+    EXPECT_FALSE(conn.recv(5000).has_value()) << "protocol " << protocol;
+    EXPECT_FALSE(conn.valid());
+  }
 
-  EXPECT_TRUE(wait_until([&] { return daemon.stats().frames_rejected >= 1; }, 5.0));
+  EXPECT_TRUE(wait_until([&] { return daemon.stats().frames_rejected >= 3; }, 5.0));
 
   // The daemon itself is unharmed: a well-versioned client still joins.
   SampleBuffer buffer(64);
   ModelRegistry registry;
   ServiceClient client(&buffer, &registry, client_cfg(socket, "present-day"));
+  client.start();
+  EXPECT_TRUE(client.wait_connected(10.0));
+  client.stop();
+  daemon.stop();
+}
+
+TEST(FleetCorrelation, V1HelloGetsCleanNackNotDecodeError) {
+  const std::string socket = unique_socket();
+  TrainerDaemon daemon(daemon_cfg(socket));
+  ASSERT_TRUE(daemon.start());
+
+  // A v1 client's HELLO decodes under the current protocol (the layout is
+  // frozen), so the daemon can answer it with a nack naming its own
+  // protocol and hang up, rather than failing on the bytes.
+  HelloFrame hello;
+  hello.protocol = 1;
+  hello.pid = static_cast<std::uint64_t>(::getpid());
+  hello.client_name = "v1-holdout";
+  const HelloFrame decoded = decode_hello(encode_hello(hello));
+  EXPECT_EQ(decoded.protocol, 1u);
+  EXPECT_EQ(decoded.client_name, "v1-holdout");
+
+  FrameConn conn(connect_unix(socket));
+  ASSERT_TRUE(conn.valid());
+  ASSERT_TRUE(conn.send(FrameType::Hello, encode_hello(hello)));
+
+  const auto nack = conn.recv(5000);
+  ASSERT_TRUE(nack.has_value());
+  ASSERT_EQ(nack->first, FrameType::Ack);
+  const AckFrame ack = decode_ack(nack->second);
+  EXPECT_EQ(ack.protocol, kProtocolVersion);
+  EXPECT_EQ(ack.samples_accepted, 0u);
+  EXPECT_FALSE(conn.recv(5000).has_value());
+  EXPECT_FALSE(conn.valid());
+  EXPECT_TRUE(wait_until([&] { return daemon.stats().frames_rejected >= 1; }, 5.0));
+
+  // The daemon survives: a current-protocol client still joins.
+  SampleBuffer buffer(64);
+  ModelRegistry registry;
+  ServiceClient client(&buffer, &registry, client_cfg(socket, "current"));
   client.start();
   EXPECT_TRUE(client.wait_connected(10.0));
   client.stop();
@@ -347,5 +404,34 @@ TEST(ServiceDaemon, MalformedPeerDisconnectsWithoutPoisoningOthers) {
   EXPECT_EQ(daemon.stats().samples_received, 16u);
 
   good.stop();
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, ClosedConnectionsReleaseTheirServeThreads) {
+  // Every connection gets a serve thread. Unless the daemon joins the ones
+  // whose peer left, each connect + close cycle keeps an exited thread's
+  // stack mapped until stop(), and clients that fall back and rejoin grow
+  // that without bound.
+  const std::string socket = unique_socket();
+  TrainerDaemon daemon(daemon_cfg(socket));
+  ASSERT_TRUE(daemon.start());
+
+  const auto connect_hello_close = [&] {
+    FrameConn conn(connect_unix(socket));
+    ASSERT_TRUE(conn.valid());
+    HelloFrame hello;
+    hello.pid = static_cast<std::uint64_t>(::getpid());
+    hello.client_name = "cycler";
+    ASSERT_TRUE(conn.send(FrameType::Hello, encode_hello(hello)));
+    ASSERT_TRUE(conn.recv(5000).has_value());
+    conn.close();
+    ASSERT_TRUE(wait_until([&] { return daemon.stats().clients_connected == 0; }, 5.0));
+  };
+  // Warm up thread-stack and allocator caches before taking the baseline.
+  for (int i = 0; i < 4; ++i) connect_hello_close();
+  const std::ptrdiff_t before = map_lines();
+  for (int i = 0; i < 64; ++i) connect_hello_close();
+  EXPECT_LT(map_lines() - before, 16) << "serve threads of closed connections are not joined";
+  EXPECT_EQ(daemon.stats().clients_total, 68u);
   daemon.stop();
 }

@@ -45,75 +45,11 @@ std::vector<perf::SampleRecord> make_records(int n) {
   return records;
 }
 
-/// A batch with a full v2 trace context stamped on.
 SampleBatch make_batch(std::uint64_t seq, std::vector<perf::SampleRecord> records) {
   SampleBatch batch;
   batch.seq = seq;
-  batch.client_id = 6;
-  batch.origin_generation = 3;
-  batch.sent_ns = 111222333444ull;
   batch.records = std::move(records);
   return batch;
-}
-
-/// A telemetry frame exercising all three metric kinds.
-TelemetryFrame make_telemetry() {
-  TelemetryFrame frame;
-  frame.applied_generation = 4;
-  frame.sent_ns = 987654321;
-  apollo::telemetry::SeriesSnapshot counter;
-  counter.name = "t_counter_total";
-  counter.help = "A counter.";
-  counter.kind = apollo::telemetry::MetricKind::Counter;
-  counter.counter_value = 42;
-  apollo::telemetry::SeriesSnapshot gauge;
-  gauge.name = "t_gauge";
-  gauge.labels = "client=\"rank0\"";
-  gauge.help = "A gauge.";
-  gauge.kind = apollo::telemetry::MetricKind::Gauge;
-  gauge.gauge_value = -2.5;
-  apollo::telemetry::SeriesSnapshot hist;
-  hist.name = "t_seconds";
-  hist.help = "A histogram.";
-  hist.kind = apollo::telemetry::MetricKind::Histogram;
-  hist.hist_bounds = {0.001, 0.01, 0.1};
-  hist.hist_buckets = {3, 2, 1, 4};
-  hist.hist_count = 10;
-  hist.hist_sum = 1.75;
-  frame.snapshot.upsert(counter);
-  frame.snapshot.upsert(gauge);
-  frame.snapshot.upsert(hist);
-  return frame;
-}
-
-/// A telemetry frame carrying hwprof series: labeled per-kernel×variant
-/// counters (exact u64 values, including one beyond 2^53 where a double
-/// round-trip would corrupt) plus a derived gauge.
-TelemetryFrame make_hw_telemetry() {
-  TelemetryFrame frame;
-  frame.applied_generation = 7;
-  frame.sent_ns = 1234500000;
-  const auto hw_counter = [](const char* name, std::uint64_t value) {
-    apollo::telemetry::SeriesSnapshot series;
-    series.name = name;
-    series.labels = "kernel=\"stream \\\"triad\\\"\",variant=\"omp/c128\"";
-    series.help = "hw counter";
-    series.kind = apollo::telemetry::MetricKind::Counter;
-    series.counter_value = value;
-    return series;
-  };
-  frame.snapshot.upsert(hw_counter("apollo_hw_windows_total", 64));
-  frame.snapshot.upsert(hw_counter("apollo_hw_instructions_total", (1ull << 53) + 1));
-  frame.snapshot.upsert(hw_counter("apollo_hw_cycles_total", 987654321987ull));
-  frame.snapshot.upsert(hw_counter("apollo_hw_cache_misses_total", 4242));
-  apollo::telemetry::SeriesSnapshot ipc;
-  ipc.name = "apollo_hw_ipc";
-  ipc.labels = "kernel=\"stream \\\"triad\\\"\",variant=\"omp/c128\"";
-  ipc.help = "hw gauge";
-  ipc.kind = apollo::telemetry::MetricKind::Gauge;
-  ipc.gauge_value = 1.75;
-  frame.snapshot.upsert(ipc);
-  return frame;
 }
 
 /// Decode `payload` as frame type `type`; used by the truncation sweeps.
@@ -124,8 +60,18 @@ void decode_as(FrameType type, std::string_view payload) {
     case FrameType::ModelPush: (void)decode_model_push(payload); break;
     case FrameType::Ack: (void)decode_ack(payload); break;
     case FrameType::Stats: (void)decode_stats(payload); break;
-    case FrameType::Telemetry: (void)decode_telemetry(payload); break;
   }
+}
+
+/// The message of the WireError `decode` throws; empty when it throws none.
+template <typename Decode>
+std::string wire_error(Decode decode) {
+  try {
+    decode();
+  } catch (const WireError& error) {
+    return error.what();
+  }
+  return "";
 }
 
 /// A connected AF_UNIX stream pair; `raw` stays a plain fd so tests can
@@ -224,17 +170,6 @@ TEST(ServiceWire, SampleBatchRoundTripPreservesValues) {
   }
 }
 
-TEST(ServiceWire, SampleBatchTraceContextRoundTrips) {
-  // The v2 trace context (client id, origin generation, send timestamp) is
-  // what lets the daemon attribute generations and clients measure true
-  // sample-to-swap latency — it must survive the wire bit-exactly.
-  const SampleBatch out = decode_sample_batch(encode_sample_batch(make_batch(7, make_records(2))));
-  EXPECT_EQ(out.seq, 7u);
-  EXPECT_EQ(out.client_id, 6u);
-  EXPECT_EQ(out.origin_generation, 3u);
-  EXPECT_EQ(out.sent_ns, 111222333444ull);
-}
-
 TEST(ServiceWire, SampleBatchEmptyAndEmptyRecords) {
   const SampleBatch none = decode_sample_batch(encode_sample_batch(make_batch(1, {})));
   EXPECT_TRUE(none.records.empty());
@@ -258,114 +193,6 @@ TEST(ServiceWire, DictionaryCodingBeatsNaiveText) {
   EXPECT_LT(encode_sample_batch(make_batch(0, records)).size(), naive / 2);
 }
 
-TEST(ServiceWire, ModelPushLineageRoundTrips) {
-  // Lineage is the daemon's claim about which client batches trained a
-  // generation; clients key pipeline-latency off it, so order and content
-  // must be exact.
-  ModelPushFrame push;
-  push.generation = 9;
-  push.trained_on_samples = 256;
-  push.pushed_ns = 555;
-  push.lineage = {{2, {1, 3, 5}}, {4, {2}}, {7, {}}};
-  push.policy_text = std::string("p");
-  const ModelPushFrame out = decode_model_push(encode_model_push(push));
-  EXPECT_EQ(out.lineage, push.lineage);
-
-  ModelPushFrame bare;
-  bare.generation = 1;
-  EXPECT_TRUE(decode_model_push(encode_model_push(bare)).lineage.empty());
-}
-
-TEST(ServiceWire, AckClientIdRoundTrips) {
-  AckFrame ack;
-  ack.batch_seq = 3;
-  ack.client_id = 17;
-  EXPECT_EQ(decode_ack(encode_ack(ack)).client_id, 17u);
-}
-
-TEST(ServiceWire, TelemetryRoundTrip) {
-  const TelemetryFrame frame = make_telemetry();
-  const TelemetryFrame out = decode_telemetry(encode_telemetry(frame));
-  EXPECT_EQ(out.applied_generation, 4u);
-  EXPECT_EQ(out.sent_ns, 987654321u);
-  ASSERT_EQ(out.snapshot.series.size(), frame.snapshot.series.size());
-  for (std::size_t i = 0; i < frame.snapshot.series.size(); ++i) {
-    const auto& a = frame.snapshot.series[i];
-    const auto& b = out.snapshot.series[i];
-    EXPECT_EQ(b.name, a.name);
-    EXPECT_EQ(b.labels, a.labels);
-    EXPECT_EQ(b.help, a.help);
-    EXPECT_EQ(b.kind, a.kind);
-    EXPECT_EQ(b.counter_value, a.counter_value);
-    EXPECT_EQ(b.gauge_value, a.gauge_value);
-    EXPECT_EQ(b.hist_bounds, a.hist_bounds);
-    EXPECT_EQ(b.hist_buckets, a.hist_buckets);
-    EXPECT_EQ(b.hist_count, a.hist_count);
-    EXPECT_EQ(b.hist_sum, a.hist_sum);
-  }
-}
-
-TEST(ServiceWire, HwSeriesTelemetryRoundTripsExactly) {
-  // The hw series ride the generic dictionary coding: counters must survive
-  // as exact u64s (no double round-trip) with their kernel×variant labels.
-  const TelemetryFrame frame = make_hw_telemetry();
-  const TelemetryFrame out = decode_telemetry(encode_telemetry(frame));
-  ASSERT_EQ(out.snapshot.series.size(), frame.snapshot.series.size());
-  const char* labels = "kernel=\"stream \\\"triad\\\"\",variant=\"omp/c128\"";
-  const auto* instructions = out.snapshot.find("apollo_hw_instructions_total", labels);
-  ASSERT_NE(instructions, nullptr);
-  EXPECT_EQ(instructions->counter_value, (1ull << 53) + 1);
-  const auto* cycles = out.snapshot.find("apollo_hw_cycles_total", labels);
-  ASSERT_NE(cycles, nullptr);
-  EXPECT_EQ(cycles->counter_value, 987654321987ull);
-  const auto* windows = out.snapshot.find("apollo_hw_windows_total", labels);
-  ASSERT_NE(windows, nullptr);
-  EXPECT_EQ(windows->counter_value, 64u);
-  const auto* ipc = out.snapshot.find("apollo_hw_ipc", labels);
-  ASSERT_NE(ipc, nullptr);
-  EXPECT_EQ(ipc->kind, apollo::telemetry::MetricKind::Gauge);
-  EXPECT_DOUBLE_EQ(ipc->gauge_value, 1.75);
-}
-
-TEST(ServiceWire, CrcCatchesHwTelemetryByteFlips) {
-  // Single-byte corruption anywhere in an hw-series telemetry payload must
-  // be rejected by the frame CRC before the decoder ever sees it.
-  const std::string payload = encode_telemetry(make_hw_telemetry());
-  const std::string frame = encode_frame(FrameType::Telemetry, payload);
-  char header_bytes[kFrameHeaderBytes];
-  std::memcpy(header_bytes, frame.data(), kFrameHeaderBytes);
-  const FrameHeader header = decode_frame_header(header_bytes);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    for (const std::uint8_t bit : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
-      std::string corrupt = payload;
-      corrupt[i] = static_cast<char>(static_cast<std::uint8_t>(corrupt[i]) ^ bit);
-      EXPECT_THROW(check_payload(header, corrupt), WireError) << "byte " << i;
-    }
-  }
-}
-
-TEST(ServiceWire, TelemetryEmptySnapshotRoundTrips) {
-  TelemetryFrame frame;
-  frame.applied_generation = 1;
-  frame.sent_ns = 2;
-  const TelemetryFrame out = decode_telemetry(encode_telemetry(frame));
-  EXPECT_TRUE(out.snapshot.series.empty());
-}
-
-TEST(ServiceWire, TelemetryUnknownSeriesKindRefused) {
-  WireWriter w;
-  w.varint(0);       // applied_generation
-  w.u64(0);          // sent_ns
-  w.varint(1);       // string table: 1 entry
-  w.string("name");  //   [0]
-  w.varint(1);       // 1 series
-  w.varint(0);       // name index
-  w.varint(0);       // labels index
-  w.varint(0);       // help index
-  w.u8(9);           // kind 9 does not exist
-  EXPECT_THROW((void)decode_telemetry(w.buffer()), WireError);
-}
-
 TEST(ServiceWire, V1HelloDecodesCleanly) {
   // The HELLO layout is frozen across protocol versions so a skewed peer
   // can be recognised and nacked instead of dying as a decode error.
@@ -377,6 +204,17 @@ TEST(ServiceWire, V1HelloDecodesCleanly) {
   EXPECT_EQ(out.protocol, 1u);
   EXPECT_EQ(out.pid, 99u);
   EXPECT_EQ(out.client_name, "legacy");
+}
+
+TEST(ServiceWire, HelloBytesAreFrozen) {
+  // Every protocol version writes HELLO as u32 protocol, u64 pid, then the
+  // length-prefixed name; changing these bytes would turn a skewed peer's
+  // nack into a decode error.
+  const std::string expected("\x01\x00\x00\x00"
+                             "\x63\x00\x00\x00\x00\x00\x00\x00"
+                             "\x06legacy",
+                             4 + 8 + 1 + 6);
+  EXPECT_EQ(encode_hello({1, 99, "legacy"}), expected);
 }
 
 // --- framing ------------------------------------------------------------------
@@ -409,7 +247,9 @@ TEST(ServiceWire, OversizedPayloadRefusedAtBothEnds) {
 }
 
 TEST(ServiceWire, UnknownFrameTypeRefused) {
-  for (const std::uint8_t type : {std::uint8_t{0}, std::uint8_t{7}, std::uint8_t{255}}) {
+  // 6 was v2's TELEMETRY frame.
+  for (const std::uint8_t type :
+       {std::uint8_t{0}, std::uint8_t{6}, std::uint8_t{7}, std::uint8_t{255}}) {
     char header_bytes[kFrameHeaderBytes] = {};
     header_bytes[0] = static_cast<char>(type);
     EXPECT_THROW((void)decode_frame_header(header_bytes), WireError) << "type=" << int(type);
@@ -442,17 +282,14 @@ TEST(ServiceWire, EveryStrictPrefixOfEveryFrameThrows) {
   push.generation = 3;
   push.trained_on_samples = 100;
   push.pushed_ns = 42;
-  push.lineage = {{1, {4, 9}}, {2, {5}}};
   push.policy_text = std::string("policy");
   push.chunk_text = std::string("chunk");
   const std::vector<std::pair<FrameType, std::string>> frames = {
       {FrameType::Hello, encode_hello({kProtocolVersion, 77, "client"})},
-      {FrameType::Ack, encode_ack({kProtocolVersion, 5, 2, 33, 8})},
+      {FrameType::Ack, encode_ack({kProtocolVersion, 5, 2, 33})},
       {FrameType::Stats, encode_stats({1, 2, 3, 4, 5, 6, 7, {{"k", 9}}})},
       {FrameType::ModelPush, encode_model_push(push)},
       {FrameType::SampleBatch, encode_sample_batch(make_batch(9, make_records(4)))},
-      {FrameType::Telemetry, encode_telemetry(make_telemetry())},
-      {FrameType::Telemetry, encode_telemetry(make_hw_telemetry())},
   };
   for (const auto& [type, payload] : frames) {
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
@@ -489,9 +326,6 @@ TEST(ServiceWire, StringLengthBeyondPayloadRefused) {
 TEST(ServiceWire, BatchWithDanglingStringIndexRefused) {
   WireWriter w;
   w.varint(1);            // seq
-  w.varint(1);            // client_id
-  w.varint(0);            // origin_generation
-  w.u64(0);               // sent_ns
   w.varint(1);            // string table: 1 entry
   w.string("loop_id");    //   [0]
   w.varint(1);            // 1 record
@@ -499,31 +333,31 @@ TEST(ServiceWire, BatchWithDanglingStringIndexRefused) {
   w.varint(5);            // key index 5 — out of range
   w.u8(0);                // int tag
   w.svarint(1);
-  EXPECT_THROW((void)decode_sample_batch(w.buffer()), WireError);
+  EXPECT_EQ(wire_error([&] { (void)decode_sample_batch(w.buffer()); }),
+            "wire: batch string index out of range");
 }
 
 TEST(ServiceWire, BatchWithUnknownValueTagRefused) {
   WireWriter w;
-  w.varint(1);
-  w.varint(1);
-  w.varint(0);
-  w.u64(0);
-  w.varint(1);
-  w.string("loop_id");
-  w.varint(1);
-  w.varint(1);
-  w.varint(0);
-  w.u8(9);  // tag 9 does not exist
-  EXPECT_THROW((void)decode_sample_batch(w.buffer()), WireError);
+  w.varint(1);            // seq
+  w.varint(1);            // string table: 1 entry
+  w.string("loop_id");    //   [0]
+  w.varint(1);            // 1 record
+  w.varint(1);            // 1 entry
+  w.varint(0);            // key index 0
+  w.u8(9);                // tag 9 does not exist
+  EXPECT_EQ(wire_error([&] { (void)decode_sample_batch(w.buffer()); }),
+            "wire: unknown value tag in batch");
 }
 
 TEST(ServiceWire, ModelPushWithUnknownFlagsRefused) {
   WireWriter w;
-  w.u64(1);
-  w.u64(1);
-  w.u64(1);
+  w.u64(1);    // generation
+  w.u64(1);    // trained_on_samples
+  w.u64(1);    // pushed_ns
   w.u8(0x80);  // a flag from a future protocol
-  EXPECT_THROW((void)decode_model_push(w.buffer()), WireError);
+  EXPECT_EQ(wire_error([&] { (void)decode_model_push(w.buffer()); }),
+            "wire: MODEL_PUSH has unknown model flags");
 }
 
 // --- transport-level behaviour ------------------------------------------------

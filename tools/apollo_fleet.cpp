@@ -17,14 +17,6 @@
 //   apollo_fleet --socket PATH [--clients N] [--steps N] [--step-ms MS]
 //                [--kill-after SEC] [--no-daemon] [--out-dir DIR]
 //                [--expect-generation G] [--expect-fallbacks]
-//                [--fleet-metrics FILE] [--fleet-events FILE] [--slo-ms N]
-//                [--telemetry-ship-ms MS]
-//
-// The fleet observability flags forward to the forked apollo_served
-// (--fleet-metrics/--fleet-events/--slo-ms) and to every client
-// (--telemetry-ship-ms turns on APOLLO_TELEMETRY + TELEMETRY shipping), so
-// one invocation exercises the whole plane: clients ship metric snapshots,
-// the daemon merges them into the fleet export and event log.
 //
 // Exit 0 iff every client completed every planned launch (zero dropped) and
 // every --expect-* gate held. --kill-after SIGKILLs the daemon mid-run: the
@@ -66,10 +58,6 @@ struct Options {
   std::string out_dir = ".";
   std::uint64_t expect_generation = 0;
   bool expect_fallbacks = false;
-  std::string fleet_metrics;
-  std::string fleet_events;
-  long slo_ms = 0;
-  long telemetry_ship_ms = 0;
 };
 
 const KernelHandle& fleet_kernel() {
@@ -98,12 +86,6 @@ int run_client(const Options& opt, unsigned rank, const std::vector<std::int64_t
   ::setenv("APOLLO_SERVICE_SOCKET", opt.socket.c_str(), 1);
   ::setenv("APOLLO_SERVICE_BATCH", "32", 1);
   ::setenv("APOLLO_SERVICE_RETRY_MS", "100", 1);
-  if (opt.telemetry_ship_ms > 0) {
-    // Telemetry shipping drains the process-global registry, so the client
-    // must be recording metrics for the snapshot to carry anything.
-    ::setenv("APOLLO_TELEMETRY", "1", 1);
-    ::setenv("APOLLO_TELEMETRY_SHIP_MS", std::to_string(opt.telemetry_ship_ms).c_str(), 1);
-  }
 
   auto& rt = Runtime::instance();
   rt.set_execute_selected(false);
@@ -147,11 +129,6 @@ int run_client(const Options& opt, unsigned rank, const std::vector<std::int64_t
   }
   const auto online_status = rt.online().status();
 
-  // Newest lineage-attributed sample->swap pipeline latency, when a push's
-  // lineage named one of this client's batches.
-  double pipeline_latency = -1.0;
-  if (!status.pipeline.empty()) pipeline_latency = status.pipeline.back().latency_seconds;
-
   std::ofstream out(rank_file(opt, rank));
   out << "rank=" << rank << "\n"
       << "planned=" << planned << "\n"
@@ -159,13 +136,10 @@ int run_client(const Options& opt, unsigned rank, const std::vector<std::int64_t
       << "patches=" << my_patches.size() << "\n"
       << "connects=" << status.connects << "\n"
       << "fallbacks=" << status.fallbacks << "\n"
-      << "client_id=" << status.client_id << "\n"
       << "batches_sent=" << status.batches_sent << "\n"
       << "samples_sent=" << status.samples_sent << "\n"
-      << "telemetry_shipped=" << status.telemetry_shipped << "\n"
       << "pushes_applied=" << status.pushes_applied << "\n"
       << "generation=" << status.generation << "\n"
-      << "pipeline_latency_seconds=" << pipeline_latency << "\n"
       << "local_retrains=" << online_status.retrains_completed << "\n"
       << "transport_seconds=" << status.transport_seconds << "\n";
   out.close();
@@ -191,18 +165,6 @@ pid_t spawn_daemon(const Options& opt) {
     std::vector<std::string> args = {"apollo_served", "--socket",     opt.socket,
                                      "--train-batch", "96",           "--min-samples",
                                      "96"};
-    if (!opt.fleet_metrics.empty()) {
-      args.push_back("--fleet-metrics");
-      args.push_back(opt.fleet_metrics);
-    }
-    if (!opt.fleet_events.empty()) {
-      args.push_back("--fleet-events");
-      args.push_back(opt.fleet_events);
-    }
-    if (opt.slo_ms > 0) {
-      args.push_back("--slo-ms");
-      args.push_back(std::to_string(opt.slo_ms));
-    }
     std::vector<char*> argv_exec;
     argv_exec.reserve(args.size() + 1);
     for (std::string& s : args) argv_exec.push_back(s.data());
@@ -250,16 +212,11 @@ int main(int argc, char** argv) {
     else if (arg == "--out-dir") { if (const char* v = next()) opt.out_dir = v; }
     else if (arg == "--expect-generation") { if (const char* v = next()) opt.expect_generation = std::strtoull(v, nullptr, 10); }
     else if (arg == "--expect-fallbacks") { opt.expect_fallbacks = true; }
-    else if (arg == "--fleet-metrics") { if (const char* v = next()) opt.fleet_metrics = v; }
-    else if (arg == "--fleet-events") { if (const char* v = next()) opt.fleet_events = v; }
-    else if (arg == "--slo-ms") { if (const char* v = next()) opt.slo_ms = std::atol(v); }
-    else if (arg == "--telemetry-ship-ms") { if (const char* v = next()) opt.telemetry_ship_ms = std::atol(v); }
     else {
       std::fprintf(stderr,
                    "usage: apollo_fleet --socket PATH [--clients N] [--steps N] [--step-ms MS] "
                    "[--kill-after SEC] [--no-daemon] [--out-dir DIR] "
-                   "[--expect-generation G] [--expect-fallbacks] [--fleet-metrics FILE] "
-                   "[--fleet-events FILE] [--slo-ms N] [--telemetry-ship-ms MS]\n");
+                   "[--expect-generation G] [--expect-fallbacks]\n");
       return 2;
     }
   }
@@ -327,7 +284,6 @@ int main(int argc, char** argv) {
   // Aggregate the rank reports.
   std::uint64_t planned = 0, completed = 0, connects = 0, fallbacks = 0;
   std::uint64_t samples = 0, pushes = 0, max_generation = 0, local_retrains = 0;
-  std::uint64_t telemetry_shipped = 0;
   bool all_fell_back = true;
   for (unsigned rank = 0; rank < opt.clients; ++rank) {
     const auto kv = read_rank_file(rank_file(opt, rank));
@@ -342,7 +298,6 @@ int main(int argc, char** argv) {
     fallbacks += to_u64(kv, "fallbacks");
     samples += to_u64(kv, "samples_sent");
     pushes += to_u64(kv, "pushes_applied");
-    telemetry_shipped += to_u64(kv, "telemetry_shipped");
     local_retrains += to_u64(kv, "local_retrains");
     max_generation = std::max(max_generation, to_u64(kv, "generation"));
     if (to_u64(kv, "fallbacks") == 0) all_fell_back = false;
@@ -358,15 +313,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(to_u64(kv, "generation")));
   }
   std::printf("fleet: completed=%llu/%llu samples_shipped=%llu pushes_applied=%llu "
-              "max_generation=%llu fallbacks=%llu local_retrains=%llu telemetry=%llu\n",
+              "max_generation=%llu fallbacks=%llu local_retrains=%llu\n",
               static_cast<unsigned long long>(completed),
               static_cast<unsigned long long>(planned),
               static_cast<unsigned long long>(samples),
               static_cast<unsigned long long>(pushes),
               static_cast<unsigned long long>(max_generation),
               static_cast<unsigned long long>(fallbacks),
-              static_cast<unsigned long long>(local_retrains),
-              static_cast<unsigned long long>(telemetry_shipped));
+              static_cast<unsigned long long>(local_retrains));
 
   bool pass = clients_ok && completed == planned && planned > 0;
   if (!pass) std::printf("FAIL: dropped launches (%llu of %llu missing) or client failure\n",

@@ -9,13 +9,7 @@
 // Usage:
 //   apollo_served --socket PATH [--train-batch N] [--min-samples N]
 //                 [--per-kernel-cap N] [--chunk] [--stats-every SEC]
-//                 [--max-seconds SEC] [--fleet-metrics FILE]
-//                 [--fleet-events FILE] [--slo-ms N]
-//
-// The fleet observability flags (also settable via APOLLO_FLEET_METRICS_FILE
-// / APOLLO_FLEET_EVENTS_FILE / APOLLO_FLEET_SLO_MS) turn on the daemon-side
-// aggregation plane: a merged fleet metrics export, a JSONL event log, and
-// the model-staleness SLO. Flags win over the environment.
+//                 [--max-seconds SEC]
 //
 // Runs until SIGINT/SIGTERM (or --max-seconds). Exits 0 on a clean shutdown
 // with a final stats line on stdout.
@@ -41,7 +35,7 @@ void handle_signal(int) { g_stop.store(true); }
 void print_stats(const apollo::service::TrainerDaemon::Stats& stats) {
   std::printf(
       "clients=%llu/%llu batches=%llu samples=%llu rejected=%llu trains=%llu "
-      "gen=%llu pushes=%llu telemetry=%llu slo_breaches=%llu kernels=%zu\n",
+      "gen=%llu pushes=%llu kernels=%zu\n",
       static_cast<unsigned long long>(stats.clients_connected),
       static_cast<unsigned long long>(stats.clients_total),
       static_cast<unsigned long long>(stats.batches_received),
@@ -49,9 +43,7 @@ void print_stats(const apollo::service::TrainerDaemon::Stats& stats) {
       static_cast<unsigned long long>(stats.frames_rejected),
       static_cast<unsigned long long>(stats.trains_completed),
       static_cast<unsigned long long>(stats.generation),
-      static_cast<unsigned long long>(stats.pushes_sent),
-      static_cast<unsigned long long>(stats.telemetry_snapshots),
-      static_cast<unsigned long long>(stats.slo_breaches), stats.per_kernel_samples.size());
+      static_cast<unsigned long long>(stats.pushes_sent), stats.per_kernel_samples.size());
   std::fflush(stdout);
 }
 
@@ -63,7 +55,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   apollo::service::DaemonConfig config;
-  config.fleet = apollo::service::FleetConfig::from_env();
   double stats_every = 0.0;
   double max_seconds = 0.0;
   for (int a = 1; a < argc; ++a) {
@@ -76,14 +67,10 @@ int main(int argc, char** argv) {
     else if (arg == "--chunk") { config.train_chunk = true; }
     else if (arg == "--stats-every") { if (const char* v = next()) stats_every = std::atof(v); }
     else if (arg == "--max-seconds") { if (const char* v = next()) max_seconds = std::atof(v); }
-    else if (arg == "--fleet-metrics") { if (const char* v = next()) config.fleet.metrics_path = v; }
-    else if (arg == "--fleet-events") { if (const char* v = next()) config.fleet.events_path = v; }
-    else if (arg == "--slo-ms") { if (const char* v = next()) config.fleet.slo_ms = std::atoll(v); }
     else {
       std::fprintf(stderr,
                    "usage: apollo_served --socket PATH [--train-batch N] [--min-samples N] "
-                   "[--per-kernel-cap N] [--chunk] [--stats-every SEC] [--max-seconds SEC] "
-                   "[--fleet-metrics FILE] [--fleet-events FILE] [--slo-ms N]\n");
+                   "[--per-kernel-cap N] [--chunk] [--stats-every SEC] [--max-seconds SEC]\n");
       return 2;
     }
   }

@@ -1,5 +1,5 @@
 // apollo-simulate: explore the calibrated machine model from the command
-// line. Prints the seq / OpenMP / GPU cost of a kernel across launch sizes
+// line. Prints the seq / OpenMP cost of a kernel across launch sizes
 // (and the chunk-size response at a chosen size), which is how the model
 // constants in sim/machine.hpp were calibrated against the paper's observed
 // behaviour.
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "instr/mix.hpp"
-#include "sim/gpu.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/build_info.hpp"
 
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   }
 
   const sim::MachineModel machine;
-  const sim::GpuModel gpu;
   sim::CostQuery query;
   query.mix = instr::MixBuilder{}.fp(fp).div(divs).load(loads).store(stores).control(2).build();
   query.bytes_per_iteration = bytes;
@@ -55,7 +53,7 @@ int main(int argc, char** argv) {
 
   std::printf("kernel: fp=%d div=%d load=%d store=%d bytes/iter=%lld threads=%u\n\n", fp, divs,
               loads, stores, static_cast<long long>(bytes), threads);
-  std::printf("%12s %14s %14s %14s %10s\n", "num_indices", "seq", "omp", "gpu", "winner");
+  std::printf("%12s %14s %14s %10s\n", "num_indices", "seq", "omp", "winner");
   for (std::int64_t n : {8LL, 64LL, 512LL, 2048LL, 8192LL, 32768LL, 131072LL, 524288LL,
                          2097152LL, 8388608LL}) {
     query.num_indices = n;
@@ -64,10 +62,8 @@ int main(int argc, char** argv) {
     query.policy = sim::PolicyKind::OpenMP;
     query.chunk = 0;
     const double omp = machine.cost_seconds(query);
-    const double dev = gpu.cost_seconds(query);
-    const char* winner = seq <= omp && seq <= dev ? "seq" : (omp <= dev ? "omp" : "gpu");
-    std::printf("%12lld %12.3f us %12.3f us %12.3f us %10s\n", static_cast<long long>(n),
-                seq * 1e6, omp * 1e6, dev * 1e6, winner);
+    std::printf("%12lld %12.3f us %12.3f us %10s\n", static_cast<long long>(n), seq * 1e6,
+                omp * 1e6, seq <= omp ? "seq" : "omp");
   }
 
   std::printf("\nOpenMP static chunk response at num_indices=%lld:\n",

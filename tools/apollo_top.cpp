@@ -9,14 +9,10 @@
 // recent sampled decision's label and predicted-vs-observed runtime.
 //
 // Usage:
-//   apollo_top [--metrics FILE] [--decisions FILE] [--fleet FILE]
-//              [--interval SEC] [--once]
+//   apollo_top [--metrics FILE] [--decisions FILE] [--interval SEC] [--once]
 //
 // Defaults match the runtime's defaults: apollo_metrics.prom and
-// apollo_decisions.jsonl in the current directory. --fleet tails a trainer
-// daemon's merged fleet export (APOLLO_FLEET_METRICS_FILE) and adds a fleet
-// pane: one row per client with its applied generation, lag behind the
-// daemon, staleness, contribution counts, and SLO breaches.
+// apollo_decisions.jsonl in the current directory.
 
 #include <algorithm>
 #include <chrono>
@@ -139,28 +135,6 @@ struct Snapshot {
   std::map<std::pair<std::string, std::string>, HwRow> hw;
   std::string hw_provider;
   std::string build;
-};
-
-// One client row in the daemon's merged fleet export, keyed by the
-// client="..." label the daemon stamps onto the apollo_fleet_* series.
-struct FleetRow {
-  double connected = 0.0;
-  double generation_lag = 0.0;
-  double staleness_seconds = 0.0;
-  double last_push_age_seconds = -1.0;
-  double batches = 0.0;
-  double samples = 0.0;
-  double slo_breaches = 0.0;
-  double regret_stale_seconds = 0.0;
-};
-
-struct FleetSnapshot {
-  bool loaded = false;
-  double clients = 0.0;
-  double generation = 0.0;
-  double trains = 0.0;
-  double telemetry_snapshots = 0.0;
-  std::map<std::string, FleetRow> rows;
 };
 
 // Quantiles from cumulative `le` buckets come from the shared helper
@@ -292,65 +266,6 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
   return true;
 }
 
-void load_fleet(const std::string& path, FleetSnapshot& fleet) {
-  std::ifstream in(path);
-  if (!in) return;
-  fleet.loaded = true;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto sample = parse_line(line);
-    if (!sample) continue;
-    const auto client = [&]() -> std::string {
-      auto it = sample->labels.labels.find("client");
-      return it != sample->labels.labels.end() ? it->second : std::string();
-    };
-    if (sample->name == "apollo_fleet_clients") {
-      fleet.clients = sample->value;
-    } else if (sample->name == "apollo_fleet_generation") {
-      fleet.generation = sample->value;
-    } else if (sample->name == "apollo_fleet_trains_total") {
-      fleet.trains = sample->value;
-    } else if (sample->name == "apollo_fleet_telemetry_snapshots_total") {
-      fleet.telemetry_snapshots = sample->value;
-    } else if (sample->name == "apollo_fleet_connected") {
-      fleet.rows[client()].connected = sample->value;
-    } else if (sample->name == "apollo_fleet_generation_lag") {
-      fleet.rows[client()].generation_lag = sample->value;
-    } else if (sample->name == "apollo_fleet_staleness_seconds") {
-      fleet.rows[client()].staleness_seconds = sample->value;
-    } else if (sample->name == "apollo_fleet_last_push_age_seconds") {
-      fleet.rows[client()].last_push_age_seconds = sample->value;
-    } else if (sample->name == "apollo_fleet_batches_total") {
-      fleet.rows[client()].batches = sample->value;
-    } else if (sample->name == "apollo_fleet_samples_total") {
-      fleet.rows[client()].samples = sample->value;
-    } else if (sample->name == "apollo_fleet_slo_breaches_total") {
-      fleet.rows[client()].slo_breaches = sample->value;
-    } else if (sample->name == "apollo_fleet_regret_stale_seconds_total") {
-      fleet.rows[client()].regret_stale_seconds = sample->value;
-    }
-  }
-}
-
-void print_fleet(const FleetSnapshot& fleet) {
-  std::printf("\nfleet — daemon gen %.0f | %.0f clients | trains %.0f | telemetry %.0f\n",
-              fleet.generation, fleet.clients, fleet.trains, fleet.telemetry_snapshots);
-  std::printf("%-20s %5s %5s %9s %9s %8s %9s %8s %11s\n", "client", "up", "lag", "stale",
-              "push-age", "batches", "samples", "breaches", "stale-regret");
-  for (const auto& [client, row] : fleet.rows) {
-    char push_age[32];
-    if (row.last_push_age_seconds >= 0.0) {
-      std::snprintf(push_age, sizeof(push_age), "%7.1fs", row.last_push_age_seconds);
-    } else {
-      std::snprintf(push_age, sizeof(push_age), "%8s", "-");
-    }
-    std::printf("%-20s %5s %5.0f %7.1fs %9s %8.0f %9.0f %8.0f %9.1fms\n", client.c_str(),
-                row.connected > 0.0 ? "yes" : "no", row.generation_lag, row.staleness_seconds,
-                push_age, row.batches, row.samples, row.slo_breaches,
-                row.regret_stale_seconds * 1e3);
-  }
-}
-
 void load_decisions(const std::string& path, Snapshot& snap) {
   // read_complete_lines drops a final unterminated line, so tailing a file a
   // writer is appending to mid-flush never misparses the torn record.
@@ -391,7 +306,7 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
                 snap.pool_launches, snap.pool_inline, snap.pool_wakeups, spin_pct,
                 waits > 0.0 ? 100.0 - spin_pct : 0.0);
   }
-  // Service pane: the process is a fleet client (apollo_service_*), a
+  // Service pane: the process is a service client (apollo_service_*), a
   // trainer daemon (apollo_served_*), or — in single-process tests — both.
   if (snap.service_connects > 0.0 || snap.service_fallbacks > 0.0) {
     std::printf("service: %s | gen %.0f | %.0f batches (%.1f/s) | %.0f samples | %.1f KiB "
@@ -473,7 +388,6 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
 int main(int argc, char** argv) {
   std::string metrics_path = "apollo_metrics.prom";
   std::string decisions_path = "apollo_decisions.jsonl";
-  std::string fleet_path;
   double interval = 2.0;
   bool once = false;
   for (int a = 1; a < argc; ++a) {
@@ -486,16 +400,14 @@ int main(int argc, char** argv) {
       if (const char* v = next()) metrics_path = v;
     } else if (arg == "--decisions") {
       if (const char* v = next()) decisions_path = v;
-    } else if (arg == "--fleet") {
-      if (const char* v = next()) fleet_path = v;
     } else if (arg == "--interval") {
       if (const char* v = next()) interval = std::atof(v);
     } else if (arg == "--once") {
       once = true;
     } else {
       std::fprintf(stderr,
-                   "usage: apollo_top [--metrics FILE] [--decisions FILE] [--fleet FILE] "
-                   "[--interval SEC] [--once] [--version]\n");
+                   "usage: apollo_top [--metrics FILE] [--decisions FILE] [--interval SEC] "
+                   "[--once] [--version]\n");
       return 2;
     }
   }
@@ -505,10 +417,7 @@ int main(int argc, char** argv) {
   auto prev_refresh = std::chrono::steady_clock::now();
   for (;;) {
     Snapshot snap;
-    FleetSnapshot fleet;
-    if (!fleet_path.empty()) load_fleet(fleet_path, fleet);
-    const bool have_metrics = load_metrics(metrics_path, snap);
-    if (!have_metrics && !fleet.loaded) {
+    if (!load_metrics(metrics_path, snap)) {
       std::fprintf(stderr,
                    "apollo_top: cannot read %s (is the run exporting with APOLLO_TELEMETRY=1 "
                    "and APOLLO_METRICS_FILE set?)\n",
@@ -526,8 +435,7 @@ int main(int argc, char** argv) {
       prev_service_batches = snap.service_batches;
       prev_refresh = now;
       if (!once) std::printf("\033[2J\033[H");  // clear screen between refreshes
-      if (have_metrics) print_snapshot(snap, batches_per_s);
-      if (fleet.loaded) print_fleet(fleet);
+      print_snapshot(snap, batches_per_s);
     }
     if (once) return 0;
     std::fflush(stdout);
