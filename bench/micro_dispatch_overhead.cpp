@@ -151,33 +151,6 @@ void ApolloForallTunePointer(benchmark::State& state) {
 }
 BENCHMARK(ApolloForallTunePointer);
 
-void ApolloForallGroupedTune(benchmark::State& state) {
-  // Grouped dispatch over a heterogeneous IndexSet: 8 segments, 2 plan
-  // groups, so 2 decisions instead of 8 per time step.
-  const auto& model = micro_model();
-  auto& rt = apollo::Runtime::instance();
-  rt.reset();
-  rt.set_execute_selected(false);
-  rt.set_mode(apollo::Mode::Tune);
-  rt.set_policy_model(model);
-  auto& data = buffers();
-  double* a = data.data();
-  const double* b = data.data() + kN;
-  const double* c = data.data() + 2 * kN;
-  raja::IndexSet iset;
-  for (int s = 0; s < 7; ++s) {
-    iset.push_back(raja::RangeSegment{s * (kN / 8), (s + 1) * (kN / 8)});
-  }
-  iset.push_back(raja::StridedSegment{0, kN / 8, 2});
-  for (auto _ : state) {
-    apollo::forall_grouped(micro_kernel(), iset, [=](raja::Index i) { body_at(a, b, c, i); });
-    benchmark::DoNotOptimize(a[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * iset.getLength());
-  rt.reset();
-}
-BENCHMARK(ApolloForallGroupedTune);
-
 void ApolloForallAdapt(benchmark::State& state) {
   // Adapt mode with retrains continually kicked off by cadence, so the
   // measured hot path includes version polling, the exploration draw, drift

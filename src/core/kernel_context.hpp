@@ -146,11 +146,11 @@ public:
   // simply never matches again). Iteration-stable kernels thus pay one load
   // and one compare per launch instead of a model evaluation. The slots let
   // one call site's recent shapes live side by side: a kernel cycling a few
-  // problem sizes, one launch per material region, or the plan groups of a
-  // forall_grouped time step. The slot comes from the top bits of a
-  // multiplicative hash of the key, which every key bit feeds: the key's low
-  // bits alone do not tell apart range launches whose sizes differ only in
-  // higher bits (every size that is a multiple of 16 has the same low four).
+  // problem sizes, or one launch per material region. The slot comes from
+  // the top bits of a multiplicative hash of the key, which every key bit
+  // feeds: the key's low bits alone do not tell apart range launches whose
+  // sizes differ only in higher bits (every size that is a multiple of 16
+  // has the same low four).
   //
   // Each entry is a seqlock: `version` is even when stable; writers CAS it
   // even→odd, store key/packed, then publish even+2. Readers that observe an

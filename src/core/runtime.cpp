@@ -14,7 +14,6 @@
 #include "service/client.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/env.hpp"
-#include "telemetry/hwprof.hpp"
 
 namespace apollo {
 
@@ -35,9 +34,6 @@ struct PendingLaunch {
   /// and completed by end().
   bool record_armed = false;
   telemetry::AuditRecord record;
-  /// Hardware-counter window opened by begin() on the profiling stride
-  /// (APOLLO_HW_STRIDE); closed and aggregated by end().
-  bool hw_armed = false;
 };
 thread_local PendingLaunch t_pending;
 
@@ -648,10 +644,6 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
     t_pending.decide_dur_ns = 0;
     t_pending.record_armed = false;
   }
-  // Off-state cost: exactly this one relaxed load + branch (APOLLO_HW_STRIDE=0).
-  if (telemetry::hwprof::enabled()) {
-    t_pending.hw_armed = telemetry::hwprof::window_due() && telemetry::hwprof::begin_window();
-  }
 
   ModelParams params;
   params.policy = default_override_.value_or(kernel.default_policy());
@@ -697,14 +689,6 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
 
 void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja::IndexSet& iset,
                   const ModelParams& params) {
-  // Close the hardware-counter window first: it should cover the decision
-  // and the launch body, not end()'s own bookkeeping below.
-  telemetry::hwprof::HwSample hw_sample;
-  bool hw_valid = false;
-  if (t_pending.hw_armed) {
-    t_pending.hw_armed = false;
-    hw_valid = telemetry::hwprof::end_window(hw_sample);
-  }
   double seconds = 0.0;
   if (timing_ == TimingSource::Wallclock) {
     seconds = t_stopwatch.stop();
@@ -725,15 +709,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   // telemetry is off — no lock was taken anywhere between begin() and this
   // point.
   context.charge(seconds);
-
-  if (hw_valid) {
-    // Strided, so the label allocation and the aggregator mutex are paid on
-    // 1/stride launches only. Same variant spelling as apollo_dispatch_total.
-    std::string variant = raja::policy_name(params.policy);
-    if (params.chunk_size > 0) variant += "/c" + std::to_string(params.chunk_size);
-    telemetry::hwprof::record_window(kernel.loop_id(), variant, hw_sample,
-                                     static_cast<std::uint64_t>(iset.getLength()));
-  }
 
   const char* trace_name = nullptr;
   std::uint64_t bucket = 0;
@@ -818,17 +793,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     record.chunk = params.chunk_size;
     record.explored = params.explored;
     record.seconds = seconds;
-    if (hw_valid) {
-      // Counter signature for this exact decision: lets apollo_replay and
-      // apollo_prof correlate mispredictions with what the PMU saw.
-      record.has_hw = true;
-      record.hw_instructions = hw_sample.count(telemetry::hwprof::Event::Instructions);
-      record.hw_cycles = hw_sample.count(telemetry::hwprof::Event::Cycles);
-      record.hw_cache_misses = hw_sample.count(telemetry::hwprof::Event::CacheMisses);
-      record.hw_branch_misses = hw_sample.count(telemetry::hwprof::Event::BranchMisses);
-      record.hw_stalled_cycles = hw_sample.count(telemetry::hwprof::Event::StalledCycles);
-      record.hw_scale = hw_sample.scale;
-    }
     telemetry::AuditLog::instance().append(record);
     t_pending.record_armed = false;
   }

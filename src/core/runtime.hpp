@@ -375,9 +375,8 @@ private:
 
 namespace detail {
 
-/// Execute one decided launch through the static-policy trampoline dispatch.
-/// Shared by forall and forall_grouped so a batched group decision threads
-/// its cached parameters through exactly the per-launch execution path.
+/// Execute one decided launch through the static-policy trampoline dispatch:
+/// the run step of forall, between its begin and end hooks.
 template <typename Body>
 void execute_decided(Runtime& runtime, const ModelParams& params, const raja::IndexSet& iset,
                      Body& body) {
@@ -411,32 +410,6 @@ void forall(const KernelHandle& kernel, const raja::IndexSet& iset, Body&& body)
 template <typename Body>
 void forall(const KernelHandle& kernel, raja::Index n, Body&& body) {
   forall(kernel, raja::IndexSet::range(0, n), std::forward<Body>(body));
-}
-
-/// Batched-decision execution over a heterogeneous IndexSet: adjacent
-/// segments sharing a feature plan (IndexSet::plan_groups) get ONE tuning
-/// decision for the whole group instead of one per segment — each group is
-/// an O(1) slice sharing the parent's storage, decided and accounted through
-/// the ordinary begin/end hooks (so the per-site inline cache, stats shards,
-/// and telemetry all see it as a normal launch). Segment order is preserved:
-/// groups run in sequence, and every index runs exactly once, in the same
-/// order forall would visit it. A homogeneous set (one group) degenerates to
-/// plain forall with zero extra cost.
-template <typename Body>
-void forall_grouped(const KernelHandle& kernel, const raja::IndexSet& iset, Body&& body) {
-  auto& runtime = Runtime::instance();
-  const auto groups = iset.plan_groups();
-  if (groups.size() <= 1) {
-    forall(kernel, iset, std::forward<Body>(body));
-    return;
-  }
-  KernelContext& context = runtime.context_for(kernel);
-  for (const auto& group : groups) {
-    const raja::IndexSet part = iset.slice(group.first, group.count);
-    const ModelParams params = runtime.begin(context, kernel, part);
-    detail::execute_decided(runtime, params, part, body);
-    runtime.end(context, kernel, part, params);
-  }
 }
 
 }  // namespace apollo

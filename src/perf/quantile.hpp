@@ -1,9 +1,8 @@
 #pragma once
 
-// Shared quantile helpers. Two consumers grew hand-rolled copies of the same
-// math — the fork-join latency bench (percentile over raw sorted samples) and
-// apollo_top (quantile reconstruction from cumulative histogram buckets) —
-// and apollo_prof would have been a third. One definition, unit-tested once.
+// Shared quantile helpers for the fork-join latency bench (percentile over
+// raw sorted samples) and apollo_top (quantile reconstruction from cumulative
+// histogram buckets). One definition, unit-tested once.
 
 #include <utility>
 #include <vector>

@@ -3,17 +3,9 @@
 // IndexSet: an ordered collection of segments describing a kernel's iteration
 // space. The Apollo kernel features `num_indices`, `num_segments`, `stride`
 // and `index_type` (Table I) are all derived from this object.
-//
-// Storage is a shared, copy-on-write segment vector viewed through a
-// [first, count) window, so `slice()` — the substrate for batched
-// segment-group decisions in apollo::forall_grouped — is O(1) and
-// allocation-free: a group's sub-IndexSet shares the parent's segments.
-// Mutation (push_back) copies the viewed window first when the storage is
-// shared, so existing slices are never invalidated.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,15 +18,6 @@ class IndexSet {
 public:
   using Segment = std::variant<RangeSegment, StridedSegment, ListSegment>;
 
-  /// A maximal run of adjacent segments sharing one feature plan (same
-  /// segment kind, same stride, same power-of-two size bucket): every
-  /// segment in the group would produce the same tuning decision, so one
-  /// model evaluation covers them all.
-  struct PlanGroup {
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
-
   IndexSet() = default;
 
   /// Convenience: a single contiguous range [0, n) or [begin, end).
@@ -44,30 +27,18 @@ public:
     return iset;
   }
 
-  void push_back(RangeSegment segment) { mutable_segments().emplace_back(segment); }
-  void push_back(StridedSegment segment) { mutable_segments().emplace_back(segment); }
-  void push_back(ListSegment segment) { mutable_segments().emplace_back(std::move(segment)); }
+  void push_back(RangeSegment segment) { segments_.emplace_back(segment); }
+  void push_back(StridedSegment segment) { segments_.emplace_back(segment); }
+  void push_back(ListSegment segment) { segments_.emplace_back(std::move(segment)); }
 
-  [[nodiscard]] std::size_t getNumSegments() const noexcept { return count_; }
-  [[nodiscard]] const Segment& segment(std::size_t s) const { return (*segments_)[first_ + s]; }
-
-  /// O(1) view of `count` segments starting at `first` (clamped to this
-  /// set's bounds). Shares storage with this set — no segment is copied.
-  [[nodiscard]] IndexSet slice(std::size_t first, std::size_t count) const {
-    IndexSet view;
-    if (first > count_) first = count_;
-    if (count > count_ - first) count = count_ - first;
-    view.segments_ = segments_;
-    view.first_ = first_ + first;
-    view.count_ = count;
-    return view;
-  }
+  [[nodiscard]] std::size_t getNumSegments() const noexcept { return segments_.size(); }
+  [[nodiscard]] const Segment& segment(std::size_t s) const { return segments_[s]; }
 
   /// Total number of indices across all segments.
   [[nodiscard]] Index getLength() const noexcept {
     Index total = 0;
-    for (std::size_t s = 0; s < count_; ++s) {
-      std::visit([&](const auto& seg) { total += seg.size(); }, segment(s));
+    for (const Segment& seg : segments_) {
+      std::visit([&](const auto& typed) { total += typed.size(); }, seg);
     }
     return total;
   }
@@ -76,8 +47,7 @@ public:
   /// strided segments, 0 when segments disagree or contain index lists.
   [[nodiscard]] Index stride() const noexcept {
     Index common = -1;
-    for (std::size_t i = 0; i < count_; ++i) {
-      const Segment& seg = segment(i);
+    for (const Segment& seg : segments_) {
       Index s = 0;
       if (std::holds_alternative<RangeSegment>(seg)) {
         s = 1;
@@ -98,8 +68,7 @@ public:
   /// Table I `index_type` feature.
   [[nodiscard]] std::string type_name() const {
     bool has_range = false, has_list = false, has_strided = false;
-    for (std::size_t s = 0; s < count_; ++s) {
-      const Segment& seg = segment(s);
+    for (const Segment& seg : segments_) {
       has_range |= std::holds_alternative<RangeSegment>(seg);
       has_strided |= std::holds_alternative<StridedSegment>(seg);
       has_list |= std::holds_alternative<ListSegment>(seg);
@@ -118,11 +87,11 @@ public:
   /// per-site inline cache keys on. (List segments hash their length, not
   /// their contents — the tuning features never read individual indices.)
   [[nodiscard]] std::uint64_t feature_signature() const noexcept {
-    std::uint64_t hash = 0x9e3779b97f4a7c15ULL + count_;
+    std::uint64_t hash = 0x9e3779b97f4a7c15ULL + segments_.size();
     const auto mix = [&hash](std::uint64_t value) {
       hash ^= value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
     };
-    for (std::size_t s = 0; s < count_; ++s) {
+    for (const Segment& entry : segments_) {
       std::visit(
           [&](const auto& seg) {
             using Seg = std::decay_t<decltype(seg)>;
@@ -138,93 +107,21 @@ public:
               mix(static_cast<std::uint64_t>(seg.size()));
             }
           },
-          segment(s));
+          entry);
     }
     return hash;
-  }
-
-  /// Partition [0, getNumSegments()) into maximal runs of adjacent segments
-  /// sharing a feature plan. apollo::forall_grouped makes one tuning
-  /// decision per returned group instead of one per segment.
-  [[nodiscard]] std::vector<PlanGroup> plan_groups() const {
-    std::vector<PlanGroup> groups;
-    std::size_t start = 0;
-    int prev_kind = -1;
-    Index prev_stride = 0;
-    int prev_bucket = -1;
-    for (std::size_t s = 0; s < count_; ++s) {
-      int kind = 0;
-      Index seg_stride = 0;
-      Index size = 0;
-      std::visit(
-          [&](const auto& seg) {
-            using Seg = std::decay_t<decltype(seg)>;
-            size = seg.size();
-            if constexpr (std::is_same_v<Seg, RangeSegment>) {
-              kind = 1;
-              seg_stride = 1;
-            } else if constexpr (std::is_same_v<Seg, StridedSegment>) {
-              kind = 2;
-              seg_stride = seg.stride;
-            } else {
-              kind = 3;
-            }
-          },
-          segment(s));
-      const int bucket = size_bucket(size);
-      if (s > 0 && (kind != prev_kind || seg_stride != prev_stride || bucket != prev_bucket)) {
-        groups.push_back({start, s - start});
-        start = s;
-      }
-      prev_kind = kind;
-      prev_stride = seg_stride;
-      prev_bucket = bucket;
-    }
-    if (count_ > 0) groups.push_back({start, count_ - start});
-    return groups;
   }
 
   /// Sequential traversal of every index, segment order preserved.
   template <typename Body>
   void for_each_index(Body&& body) const {
-    for (std::size_t s = 0; s < count_; ++s) {
-      std::visit([&](const auto& seg) { seg.for_each(body); }, segment(s));
+    for (const Segment& entry : segments_) {
+      std::visit([&](const auto& seg) { seg.for_each(body); }, entry);
     }
   }
 
 private:
-  using SegmentVec = std::vector<Segment>;
-
-  /// Power-of-two size class (floor(log2), with 0 mapped to -1): segments in
-  /// the same bucket land in the same region of any size-thresholded tree.
-  [[nodiscard]] static int size_bucket(Index size) noexcept {
-    if (size <= 0) return -1;
-    int bucket = 0;
-    for (auto v = static_cast<std::uint64_t>(size); v > 1; v >>= 1) ++bucket;
-    return bucket;
-  }
-
-  /// Writable storage for push_back: allocates on first use and copies the
-  /// viewed window when the vector is shared with a slice (copy-on-write) or
-  /// this set is itself a strict slice (appending may not clobber the
-  /// parent's later segments).
-  [[nodiscard]] SegmentVec& mutable_segments() {
-    if (!segments_) {
-      segments_ = std::make_shared<SegmentVec>();
-    } else if (segments_.use_count() > 1 || first_ != 0 || count_ != segments_->size()) {
-      auto owned = std::make_shared<SegmentVec>(segments_->begin() + static_cast<std::ptrdiff_t>(first_),
-                                                segments_->begin() + static_cast<std::ptrdiff_t>(first_ + count_));
-      segments_ = std::move(owned);
-      first_ = 0;
-    }
-    SegmentVec& vec = *segments_;
-    count_ = vec.size() + 1;
-    return vec;
-  }
-
-  std::shared_ptr<SegmentVec> segments_;
-  std::size_t first_ = 0;
-  std::size_t count_ = 0;
+  std::vector<Segment> segments_;
 };
 
 }  // namespace raja

@@ -87,19 +87,6 @@ std::optional<double> number_field(const std::string& line, const std::string& k
   return read_number(line, pos);
 }
 
-/// Counter fields parse on the integer path: a 64-bit counter above 2^53
-/// (plausible for cycle counts over a long run) must not round through a
-/// double.
-std::optional<std::uint64_t> u64_field(const std::string& line, const std::string& key) {
-  const std::size_t pos = value_at(line, key);
-  if (pos == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start) return std::nullopt;
-  return static_cast<std::uint64_t>(value);
-}
-
 /// Parse the array value of `"key":[...]`, calling `element(pos)` at each
 /// element's first character; it must move pos past the element. False
 /// unless the array is present, every element parses and the closing ']' is
@@ -164,12 +151,6 @@ std::string to_json_line(const AuditRecord& record) {
     }
     out << "],\"predicted_seconds\":" << json_number(record.predicted_seconds);
   }
-  if (record.has_hw) {
-    out << ",\"hw_instructions\":" << record.hw_instructions << ",\"hw_cycles\":"
-        << record.hw_cycles << ",\"hw_cache_misses\":" << record.hw_cache_misses
-        << ",\"hw_branch_misses\":" << record.hw_branch_misses << ",\"hw_stalled_cycles\":"
-        << record.hw_stalled_cycles << ",\"hw_scale\":" << json_number(record.hw_scale);
-  }
   out << "}";
   return out.str();
 }
@@ -197,23 +178,9 @@ std::optional<AuditRecord> parse_audit_line(const std::string& line) {
   record.policy = *policy;
   record.chunk = static_cast<std::int64_t>(*chunk);
   record.seconds = *seconds;
-  // hw annotation is optional; its absence is the pre-hwprof line shape.
-  if (const auto hw_instructions = u64_field(line, "hw_instructions")) {
-    const auto hw_cycles = u64_field(line, "hw_cycles");
-    const auto hw_cache = u64_field(line, "hw_cache_misses");
-    const auto hw_branch = u64_field(line, "hw_branch_misses");
-    const auto hw_stalled = u64_field(line, "hw_stalled_cycles");
-    const auto hw_scale = number_field(line, "hw_scale");
-    if (!hw_cycles || !hw_cache || !hw_branch || !hw_stalled || !hw_scale) return std::nullopt;
-    record.has_hw = true;
-    record.hw_instructions = *hw_instructions;
-    record.hw_cycles = *hw_cycles;
-    record.hw_cache_misses = *hw_cache;
-    record.hw_branch_misses = *hw_branch;
-    record.hw_stalled_cycles = *hw_stalled;
-    record.hw_scale = *hw_scale;
-  }
-  // Likewise the introspection sample.
+  // The introspection sample is optional; its absence is the unsampled line
+  // shape. Keys this parser does not know (such as the hardware-counter
+  // block older writers appended) are ignored.
   if (value_at(line, "tree_path") != std::string::npos) {
     const bool path_ok = array_field(line, "tree_path", [&](std::size_t& pos) {
       const auto node = read_number(line, pos);

@@ -68,16 +68,6 @@ struct AuditRecord {
   bool sampled = false;
   std::vector<int> tree_path;
   double predicted_seconds = 0.0;
-  /// Optional hardware-counter annotation (telemetry/hwprof): scaled counter
-  /// deltas for the launch's profiled window. has_hw gates serialization, so
-  /// logs written before this field exist parse unchanged.
-  bool has_hw = false;
-  std::uint64_t hw_instructions = 0;
-  std::uint64_t hw_cycles = 0;
-  std::uint64_t hw_cache_misses = 0;
-  std::uint64_t hw_branch_misses = 0;
-  std::uint64_t hw_stalled_cycles = 0;
-  double hw_scale = 1.0;            ///< multiplexing correction applied to the deltas
 };
 
 /// `text` as the body of a JSON string literal: quotes, backslashes and

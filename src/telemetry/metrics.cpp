@@ -182,24 +182,6 @@ std::string series_name(const std::string& name, const std::string& labels,
 
 }  // namespace
 
-namespace {
-
-bool series_key_less(const SeriesSnapshot& a, const SeriesSnapshot& b) {
-  if (a.name != b.name) return a.name < b.name;
-  return a.labels < b.labels;
-}
-
-}  // namespace
-
-const SeriesSnapshot* MetricsSnapshot::find(std::string_view name, std::string_view labels) const {
-  SeriesSnapshot probe;
-  probe.name = std::string(name);
-  probe.labels = std::string(labels);
-  const auto it = std::lower_bound(series.begin(), series.end(), probe, series_key_less);
-  if (it == series.end() || it->name != probe.name || it->labels != probe.labels) return nullptr;
-  return &*it;
-}
-
 void MetricsSnapshot::write(std::ostream& out) const {
   const std::string* last_name = nullptr;
   for (const auto& s : series) {

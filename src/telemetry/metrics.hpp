@@ -136,9 +136,6 @@ struct SeriesSnapshot {
 struct MetricsSnapshot {
   std::vector<SeriesSnapshot> series;
 
-  [[nodiscard]] const SeriesSnapshot* find(std::string_view name,
-                                           std::string_view labels = "") const;
-
   /// Prometheus text exposition, same format as MetricsRegistry::write.
   void write(std::ostream& out) const;
 };

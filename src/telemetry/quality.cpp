@@ -136,7 +136,6 @@ void QualityAccountant::clear() {
   kernels_.clear();
   last_key_ = nullptr;
   last_state_ = nullptr;
-  probe_tick_ = 0;
   total_probes_ = 0;
   total_regret_ = 0.0;
 }

@@ -16,7 +16,8 @@
 //
 // "Best known" comes from decayed per-(bucket, variant) runtime baselines fed
 // by every tuned launch plus budgeted *ground-truth probes*: every Nth tuned
-// launch additionally times one alternative variant (round-robin), so buckets
+// launch (counted process-wide by the Runtime) additionally times one
+// alternative variant (round-robin), so buckets
 // keep fresh evidence for variants the model never picks. Probe measurements
 // are shared with the online-adaptation loop — they land in the SampleBuffer
 // as retraining data and refresh the DriftDetector baselines — so the same
@@ -85,14 +86,6 @@ public:
   void observe_calibration(const std::string& kernel, double predicted_seconds,
                            double observed_seconds);
 
-  /// Strided probe budget: true when the next tuned launch should also time
-  /// an alternative variant. Never true when `stride` is 0. At most one true
-  /// per `stride` calls, so probe count <= tuned launches / stride + 1.
-  [[nodiscard]] bool probe_due(std::size_t stride) noexcept {
-    if (stride == 0) return false;
-    return probe_tick_++ % stride == 0;
-  }
-
   /// Best-known decayed runtime in one kernel's bucket (< 0 when empty), and
   /// one variant's baseline (< 0 when unseen). For tests and replay.
   [[nodiscard]] double baseline(const std::string& kernel, std::uint64_t bucket,
@@ -139,7 +132,6 @@ private:
   /// so the const accessors share it. Node-based map: addresses are stable.
   mutable const std::string* last_key_ = nullptr;
   mutable KernelState* last_state_ = nullptr;
-  std::uint64_t probe_tick_ = 0;
   std::uint64_t total_probes_ = 0;
   double total_regret_ = 0.0;
 };

@@ -14,7 +14,6 @@
 #include "telemetry/audit.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/env.hpp"
-#include "telemetry/hwprof.hpp"
 
 namespace apollo::telemetry {
 
@@ -166,9 +165,6 @@ void init_from_env() {
     if (c.env_initialized) return;
     c.env_initialized = true;
   }
-  // Hardware profiling has its own switch (APOLLO_HW_STRIDE) so counter
-  // collection works even when the trace/metrics exports stay off.
-  hwprof::init_from_env();
   const char* env = std::getenv("APOLLO_TELEMETRY");
   const bool on = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   if (!on) return;
@@ -297,7 +293,6 @@ void reset_for_testing() {
   Tracer::instance().reset();
   MetricsRegistry::instance().zero();
   AuditLog::instance().reset_for_testing();
-  hwprof::reset_for_testing();
 }
 
 }  // namespace apollo::telemetry

@@ -30,11 +30,6 @@
 //                                 rotating segments <path>.000001.jsonl, ...
 //   APOLLO_AUDIT_SEGMENT_BYTES=n  audit segment rotation size (default 4 MiB)
 //   APOLLO_AUDIT_SEGMENTS=n       audit segments kept on disk (default 8)
-//   APOLLO_HW_STRIDE=n            hardware-counter window every nth launch
-//                                 (default 0 = off; 64 recommended). Works
-//                                 without APOLLO_TELEMETRY; see hwprof.hpp
-//   APOLLO_HW_EVENTS=list         comma list of the counters to collect
-//   APOLLO_HW_PROVIDER=p          auto | perf | software (default auto)
 
 #include <cstdint>
 #include <string>

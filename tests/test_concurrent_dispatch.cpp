@@ -464,35 +464,6 @@ TEST_F(ConcurrentDispatchTest, RecordsCarryTheGenerationTheLaunchDecidedWith) {
   fs::remove_all(dir);
 }
 
-TEST_F(ConcurrentDispatchTest, GroupedDispatchCountsStayExactAcrossThreads) {
-  // forall_grouped slices a heterogeneous IndexSet into plan groups and makes
-  // one decision per group; the accounting contract is the same exactness as
-  // plain forall, with one invocation charged per group launch.
-  raja::IndexSet iset;
-  iset.push_back(raja::RangeSegment{0, 256});
-  iset.push_back(raja::RangeSegment{256, 512});
-  iset.push_back(raja::StridedSegment{0, 128, 2});
-  const auto groups = iset.plan_groups();
-  ASSERT_EQ(groups.size(), 2u);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  std::atomic<std::int64_t> visited{0};
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (std::int64_t i = 0; i < kLaunchesPerThread; ++i) {
-        forall_grouped(kernel_at(0), iset, [&](raja::Index) {
-          visited.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  const auto stats = Runtime::instance().stats();
-  EXPECT_EQ(stats.per_kernel.at("stress:k0").invocations,
-            kThreads * kLaunchesPerThread * static_cast<std::int64_t>(groups.size()));
-  EXPECT_EQ(visited.load(), kThreads * kLaunchesPerThread * iset.getLength());
-}
-
 namespace {
 
 /// One recorded launch of `loop_id` at `n` iterations under `policy`. The

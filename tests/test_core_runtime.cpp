@@ -590,84 +590,32 @@ TEST_F(RuntimeTest, MalformedChunkLabelIsRejectedAtPublish) {
   }
 }
 
-TEST_F(RuntimeTest, GroupedForallVisitsEveryIndexOnceInOrder) {
-  raja::IndexSet iset;
-  iset.push_back(raja::RangeSegment{0, 40});
-  iset.push_back(raja::RangeSegment{40, 80});
-  iset.push_back(raja::StridedSegment{100, 140, 2});
-  iset.push_back(raja::ListSegment{{500, 501, 503}});
-  ASSERT_EQ(iset.plan_groups().size(), 3u);
-
-  // The bodies append to shared vectors and the assertion is about visit
-  // order, so both passes must run sequentially: small_kernel() defaults to
-  // the OpenMP policy, whose team would race on push_back.
-  Runtime::instance().set_default_policy_override(raja::PolicyType::seq_segit_seq_exec);
-  std::vector<raja::Index> plain, grouped;
-  forall(small_kernel(), iset, [&](raja::Index i) { plain.push_back(i); });
-  Runtime::instance().reset_stats();
-  forall_grouped(small_kernel(), iset, [&](raja::Index i) { grouped.push_back(i); });
-  EXPECT_EQ(grouped, plain);
-  // One launch (decision + accounting) per plan group, not per segment.
-  EXPECT_EQ(Runtime::instance().stats().per_kernel.at(small_kernel().loop_id()).invocations, 3);
-}
-
-TEST_F(RuntimeTest, GroupedForallBatchesOneDecisionPerGroup) {
+// The probe budget is the Runtime's process-wide rotor: every stride-th tuned
+// launch also times one alternative variant, which the kernel's quality
+// accountant counts. Stride 0 turns probing off.
+TEST(QualityAccountant, ProbeBudgetIsStrided) {
   auto& rt = Runtime::instance();
-  rt.set_mode(Mode::Tune);
-  rt.set_policy_model(leaf_policy_model("seq"));
-  auto& context = rt.context_for_id(small_kernel().loop_id());
-  raja::IndexSet iset;
-  for (int s = 0; s < 6; ++s) {
-    iset.push_back(raja::RangeSegment{s * 100, (s + 1) * 100});  // one group
-  }
-  iset.push_back(raja::StridedSegment{0, 64, 4});  // second group
-  ASSERT_EQ(iset.plan_groups().size(), 2u);
-
-  std::vector<raja::Index> seen;
-  forall_grouped(small_kernel(), iset, [&](raja::Index i) { seen.push_back(i); });
-  // 7 segments collapsed to 2 decisions (both cold: misses).
-  EXPECT_EQ(context.inline_cache_misses(), 2);
-  EXPECT_EQ(static_cast<raja::Index>(seen.size()), iset.getLength());
-  // A second identical time step hits the per-site cache for every group.
-  forall_grouped(small_kernel(), iset, [&](raja::Index) {});
-  EXPECT_EQ(context.inline_cache_misses(), 2);
-  EXPECT_EQ(context.inline_cache_hits(), 2);
-  // Homogeneous sets degenerate to plain forall: one decision, zero slices.
-  rt.reset_stats();
-  forall_grouped(small_kernel(), raja::IndexSet::range(0, 100), [](raja::Index) {});
-  EXPECT_EQ(rt.stats().per_kernel.at(small_kernel().loop_id()).invocations, 1);
-}
-
-TEST_F(RuntimeTest, GroupedForallMatchesPlainDecisionsUnderModel) {
-  // Determinism cross-check: per-group decisions must equal what per-segment
-  // launches of the same slices would decide — grouping batches the
-  // decision, it does not change it.
-  auto& rt = Runtime::instance();
-  rt.set_mode(Mode::Record);
-  for (int rep = 0; rep < 3; ++rep) {
-    forall(small_kernel(), 50, [](raja::Index) {});
-    forall(small_kernel(), 200000, [](raja::Index) {});
-  }
-  const TunerModel model = Trainer::train(rt.records(), TunedParameter::Policy);
-  rt.set_mode(Mode::Tune);
-  rt.set_policy_model(model);
-
-  raja::IndexSet iset;
-  iset.push_back(raja::RangeSegment{0, 30});       // small -> seq region
-  iset.push_back(raja::RangeSegment{30, 60});
-  iset.push_back(raja::RangeSegment{0, 200000});   // large -> omp region
-  const auto groups = iset.plan_groups();
-  ASSERT_EQ(groups.size(), 2u);
-  for (const auto& group : groups) {
-    const raja::IndexSet part = iset.slice(group.first, group.count);
-    const ModelParams grouped = rt.begin(small_kernel(), part);
-    rt.set_inline_cache_enabled(false);  // fresh evaluation for the reference
-    const ModelParams fresh = rt.begin(small_kernel(), part);
-    rt.set_inline_cache_enabled(true);
-    EXPECT_EQ(grouped.policy, fresh.policy);
-    EXPECT_EQ(grouped.chunk_size, fresh.chunk_size);
-    EXPECT_EQ(grouped.threads, fresh.threads);
-  }
+  const auto probes_over_64_launches = [&rt](std::size_t stride) {
+    rt.reset();
+    telemetry::Config config;
+    config.trace_file.clear();
+    config.decisions_file.clear();
+    config.flush_interval_seconds = 0.0;
+    config.probe_stride = stride;
+    telemetry::configure(config);
+    telemetry::set_enabled(true);
+    rt.set_mode(Mode::Tune);
+    rt.set_policy_model(leaf_policy_model("seq"));
+    const std::uint64_t before = rt.probe_count();
+    for (int i = 0; i < 64; ++i) forall(small_kernel(), 100, [](raja::Index) {});
+    const std::uint64_t added = rt.probe_count() - before;
+    telemetry::set_enabled(false);
+    telemetry::configure(telemetry::Config{});
+    rt.reset();
+    return added;
+  };
+  EXPECT_EQ(probes_over_64_launches(8), 8u);
+  EXPECT_EQ(probes_over_64_launches(0), 0u);
 }
 
 // --- environment knobs -------------------------------------------------------

@@ -193,88 +193,7 @@ TEST(PolicySwitcher, ExecutesKernelThroughDispatch) {
   EXPECT_EQ(total, iset.getLength());
 }
 
-// --- slices, plan groups, feature signatures (shared-storage IndexSet) -------
-
-TEST(IndexSetSlice, SharesStorageAndPreservesFeatures) {
-  IndexSet iset;
-  iset.push_back(RangeSegment{0, 10});
-  iset.push_back(RangeSegment{10, 20});
-  iset.push_back(StridedSegment{0, 100, 4});
-  const IndexSet ranges = iset.slice(0, 2);
-  EXPECT_EQ(ranges.getNumSegments(), 2u);
-  EXPECT_EQ(ranges.getLength(), 20);
-  EXPECT_EQ(ranges.type_name(), "range");
-  EXPECT_EQ(ranges.stride(), 1);
-  const IndexSet strided = iset.slice(2, 1);
-  EXPECT_EQ(strided.type_name(), "strided");
-  EXPECT_EQ(strided.stride(), 4);
-  // Slice of a slice composes.
-  EXPECT_EQ(ranges.slice(1, 1).getLength(), 10);
-  // Out-of-range requests clamp instead of overflowing.
-  EXPECT_EQ(iset.slice(2, 99).getNumSegments(), 1u);
-  EXPECT_EQ(iset.slice(99, 1).getNumSegments(), 0u);
-}
-
-TEST(IndexSetSlice, PushBackCopiesOnWriteLeavingSlicesIntact) {
-  IndexSet iset;
-  iset.push_back(RangeSegment{0, 10});
-  iset.push_back(RangeSegment{10, 20});
-  const IndexSet view = iset.slice(0, 1);
-  iset.push_back(RangeSegment{20, 30});  // must not disturb the live slice
-  EXPECT_EQ(view.getNumSegments(), 1u);
-  EXPECT_EQ(view.getLength(), 10);
-  EXPECT_EQ(iset.getNumSegments(), 3u);
-  EXPECT_EQ(iset.getLength(), 30);
-  // Appending THROUGH a slice grows a private copy, not the parent.
-  IndexSet grown = iset.slice(0, 2);
-  grown.push_back(ListSegment{{5, 6}});
-  EXPECT_EQ(grown.getNumSegments(), 3u);
-  EXPECT_EQ(grown.getLength(), 22);
-  EXPECT_EQ(iset.getNumSegments(), 3u);
-  EXPECT_EQ(iset.getLength(), 30);
-}
-
-TEST(IndexSetPlanGroups, AdjacentSameShapeSegmentsShareOneGroup) {
-  IndexSet iset;
-  iset.push_back(RangeSegment{0, 100});      // group 0: ranges, same size bucket
-  iset.push_back(RangeSegment{100, 200});
-  iset.push_back(RangeSegment{200, 300});
-  iset.push_back(StridedSegment{0, 100, 2}); // group 1: strided
-  iset.push_back(StridedSegment{0, 100, 2});
-  iset.push_back(ListSegment{{1, 2, 3}});    // group 2: list
-  const auto groups = iset.plan_groups();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].first, 0u);
-  EXPECT_EQ(groups[0].count, 3u);
-  EXPECT_EQ(groups[1].first, 3u);
-  EXPECT_EQ(groups[1].count, 2u);
-  EXPECT_EQ(groups[2].first, 5u);
-  EXPECT_EQ(groups[2].count, 1u);
-  // Groups tile the segment list exactly.
-  std::size_t covered = 0;
-  for (const auto& g : groups) {
-    EXPECT_EQ(g.first, covered);
-    covered += g.count;
-  }
-  EXPECT_EQ(covered, iset.getNumSegments());
-}
-
-TEST(IndexSetPlanGroups, SizeBucketAndStrideSplitGroups) {
-  IndexSet iset;
-  iset.push_back(RangeSegment{0, 64});      // bucket log2(64)
-  iset.push_back(RangeSegment{0, 100});     // same bucket as 64 (floor log2 = 6)
-  iset.push_back(RangeSegment{0, 4096});    // far bigger bucket -> new group
-  iset.push_back(StridedSegment{0, 64, 2}); // kind change -> new group
-  iset.push_back(StridedSegment{0, 64, 8}); // stride change -> new group
-  const auto groups = iset.plan_groups();
-  ASSERT_EQ(groups.size(), 4u);
-  EXPECT_EQ(groups[0].count, 2u);
-  EXPECT_EQ(groups[1].count, 1u);
-  EXPECT_EQ(groups[2].count, 1u);
-  EXPECT_EQ(groups[3].count, 1u);
-  EXPECT_TRUE(IndexSet{}.plan_groups().empty());
-  EXPECT_EQ(IndexSet::range(0, 10).plan_groups().size(), 1u);
-}
+// --- feature signatures -------------------------------------------------------
 
 TEST(IndexSetSignature, EqualShapesMatchDifferentShapesDiverge) {
   IndexSet a;
@@ -299,6 +218,4 @@ TEST(IndexSetSignature, EqualShapesMatchDifferentShapesDiverge) {
   as_strided.push_back(RangeSegment{0, 100});
   as_strided.push_back(StridedSegment{0, 8, 2});  // also 4 indices
   EXPECT_NE(as_list.feature_signature(), as_strided.feature_signature());
-  // Slices hash their view, equal to an independently built equivalent.
-  EXPECT_EQ(a.slice(0, 1).feature_signature(), IndexSet::range(0, 100).feature_signature());
 }

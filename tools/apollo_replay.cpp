@@ -38,7 +38,6 @@
 #include "core/tuner_model.hpp"
 #include "ml/confusion.hpp"
 #include "telemetry/audit.hpp"
-#include "telemetry/hwprof.hpp"
 #include "telemetry/build_info.hpp"
 
 namespace {
@@ -252,28 +251,7 @@ int main(int argc, char** argv) {
   if (malformed > 0) {
     std::printf(" (%llu malformed lines skipped)", static_cast<unsigned long long>(malformed));
   }
-  std::printf("\n");
-
-  // Counter signatures (hwprof annotations): what the PMU saw during the
-  // launches the recorded model got right vs the ones it got wrong. A
-  // diverging fingerprint — say, mispredictions clustering at low IPC and
-  // high cache-miss rate — tells the modeler which hardware features the
-  // next feature set should include.
-  const auto hw = apollo::telemetry::hwprof::correlate_hw(records);
-  if (hw.audited > 0) {
-    std::printf("counter signatures (%llu annotated decisions)\n",
-                static_cast<unsigned long long>(hw.audited));
-    const auto row = [](const char* label, const apollo::telemetry::hwprof::HwSignature& s) {
-      std::printf("  %-14s %8llu launches | ipc %5.2f | cmiss/ki %7.3f | bmiss/ki %7.3f | "
-                  "stall %5.1f%%\n",
-                  label, static_cast<unsigned long long>(s.launches), s.mean_ipc,
-                  s.mean_cache_miss_rate * 1e3, s.mean_branch_miss_rate * 1e3,
-                  s.mean_stall_fraction * 100.0);
-    };
-    row("predicted", hw.predicted);
-    row("mispredicted", hw.mispredicted);
-  }
-  std::printf("\n");
+  std::printf("\n\n");
 
   bool determinism_failed = false;
   const ModelReport* best_report = nullptr;

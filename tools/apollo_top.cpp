@@ -122,18 +122,6 @@ struct Snapshot {
   double served_samples = 0.0;
   double served_rejected = 0.0;
   double served_trains = 0.0;
-  // Hardware-counter profiling (apollo_hw_*), keyed (kernel, variant).
-  struct HwRow {
-    double windows = 0.0;
-    double cycles = 0.0;
-    double ipc = 0.0;
-    double cache_miss_rate = 0.0;
-    double branch_miss_rate = 0.0;
-    double stall_fraction = 0.0;
-    double cycles_per_element = 0.0;
-  };
-  std::map<std::pair<std::string, std::string>, HwRow> hw;
-  std::string hw_provider;
   std::string build;
 };
 
@@ -229,27 +217,6 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
       snap.served_rejected = sample->value;
     } else if (sample->name == "apollo_served_trains_total") {
       snap.served_trains += sample->value;  // summed across result labels
-    } else if (sample->name.rfind("apollo_hw_", 0) == 0) {
-      if (sample->name == "apollo_hw_provider_info") {
-        snap.hw_provider = label("provider");
-      } else {
-        Snapshot::HwRow& hw = snap.hw[{label("kernel"), label("variant")}];
-        if (sample->name == "apollo_hw_windows_total") {
-          hw.windows = sample->value;
-        } else if (sample->name == "apollo_hw_cycles_total") {
-          hw.cycles = sample->value;
-        } else if (sample->name == "apollo_hw_ipc") {
-          hw.ipc = sample->value;
-        } else if (sample->name == "apollo_hw_cache_miss_rate") {
-          hw.cache_miss_rate = sample->value;
-        } else if (sample->name == "apollo_hw_branch_miss_rate") {
-          hw.branch_miss_rate = sample->value;
-        } else if (sample->name == "apollo_hw_stall_fraction") {
-          hw.stall_fraction = sample->value;
-        } else if (sample->name == "apollo_hw_cycles_per_element") {
-          hw.cycles_per_element = sample->value;
-        }
-      }
     } else if (sample->name == "apollo_build_info") {
       auto it = sample->labels.labels.find("version");
       auto sha = sample->labels.labels.find("git_sha");
@@ -365,20 +332,6 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
       if (row.accuracy < 0.0) continue;
       std::printf("%-24s %8.1f%% %10.3fms\n", kernel.c_str(), row.accuracy * 100.0,
                   row.regret_seconds * 1e3);
-    }
-  }
-
-  // Hardware-counter pane: only when a run profiled with APOLLO_HW_STRIDE>0.
-  if (!snap.hw.empty()) {
-    std::printf("\nhw counters — provider %s\n",
-                snap.hw_provider.empty() ? "?" : snap.hw_provider.c_str());
-    std::printf("%-24s %-14s %8s %5s %9s %9s %7s %9s\n", "kernel", "variant", "windows", "ipc",
-                "cmiss/ki", "bmiss/ki", "stall", "cyc/elem");
-    for (const auto& [key, hw] : snap.hw) {
-      if (hw.windows <= 0.0) continue;
-      std::printf("%-24s %-14s %8.0f %5.2f %9.3f %9.3f %6.1f%% %9.1f\n", key.first.c_str(),
-                  key.second.c_str(), hw.windows, hw.ipc, hw.cache_miss_rate * 1e3,
-                  hw.branch_miss_rate * 1e3, hw.stall_fraction * 100.0, hw.cycles_per_element);
     }
   }
 }
