@@ -83,11 +83,11 @@ raja::PolicyType oracle_policy(const sim::MachineModel& machine, std::int64_t si
 }
 
 online::Sample make_sample(std::int64_t size, raja::PolicyType policy, double seconds) {
+  static const instr::KernelSignature* const kernel =
+      instr::intern_signature({kLoopId, "StreamKernel", stream_mix(), 0});
   online::Sample sample;
-  sample.loop_id = kLoopId;
-  sample.func = "StreamKernel";
-  sample.index_type = "range";
-  sample.mix = stream_mix();
+  sample.kernel = kernel;
+  sample.index_type = raja::IndexType::range;
   sample.num_indices = size;
   sample.num_segments = 1;
   sample.stride = 1;

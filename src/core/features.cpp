@@ -26,10 +26,10 @@ void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id
 void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
                           const std::string& func, const instr::InstructionMix& mix,
                           std::int64_t num_indices, std::int64_t num_segments,
-                          std::int64_t stride, const std::string& index_type) {
+                          std::int64_t stride, std::string_view index_type) {
   record[kFunc] = func;
   record[kFuncSize] = mix.total();
-  record[kIndexType] = index_type;
+  record[kIndexType] = std::string(index_type);
   record[kLoopId] = loop_id;
   record[kNumIndices] = num_indices;
   record[kNumSegments] = num_segments;

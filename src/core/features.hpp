@@ -5,6 +5,7 @@
 // names to numeric values at prediction time).
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "instr/mix.hpp"
@@ -66,6 +67,6 @@ void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id
 void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
                           const std::string& func, const instr::InstructionMix& mix,
                           std::int64_t num_indices, std::int64_t num_segments,
-                          std::int64_t stride, const std::string& index_type);
+                          std::int64_t stride, std::string_view index_type);
 
 }  // namespace apollo::features

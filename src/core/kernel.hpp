@@ -2,8 +2,9 @@
 
 // KernelHandle: the per-call-site identity an application hands to
 // apollo::forall. It names the kernel (loop_id stands in for the paper's
-// code address), carries the registered instruction signature, and lets the
-// application pin a static default policy (ARES's hand-assigned kernels).
+// code address), points at the kernel's interned instruction signature, and
+// lets the application pin a static default policy (ARES's hand-assigned
+// kernels).
 //
 // The handle also carries the dispatch fast path: an atomic pointer to this
 // kernel's KernelContext, filled in on the first launch. Contexts live for
@@ -13,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "instr/mix.hpp"
@@ -26,24 +26,24 @@ class KernelContext;
 
 class KernelHandle {
 public:
-  /// Registers the kernel's signature on construction (idempotent), so
-  /// instruction features are available before the first prediction.
+  /// Interns the kernel's signature on construction, so instruction features
+  /// are available before the first prediction and every sample recorded for
+  /// this kernel shares one copy of it.
   KernelHandle(std::string loop_id, std::string func, instr::InstructionMix mix,
                std::int64_t bytes_per_iteration,
                raja::PolicyType default_policy = raja::PolicyType::seq_segit_omp_parallel_for_exec)
-      : loop_id_(std::move(loop_id)),
-        func_(std::move(func)),
-        mix_(mix),
-        bytes_per_iteration_(bytes_per_iteration),
-        default_policy_(default_policy) {
-    instr::SignatureRegistry::instance().register_signature(
-        instr::KernelSignature{loop_id_, func_, mix_, bytes_per_iteration_});
-  }
+      : signature_(instr::intern_signature(instr::KernelSignature{
+            std::move(loop_id), std::move(func), mix, bytes_per_iteration})),
+        default_policy_(default_policy) {}
 
-  [[nodiscard]] const std::string& loop_id() const noexcept { return loop_id_; }
-  [[nodiscard]] const std::string& func() const noexcept { return func_; }
-  [[nodiscard]] const instr::InstructionMix& mix() const noexcept { return mix_; }
-  [[nodiscard]] std::int64_t bytes_per_iteration() const noexcept { return bytes_per_iteration_; }
+  [[nodiscard]] const std::string& loop_id() const noexcept { return signature_->loop_id; }
+  [[nodiscard]] const std::string& func() const noexcept { return signature_->func; }
+  [[nodiscard]] const instr::InstructionMix& mix() const noexcept { return signature_->mix; }
+  [[nodiscard]] std::int64_t bytes_per_iteration() const noexcept {
+    return signature_->bytes_per_iteration;
+  }
+  /// The interned signature (never null; outlives the handle).
+  [[nodiscard]] const instr::KernelSignature* signature() const noexcept { return signature_; }
   [[nodiscard]] raja::PolicyType default_policy() const noexcept { return default_policy_; }
 
   /// The cached per-kernel context (nullptr until the first launch resolved
@@ -57,10 +57,7 @@ public:
   }
 
 private:
-  std::string loop_id_;
-  std::string func_;
-  instr::InstructionMix mix_;
-  std::int64_t bytes_per_iteration_;
+  const instr::KernelSignature* signature_;
   raja::PolicyType default_policy_;
   mutable std::atomic<KernelContext*> context_{nullptr};
 };

@@ -60,7 +60,7 @@ void CompiledModel::resolve_features(const KernelHandle& kernel, const raja::Ind
   for (std::size_t f = 0; f < features_.size(); ++f) {
     const CompiledFeature& feature = features_[f];
     double value = -1.0;
-    const auto categorical = [&](const std::string& text) {
+    const auto categorical = [&](std::string_view text) {
       auto it = feature.dictionary.find(text);
       return it != feature.dictionary.end() ? it->second : -1.0;
     };

@@ -10,8 +10,10 @@
 // online::ModelRegistry uses for uncompiled models).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -36,7 +38,11 @@ struct CompiledFeature {
   Source source = Source::App;
   instr::Mnemonic mnemonic = instr::Mnemonic::count_;
   std::string key;  ///< blackboard attribute name (App source)
-  std::unordered_map<std::string, double> dictionary;  ///< categorical codes
+  /// Categorical codes, looked up by string_view without building a string.
+  struct TextHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  std::unordered_map<std::string, double, TextHash, std::equal_to<>> dictionary;
 };
 
 /// A TunerModel plus its pre-resolved feature plan and label table, built

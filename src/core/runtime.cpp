@@ -554,17 +554,14 @@ void Runtime::emit_record(const KernelHandle& kernel, const raja::IndexSet& iset
                           unsigned team) {
   // Capture, don't materialize: the full attribute-map record is built by
   // whoever consumes the sample (Retrainer background thread, records(),
-  // flush). The launch thread pays scalar copies, two short strings, and a
-  // copy of its thread's blackboard snapshot pointer.
+  // flush). The launch thread pays scalar copies, the kernel's interned
+  // signature pointer, and a copy of its thread's blackboard snapshot pointer.
   online::Sample sample;
-  sample.loop_id = kernel.loop_id();
-  sample.func = kernel.func();
-  sample.index_type = iset.type_name();
-  sample.mix = kernel.mix();
+  sample.kernel = kernel.signature();
+  sample.index_type = iset.type();
   sample.num_indices = iset.getLength();
   sample.num_segments = static_cast<std::int64_t>(iset.getNumSegments());
   sample.stride = iset.stride();
-  sample.bytes_per_iter = kernel.bytes_per_iteration();
   sample.app = board_snapshot();
   sample.policy = policy;
   sample.chunk = chunk;

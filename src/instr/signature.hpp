@@ -1,19 +1,17 @@
 #pragma once
 
-// Kernel signatures and the process-wide signature registry.
+// Kernel signatures and the process-wide table that interns them.
 //
 // A signature binds a kernel's stable identity (`loop_id` — the paper uses
 // the kernel's code address; we use a string id chosen at the call site) to
-// its name, instruction mix, and per-iteration working-set footprint. The
-// registry is consulted by the Apollo recorder when it assembles a feature
-// vector, and by the machine model when it prices an execution.
+// its name, instruction mix, and per-iteration working-set footprint. Each
+// KernelHandle interns its signature once, and every training sample the
+// runtime records for that kernel points at the interned copy instead of
+// carrying its own: the kernel's constants are stored once per kernel, not
+// once per launch.
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "instr/mix.hpp"
 
@@ -27,35 +25,15 @@ struct KernelSignature {
 
   /// Table I `func_size`: total instructions in the kernel body.
   [[nodiscard]] std::int64_t func_size() const noexcept { return mix.total(); }
+
+  bool operator==(const KernelSignature&) const = default;
 };
 
-/// Process-wide registry, keyed by loop_id. Registration is idempotent for
-/// an identical id (kernels register from static initializers or first call).
-class SignatureRegistry {
-public:
-  static SignatureRegistry& instance();
-
-  /// Register (or overwrite) a signature. Returns the loop_id for chaining.
-  const std::string& register_signature(KernelSignature signature);
-
-  [[nodiscard]] std::optional<KernelSignature> lookup(const std::string& loop_id) const;
-  [[nodiscard]] std::vector<std::string> loop_ids() const;
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-private:
-  SignatureRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::map<std::string, KernelSignature> signatures_;
-};
-
-/// Helper for static registration at kernel definition sites:
-///   static const auto reg = apollo::instr::RegisterKernel{{...}};
-struct RegisterKernel {
-  explicit RegisterKernel(KernelSignature signature) {
-    SignatureRegistry::instance().register_signature(std::move(signature));
-  }
-};
+/// The process-wide copy of `signature`, keyed by the whole signature: equal
+/// signatures share one address, and two kernels that share a loop id but
+/// differ in any other field get two. Entries are never freed, so the
+/// pointer stays valid for the life of the process — past the KernelHandle
+/// that interned it. Thread-safe; one lock and one hash per call.
+[[nodiscard]] const KernelSignature* intern_signature(const KernelSignature& signature);
 
 }  // namespace apollo::instr

@@ -14,20 +14,21 @@ namespace apollo::online {
 
 namespace {
 
-/// Samples that materialize to the same record apart from the runtime.
+/// Samples that materialize to the same record apart from the runtime. One
+/// interned signature per distinct kernel, so comparing the pointers compares
+/// loop id, func, mix and bytes per iteration.
 struct SameLaunch {
   bool operator()(const Sample* a, const Sample* b) const noexcept {
-    return a->app == b->app && a->policy == b->policy && a->chunk == b->chunk &&
-           a->threads == b->threads && a->num_indices == b->num_indices &&
-           a->num_segments == b->num_segments && a->stride == b->stride &&
-           a->bytes_per_iter == b->bytes_per_iter && a->loop_id == b->loop_id &&
-           a->func == b->func && a->index_type == b->index_type && a->mix == b->mix;
+    return a->kernel == b->kernel && a->app == b->app && a->policy == b->policy &&
+           a->chunk == b->chunk && a->threads == b->threads &&
+           a->num_indices == b->num_indices && a->num_segments == b->num_segments &&
+           a->stride == b->stride && a->index_type == b->index_type;
   }
 };
 
 struct LaunchHash {
   std::size_t operator()(const Sample* s) const noexcept {
-    std::size_t h = std::hash<std::string>{}(s->loop_id);
+    std::size_t h = std::hash<const void*>{}(s->kernel);
     const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
     fold(static_cast<std::uint64_t>(s->num_indices));
     fold(static_cast<std::uint64_t>(s->num_segments));
@@ -41,8 +42,7 @@ struct LaunchHash {
 
 }  // namespace
 
-std::vector<perf::SampleRecord> collapse_window(
-    const std::vector<SampleBuffer::SharedSample>& window) {
+std::vector<perf::SampleRecord> collapse_window(const std::vector<Sample>& window) {
   struct Group {
     const Sample* sample;
     double seconds = 0.0;
@@ -53,7 +53,7 @@ std::vector<perf::SampleRecord> collapse_window(
   std::unordered_map<const Sample*, std::size_t, LaunchHash, SameLaunch> index;
   index.reserve(window.size());
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const Sample* sample = window[i].get();
+    const Sample* sample = &window[i];
     const auto [it, inserted] = index.try_emplace(sample, groups.size());
     if (inserted) groups.push_back(Group{sample});
     Group& group = groups[it->second];
@@ -83,7 +83,7 @@ Retrainer::Retrainer(ml::TreeParams params) : params_(params) {
 
 Retrainer::~Retrainer() { wait_idle(); }
 
-bool Retrainer::request(std::vector<SampleBuffer::SharedSample> samples) {
+bool Retrainer::request(std::vector<Sample> samples) {
   if (samples.empty()) return false;
   if (busy_.exchange(true, std::memory_order_acq_rel)) return false;
   pool_.submit([this, samples = std::move(samples)]() mutable {

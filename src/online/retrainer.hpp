@@ -35,8 +35,7 @@ namespace apollo::online {
 /// labels the collapsed window exactly as it would the raw one. Records come
 /// out in order of their group's last appearance. Only the collapsed records
 /// are materialized.
-[[nodiscard]] std::vector<perf::SampleRecord> collapse_window(
-    const std::vector<SampleBuffer::SharedSample>& window);
+[[nodiscard]] std::vector<perf::SampleRecord> collapse_window(const std::vector<Sample>& window);
 
 class Retrainer {
 public:
@@ -60,11 +59,11 @@ public:
   void set_train_chunk(bool enabled) noexcept { train_chunk_ = enabled; }
   void set_train_threads(bool enabled) noexcept { train_threads_ = enabled; }
 
-  /// Kick off a background retrain over `samples` (shared handles from
-  /// SampleBuffer::snapshot_shared — the caller pays pointer copies only;
-  /// the window is collapsed and materialized on the background thread).
-  /// Returns false (and does nothing) when a retrain is already in flight.
-  bool request(std::vector<SampleBuffer::SharedSample> samples);
+  /// Kick off a background retrain over `samples` (a window copied out by
+  /// SampleBuffer::snapshot_shared; the window is collapsed and materialized
+  /// on the background thread). Returns false (and does nothing) when a
+  /// retrain is already in flight.
+  bool request(std::vector<Sample> samples);
 
   /// Convenience overload for already-materialized records (tests, tools).
   bool request(std::vector<perf::SampleRecord> samples);

@@ -38,12 +38,14 @@ BufferTelemetry& buffer_telemetry() {
 
 perf::SampleRecord Sample::materialize() const {
   perf::SampleRecord record = app ? *app : perf::SampleRecord{};
-  features::fill_kernel_features(record, loop_id, func, mix, num_indices, num_segments, stride,
-                                 index_type);
+  features::fill_kernel_features(record, kernel->loop_id, kernel->func, kernel->mix, num_indices,
+                                 num_segments, stride, raja::index_type_name(index_type));
   record[features::kParamPolicy] = raja::policy_name(policy);
   record[features::kParamChunk] = chunk;
   if (threads > 0) record[features::kParamThreads] = static_cast<std::int64_t>(threads);
-  if (bytes_per_iter > 0) record[features::kMeasureBytesPerIter] = bytes_per_iter;
+  if (kernel->bytes_per_iteration > 0) {
+    record[features::kMeasureBytesPerIter] = kernel->bytes_per_iteration;
+  }
   record[features::kMeasureRuntime] = seconds;
   return record;
 }
@@ -54,20 +56,23 @@ SampleBuffer::SampleBuffer(std::size_t capacity) : capacity_(std::max<std::size_
 }
 
 void SampleBuffer::push(Sample sample) {
-  auto shared = std::make_shared<const Sample>(std::move(sample));
   const bool telem = telemetry::enabled();
-  // Freed after the unlock: the evicted sample's free may cross into another
-  // thread's malloc arena, and this is the one lock every Record launch and
+  // Released after the unlock: dropping the evicted sample's blackboard
+  // snapshot may free it, and this is the one lock every Record launch and
   // every sampled Adapt launch takes.
-  SharedSample evicted;
+  std::shared_ptr<const perf::SampleRecord> evicted;
+  bool overwrote = false;
   std::size_t occupancy = 0;
   std::size_t capacity = 0;
   {
     std::lock_guard lock(mutex_);
     if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(shared));
+      ring_.push_back(std::move(sample));
     } else {
-      evicted = std::exchange(ring_[next_], std::move(shared));
+      Sample& slot = ring_[next_];
+      evicted = std::move(slot.app);
+      slot = std::move(sample);
+      overwrote = true;
       next_ = (next_ + 1) % capacity_;
     }
     occupancy = ring_.size();
@@ -77,7 +82,7 @@ void SampleBuffer::push(Sample sample) {
   if (telem) {
     auto& handles = buffer_telemetry();
     handles.pushed->inc();
-    if (evicted) handles.dropped->inc();
+    if (overwrote) handles.dropped->inc();
     handles.occupancy->set(static_cast<double>(occupancy));
     handles.capacity->set(static_cast<double>(capacity));
     telemetry::emit_instant(telemetry::EventKind::SamplePush, "sample_push", occupancy);
@@ -94,8 +99,8 @@ std::uint64_t SampleBuffer::dropped() const {
   return pushed_.load(std::memory_order_relaxed) - ring_.size();
 }
 
-std::vector<SampleBuffer::SharedSample> SampleBuffer::take_ordered_locked() {
-  std::vector<SharedSample> out;
+std::vector<Sample> SampleBuffer::take_ordered_locked() {
+  std::vector<Sample> out;
   out.reserve(ring_.size());
   // Oldest sample sits at next_ once the ring has wrapped, at 0 before.
   const std::size_t start = ring_.size() < capacity_ ? 0 : next_;
@@ -111,13 +116,12 @@ std::vector<perf::SampleRecord> SampleBuffer::snapshot() const {
   std::vector<perf::SampleRecord> out;
   const auto shared = snapshot_shared();
   out.reserve(shared.size());
-  for (const auto& sample : shared) out.push_back(sample->materialize());
+  for (const auto& sample : shared) out.push_back(sample.materialize());
   return out;
 }
 
-std::vector<SampleBuffer::SharedSample> SampleBuffer::snapshot_shared(
-    std::size_t max_samples) const {
-  std::vector<SharedSample> out;
+std::vector<Sample> SampleBuffer::snapshot_shared(std::size_t max_samples) const {
+  std::vector<Sample> out;
   std::lock_guard lock(mutex_);
   const std::size_t count =
       max_samples > 0 ? std::min(max_samples, ring_.size()) : ring_.size();
@@ -131,19 +135,19 @@ std::vector<SampleBuffer::SharedSample> SampleBuffer::snapshot_shared(
 }
 
 std::vector<perf::SampleRecord> SampleBuffer::drain() {
-  std::vector<SharedSample> taken;
+  std::vector<Sample> taken;
   {
     std::lock_guard lock(mutex_);
     taken = take_ordered_locked();
   }
   std::vector<perf::SampleRecord> out;
   out.reserve(taken.size());
-  for (const auto& sample : taken) out.push_back(sample->materialize());
+  for (const auto& sample : taken) out.push_back(sample.materialize());
   return out;
 }
 
-std::size_t SampleBuffer::drain_into(std::vector<SharedSample>& out) {
-  std::vector<SharedSample> taken;
+std::size_t SampleBuffer::drain_into(std::vector<Sample>& out) {
+  std::vector<Sample> taken;
   {
     std::lock_guard lock(mutex_);
     taken = take_ordered_locked();
@@ -166,7 +170,7 @@ void SampleBuffer::clear() {
 
 void SampleBuffer::set_capacity(std::size_t capacity) {
   std::lock_guard lock(mutex_);
-  std::vector<SharedSample> kept = take_ordered_locked();
+  std::vector<Sample> kept = take_ordered_locked();
   capacity_ = std::max<std::size_t>(capacity, 1);
   if (kept.size() > capacity_) {
     kept.erase(kept.begin(), kept.end() - static_cast<std::ptrdiff_t>(capacity_));

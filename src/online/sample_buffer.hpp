@@ -6,23 +6,25 @@
 // process cannot, so the buffer holds the most recent `capacity` samples and
 // overwrites the oldest.
 //
-// Samples are stored *unmaterialized*: a compact Sample struct of scalars,
-// two short strings, and a shared pointer to the blackboard snapshot.
-// Building the full attribute-map SampleRecord (~20 string-keyed map inserts)
-// costs microseconds and is deferred to whoever consumes the sample — the
+// Samples are stored *unmaterialized* and by value: a 72-byte Sample of the
+// launch's scalars, a pointer to the kernel's interned signature (loop id,
+// func, mix), and a shared pointer to the blackboard snapshot. Building the
+// full attribute-map SampleRecord (~40 string-keyed map inserts) costs
+// microseconds and is deferred to whoever consumes the sample — the
 // background Retrainer, a records-file flush, or a test — so the producing
-// application thread pays only a small allocation per recorded launch.
+// application thread pays one slot copy under the buffer lock, and no
+// allocation once the ring is full.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "instr/mix.hpp"
+#include "instr/signature.hpp"
 #include "perf/record.hpp"
+#include "raja/index_set.hpp"
 #include "raja/policy.hpp"
 
 namespace apollo::online {
@@ -32,25 +34,22 @@ namespace apollo::online {
 /// with Runtime::sample_buffer().set_capacity or APOLLO_SAMPLE_CAPACITY.
 inline constexpr std::size_t kDefaultSampleCapacity = 1u << 18;
 
-/// One recorded launch, unmaterialized. Everything a SampleRecord needs,
-/// captured as cheap copies on the application thread.
+/// One recorded launch, unmaterialized: only what varies per launch, plus a
+/// pointer to the kernel's constants (loop id, func, mix, bytes/iteration).
 struct Sample {
-  std::string loop_id;
-  std::string func;
-  std::string index_type;
-  instr::InstructionMix mix;
+  /// Interned kernel signature (instr::intern_signature); never freed, so a
+  /// sample may outlive the KernelHandle that recorded it. Must be set.
+  const instr::KernelSignature* kernel = nullptr;
+  /// Blackboard snapshot at launch time (shared, immutable; may be null).
+  std::shared_ptr<const perf::SampleRecord> app;
   std::int64_t num_indices = 0;
   std::int64_t num_segments = 0;
   std::int64_t stride = 1;
-  /// Kernel bytes/iteration, for offline CostQuery reconstruction (meta key
-  /// measure:bytes_per_iter; 0 = unknown, omitted from the record).
-  std::int64_t bytes_per_iter = 0;
-  /// Blackboard snapshot at launch time (shared, immutable; may be null).
-  std::shared_ptr<const perf::SampleRecord> app;
-  raja::PolicyType policy = raja::PolicyType::seq_segit_seq_exec;
   std::int64_t chunk = 0;
-  unsigned threads = 0;
   double seconds = 0.0;
+  unsigned threads = 0;
+  raja::PolicyType policy = raja::PolicyType::seq_segit_seq_exec;
+  raja::IndexType index_type = raja::IndexType::range;
 
   /// Build the full attribute-map record (the expensive part; consumer-side).
   [[nodiscard]] perf::SampleRecord materialize() const;
@@ -58,8 +57,6 @@ struct Sample {
 
 class SampleBuffer {
 public:
-  using SharedSample = std::shared_ptr<const Sample>;
-
   explicit SampleBuffer(std::size_t capacity);
 
   /// Append one sample; overwrites the oldest when full.
@@ -79,10 +76,10 @@ public:
   /// keeps running.
   [[nodiscard]] std::vector<perf::SampleRecord> snapshot() const;
 
-  /// Shared handles to the newest `max_samples` samples (0 = all), oldest
-  /// first. O(n) pointer copies — the retrain-request hot path; records are
-  /// materialized later on the background thread.
-  [[nodiscard]] std::vector<SharedSample> snapshot_shared(std::size_t max_samples = 0) const;
+  /// Copies of the newest `max_samples` samples (0 = all), oldest first.
+  /// O(n) slot copies under the lock — the retrain-request hot path; records
+  /// are materialized later on the background thread.
+  [[nodiscard]] std::vector<Sample> snapshot_shared(std::size_t max_samples = 0) const;
 
   /// Materialize the contents (oldest first) and leave the buffer empty.
   [[nodiscard]] std::vector<perf::SampleRecord> drain();
@@ -93,7 +90,7 @@ public:
   /// either lands before the drain (and is handed off) or after it (and is
   /// retained for the next one) — never dropped. The service client's drain
   /// primitive; materialization stays on the consumer thread.
-  std::size_t drain_into(std::vector<SharedSample>& out);
+  std::size_t drain_into(std::vector<Sample>& out);
 
   void clear();
 
@@ -102,12 +99,12 @@ public:
 
 private:
   /// Contents oldest-first, leaving the ring reset (lock held).
-  [[nodiscard]] std::vector<SharedSample> take_ordered_locked();
+  [[nodiscard]] std::vector<Sample> take_ordered_locked();
 
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::vector<SharedSample> ring_;  ///< grows to capacity_, then wraps
-  std::size_t next_ = 0;            ///< overwrite position once full
+  std::vector<Sample> ring_;  ///< grows to capacity_, then wraps
+  std::size_t next_ = 0;      ///< overwrite position once full
   std::atomic<std::uint64_t> pushed_{0};
 };
 

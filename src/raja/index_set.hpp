@@ -6,13 +6,22 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "raja/segments.hpp"
 
 namespace raja {
+
+/// The Table I `index_type` feature as a one-byte code; index_type_name
+/// gives the string a record stores.
+enum class IndexType : std::uint8_t { empty, range, strided, list, mixed };
+
+[[nodiscard]] constexpr std::string_view index_type_name(IndexType type) noexcept {
+  constexpr std::string_view kNames[] = {"empty", "range", "strided", "list", "mixed"};
+  return kNames[static_cast<std::size_t>(type)];
+}
 
 class IndexSet {
 public:
@@ -65,8 +74,8 @@ public:
     return common == -1 ? 1 : common;
   }
 
-  /// Table I `index_type` feature.
-  [[nodiscard]] std::string type_name() const {
+  /// Table I `index_type` feature: which kinds of segment the set holds.
+  [[nodiscard]] IndexType type() const noexcept {
     bool has_range = false, has_list = false, has_strided = false;
     for (const Segment& seg : segments_) {
       has_range |= std::holds_alternative<RangeSegment>(seg);
@@ -74,12 +83,13 @@ public:
       has_list |= std::holds_alternative<ListSegment>(seg);
     }
     const int kinds = int(has_range) + int(has_list) + int(has_strided);
-    if (kinds == 0) return "empty";
-    if (kinds > 1) return "mixed";
-    if (has_range) return "range";
-    if (has_strided) return "strided";
-    return "list";
+    if (kinds == 0) return IndexType::empty;
+    if (kinds > 1) return IndexType::mixed;
+    if (has_range) return IndexType::range;
+    if (has_strided) return IndexType::strided;
+    return IndexType::list;
   }
+  [[nodiscard]] std::string_view type_name() const noexcept { return index_type_name(type()); }
 
   /// Order-preserving hash of the launch-relevant shape: per-segment kind,
   /// size, and stride. Two index sets with equal signatures resolve every

@@ -246,7 +246,7 @@ bool ServiceClient::ship_pending() {
       SampleBatch batch;
       batch.seq = ++next_seq_;
       batch.records.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) batch.records.push_back(outbox_[i]->materialize());
+      for (std::size_t i = 0; i < n; ++i) batch.records.push_back(outbox_[i].materialize());
       const std::string payload = encode_sample_batch(batch);
       if (!conn_.send(FrameType::SampleBatch, payload)) {
         ok = false;

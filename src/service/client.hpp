@@ -111,7 +111,7 @@ private:
   ClientConfig config_;
 
   FrameConn conn_;
-  std::vector<online::SampleBuffer::SharedSample> outbox_;
+  std::vector<online::Sample> outbox_;
   std::size_t outbox_cap_ = 0;
   std::uint64_t next_seq_ = 0;
 

@@ -58,13 +58,21 @@ std::optional<std::string> read_string(const std::string& line, std::size_t& pos
   return std::nullopt;
 }
 
-/// Read the number at line[pos] and move pos past it.
+/// Read the number at line[pos] and move pos to the delimiter after it. A
+/// number must end at `,`, `}` or `]` (optionally after whitespace), so
+/// `0n5` is rejected rather than read as 0.
 std::optional<double> read_number(const std::string& line, std::size_t& pos) {
   const char* start = line.c_str() + pos;
   char* end = nullptr;
   const double value = std::strtod(start, &end);
   if (end == start) return std::nullopt;
-  pos += static_cast<std::size_t>(end - start);
+  const std::size_t after =
+      line.find_first_not_of(" \t", pos + static_cast<std::size_t>(end - start));
+  constexpr std::string_view kDelimiters = ",}]";
+  if (after == std::string::npos || kDelimiters.find(line[after]) == kDelimiters.npos) {
+    return std::nullopt;
+  }
+  pos = after;
   return value;
 }
 

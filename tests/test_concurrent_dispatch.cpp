@@ -469,17 +469,14 @@ namespace {
 /// One recorded launch of `loop_id` at `n` iterations under `policy`. The
 /// runtime comes from a fixed cost model whose seq/omp crossover depends on
 /// the problem named on `board`, scaled by a per-repetition wobble.
-online::SampleBuffer::SharedSample window_sample(
-    const std::string& loop_id, std::int64_t n, raja::PolicyType policy,
-    const std::shared_ptr<const perf::SampleRecord>& board, int rep) {
+online::Sample window_sample(const std::string& loop_id, std::int64_t n, raja::PolicyType policy,
+                             const std::shared_ptr<const perf::SampleRecord>& board, int rep) {
   online::Sample sample;
-  sample.loop_id = loop_id;
-  sample.func = "Window";
-  sample.index_type = "range";
-  sample.mix = instr::MixBuilder{}.fp(2).load(2).store(1).build();
+  sample.kernel = instr::intern_signature(
+      {loop_id, "Window", instr::MixBuilder{}.fp(2).load(2).store(1).build(), 24});
+  sample.index_type = raja::IndexType::range;
   sample.num_indices = n;
   sample.num_segments = 1;
-  sample.bytes_per_iter = 24;
   sample.app = board;
   sample.policy = policy;
   const bool noh = board->at(features::kProblemName).as_string() == "noh";
@@ -487,7 +484,7 @@ online::SampleBuffer::SharedSample window_sample(
                              ? static_cast<double>(n) * 1e-9
                              : (noh ? 100e-6 : 5e-6) + static_cast<double>(n) * 0.3e-9;
   sample.seconds = seconds * (1.0 + 0.01 * rep);
-  return std::make_shared<const online::Sample>(std::move(sample));
+  return sample;
 }
 
 }  // namespace
@@ -505,7 +502,7 @@ TEST(RetrainWindow, CollapsedWindowTrainsTheSameModelAsTheRawWindow) {
   const raja::PolicyType policies[] = {raja::PolicyType::seq_segit_seq_exec,
                                        raja::PolicyType::seq_segit_omp_parallel_for_exec};
   constexpr int kReps = 6;
-  std::vector<online::SampleBuffer::SharedSample> window;
+  std::vector<online::Sample> window;
   for (int rep = 0; rep < kReps; ++rep) {
     for (const char* loop_id : {"window:k0", "window:k1"}) {
       for (const auto& board : {sedov_a, sedov_b, noh}) {
@@ -518,13 +515,13 @@ TEST(RetrainWindow, CollapsedWindowTrainsTheSameModelAsTheRawWindow) {
     }
   }
   std::vector<perf::SampleRecord> raw;
-  for (const auto& sample : window) raw.push_back(sample->materialize());
+  for (const auto& sample : window) raw.push_back(sample.materialize());
   const std::vector<perf::SampleRecord> collapsed = online::collapse_window(window);
   ASSERT_EQ(collapsed.size(), window.size() / kReps);  // one record per distinct launch
   // Last-appearance order: the newest sample's group comes last.
-  EXPECT_EQ(collapsed.back().at(features::kNumIndices).as_int(), window.back()->num_indices);
+  EXPECT_EQ(collapsed.back().at(features::kNumIndices).as_int(), window.back().num_indices);
   EXPECT_EQ(collapsed.back().at(features::kParamPolicy).as_string(),
-            raja::policy_name(window.back()->policy));
+            raja::policy_name(window.back().policy));
   EXPECT_EQ(collapsed.back().at(features::kMeasureCount).as_int(), kReps);
 
   // The labeled data agree row for row: same labels, launch counts and mean

@@ -43,8 +43,10 @@ ml::TreeParams loose() {
 
 TunerModel::Resolver resolver(const std::string& loop_id, std::int64_t n) {
   return [loop_id, n](const std::string& name) -> std::optional<perf::Value> {
-    if (name == "loop_id") return perf::Value(loop_id);
-    if (name == "num_indices") return perf::Value(n);
+    // Built in place: returning a temporary Value draws a false
+    // -Wmaybe-uninitialized from GCC 12 under -fsanitize=address.
+    if (name == "loop_id") return std::make_optional<perf::Value>(loop_id);
+    if (name == "num_indices") return std::make_optional<perf::Value>(n);
     return std::nullopt;
   };
 }

@@ -175,6 +175,45 @@ TEST_F(RuntimeTest, BlackboardAttributesLandInRecords) {
   EXPECT_EQ(r.at("timestep").as_int(), 7);
 }
 
+TEST_F(RuntimeTest, RecordLaunchMaterializesTheFullRecord) {
+  // A sample keeps only what varies per launch and points at its kernel's
+  // interned signature; the record it materializes is still the full one,
+  // byte for byte: every kernel and instruction feature, the launch shape,
+  // the variant, the measurement and the blackboard attribute.
+  static const KernelHandle kernel{"test:full_record", "FullRecord",
+                                   instr::MixBuilder{}.fp(3).div(1).load(4).store(2).build(), 40};
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Record);
+  TrainingConfig cfg;
+  cfg.chunk_values.clear();
+  cfg.thread_values = {4};
+  rt.set_training_config(cfg);
+  perf::ScopedAnnotation problem("problem_name", "sedov");
+  raja::IndexSet iset;
+  iset.push_back(raja::StridedSegment{0, 400, 4});
+  iset.push_back(raja::StridedSegment{1000, 1200, 4});
+  forall(kernel, iset, [](raja::Index) {});
+
+  const auto samples = rt.sample_buffer().snapshot_shared();
+  ASSERT_EQ(samples.size(), 3u);  // seq, omp, omp at a team of 4
+  for (const auto& sample : samples) EXPECT_EQ(sample.kernel, kernel.signature());
+  const auto records = rt.records();
+  ASSERT_EQ(records.size(), 3u);
+  const perf::SampleRecord& record = records.back();
+  EXPECT_EQ(record.size(), instr::kMnemonicCount + 13);
+  // The line the runtime wrote for this launch when each sample carried its
+  // own copy of the kernel's signature.
+  EXPECT_EQ(perf::encode_record(record),
+            "add=i:2|and=i:0|call=i:0|cmp=i:0|comisd=i:0|divsd=i:1|func=s:FullRecord|"
+            "func_size=i:10|inc=i:0|index_type=s:strided|jb=i:0|lea=i:0|loop=i:0|"
+            "loop_id=s:test:full_record|maxsd=i:0|measure:bytes_per_iter=i:40|"
+            "measure:runtime=r:1.2406604511956446e-05|minsd=i:0|mov=i:2|movsd=i:4|mulpd=i:1|"
+            "nop=i:0|num_indices=i:150|num_segments=i:2|param:chunk_size=i:0|param:policy=s:omp|"
+            "param:threads=i:4|pop=i:0|problem_name=s:sedov|push=i:0|pxor=i:0|ret=i:0|sar=i:0|"
+            "shl=i:0|sqrtsd=i:0|stride=i:4|sub=i:0|test=i:0|ucomisd=i:0|unpckhpd=i:0|"
+            "unpcklpd=i:0|xor=i:0|xorps=i:0");
+}
+
 TEST_F(RuntimeTest, TuneModeAppliesPolicyModel) {
   auto& rt = Runtime::instance();
   // Record a sweep over both a small and a large launch, train, tune.

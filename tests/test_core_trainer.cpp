@@ -179,14 +179,17 @@ TEST(Trainer, TrainedModelPredictsArgmin) {
   const apollo::TunerModel model =
       Trainer::train(sweep_records(), TunedParameter::Policy, params);
   EXPECT_EQ(model.parameter(), TunedParameter::Policy);
-  const auto resolve_small = [](const std::string& name) -> std::optional<apollo::perf::Value> {
-    if (name == "num_indices") return apollo::perf::Value(std::int64_t{100});
-    if (name == "loop_id") return apollo::perf::Value("k1");
+  // Values built in place: returning a temporary Value draws a false
+  // -Wmaybe-uninitialized from GCC 12 under -fsanitize=address.
+  using apollo::perf::Value;
+  const auto resolve_small = [](const std::string& name) -> std::optional<Value> {
+    if (name == "num_indices") return std::make_optional<Value>(std::int64_t{100});
+    if (name == "loop_id") return std::make_optional<Value>("k1");
     return std::nullopt;
   };
-  const auto resolve_large = [](const std::string& name) -> std::optional<apollo::perf::Value> {
-    if (name == "num_indices") return apollo::perf::Value(std::int64_t{100000});
-    if (name == "loop_id") return apollo::perf::Value("k1");
+  const auto resolve_large = [](const std::string& name) -> std::optional<Value> {
+    if (name == "num_indices") return std::make_optional<Value>(std::int64_t{100000});
+    if (name == "loop_id") return std::make_optional<Value>("k1");
     return std::nullopt;
   };
   EXPECT_EQ(model.label_name(model.predict(resolve_small)), "seq");

@@ -1,4 +1,4 @@
-// Unit tests for instruction-mix features and the kernel signature registry.
+// Unit tests for instruction-mix features and the kernel signature table.
 
 #include <gtest/gtest.h>
 
@@ -80,51 +80,26 @@ TEST(MixBuilder, MinmaxCompareLogicDistribute) {
             7);
 }
 
-TEST(SignatureRegistry, RegisterAndLookup) {
-  auto& registry = instr::SignatureRegistry::instance();
-  const auto before = registry.size();
-  instr::KernelSignature sig;
-  sig.loop_id = "test:unique_kernel_1";
-  sig.func = "UniqueKernel";
-  sig.mix = instr::MixBuilder{}.fp(4).build();
-  sig.bytes_per_iteration = 32;
-  registry.register_signature(sig);
-  EXPECT_EQ(registry.size(), before + 1);
+TEST(InternSignature, EqualSignaturesShareOneAddress) {
+  const instr::KernelSignature sig{"test:interned", "Interned", instr::MixBuilder{}.fp(4).build(),
+                                   32};
+  const instr::KernelSignature* first = instr::intern_signature(sig);
+  EXPECT_EQ(instr::intern_signature(instr::KernelSignature(sig)), first);
+  EXPECT_EQ(*first, sig);
+  EXPECT_EQ(first->func_size(), 4);
 
-  const auto found = registry.lookup("test:unique_kernel_1");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->func, "UniqueKernel");
-  EXPECT_EQ(found->func_size(), 4);
-  EXPECT_EQ(found->bytes_per_iteration, 32);
-}
-
-TEST(SignatureRegistry, ReRegisterOverwrites) {
-  auto& registry = instr::SignatureRegistry::instance();
-  instr::KernelSignature sig;
-  sig.loop_id = "test:overwrite";
-  sig.func = "v1";
-  registry.register_signature(sig);
-  const auto size_after_first = registry.size();
-  sig.func = "v2";
-  registry.register_signature(sig);
-  EXPECT_EQ(registry.size(), size_after_first);
-  EXPECT_EQ(registry.lookup("test:overwrite")->func, "v2");
-}
-
-TEST(SignatureRegistry, LookupMissingReturnsNullopt) {
-  EXPECT_FALSE(instr::SignatureRegistry::instance().lookup("no:such:kernel").has_value());
-}
-
-TEST(SignatureRegistry, RegisterKernelHelper) {
-  auto& registry = instr::SignatureRegistry::instance();
-  static const instr::RegisterKernel reg{
-      instr::KernelSignature{"test:helper_registered", "Helper", {}, 8}};
-  EXPECT_TRUE(registry.lookup("test:helper_registered").has_value());
-}
-
-TEST(SignatureRegistry, LoopIdsContainsRegistered) {
-  auto& registry = instr::SignatureRegistry::instance();
-  registry.register_signature(instr::KernelSignature{"test:listed", "Listed", {}, 0});
-  const auto ids = registry.loop_ids();
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "test:listed"), ids.end());
+  // The key is the whole signature: any differing field is another entry.
+  auto other_mix = sig;
+  other_mix.mix = instr::MixBuilder{}.fp(5).build();
+  auto other_func = sig;
+  other_func.func = "Renamed";
+  auto other_bytes = sig;
+  other_bytes.bytes_per_iteration = 64;
+  for (const auto& other : {other_mix, other_func, other_bytes}) {
+    const instr::KernelSignature* entry = instr::intern_signature(other);
+    EXPECT_NE(entry, first);
+    EXPECT_EQ(entry->loop_id, "test:interned");
+    EXPECT_EQ(*entry, other);
+  }
+  EXPECT_EQ(instr::intern_signature(sig), first);  // earlier entries stay put
 }

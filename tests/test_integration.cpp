@@ -147,7 +147,6 @@ TEST_F(IntegrationTest, CrossApplicationModelTransfer) {
 
 TEST_F(IntegrationTest, RetrainWithoutRecompilePicksUpNewModel) {
   // Two different models loaded into the same runtime change decisions.
-  auto& rt = Runtime::instance();
   auto app = apps::make_lulesh();
   const auto records = record_app(*app, 3);
   const TunerModel good = Trainer::train(records, TunedParameter::Policy);

@@ -182,7 +182,9 @@ TEST(DecisionTree, MinSamplesLeafRespected) {
   p.min_samples_leaf = 5;
   const DecisionTree tree = DecisionTree::fit(d, p);
   for (const auto& node : tree.nodes()) {
-    if (node.feature < 0) EXPECT_GE(node.samples, 5);
+    if (node.feature < 0) {
+      EXPECT_GE(node.samples, 5);
+    }
   }
 }
 

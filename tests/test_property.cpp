@@ -125,6 +125,13 @@ struct MixCase {
   std::int64_t bytes;
 };
 
+// Names each instance after its fields (the default prints the struct's raw
+// bytes, padding included, so ctest names would change between builds).
+void PrintTo(const MixCase& c, std::ostream* os) {
+  *os << "{fp=" << c.fp << ", div=" << c.div << ", load=" << c.load << ", bytes=" << c.bytes
+      << "}";
+}
+
 class ModelSanitySweep : public ::testing::TestWithParam<MixCase> {};
 
 TEST_P(ModelSanitySweep, CostsPositiveMonotoneAndCrossoverOrdered) {
@@ -161,6 +168,10 @@ struct ScheduleCase {
   std::int64_t chunk;
   unsigned threads;
 };
+
+void PrintTo(const ScheduleCase& c, std::ostream* os) {
+  *os << "{n=" << c.n << ", chunk=" << c.chunk << ", threads=" << c.threads << "}";
+}
 
 class ForallComposition : public ::testing::TestWithParam<ScheduleCase> {};
 

@@ -67,10 +67,11 @@ ClientConfig client_cfg(const std::string& socket, const std::string& name) {
 /// A separable workload: sequential wins small sizes, OpenMP wins large, so
 /// the daemon's aggregate fit has real signal to learn from.
 Sample make_sample(std::int64_t size, bool omp) {
+  static const apollo::instr::KernelSignature* const kernel =
+      apollo::instr::intern_signature({"svc:test", "ServiceKernel", {}, 0});
   Sample s;
-  s.loop_id = "svc:test";
-  s.func = "ServiceKernel";
-  s.index_type = "range";
+  s.kernel = kernel;
+  s.index_type = raja::IndexType::range;
   s.num_indices = size;
   s.num_segments = 1;
   s.stride = 1;

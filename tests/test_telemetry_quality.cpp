@@ -283,6 +283,33 @@ TEST(AuditRecordJson, RetiredHardwareCounterBlockIsIgnored) {
   EXPECT_EQ(to_json_line(*plain), line);
 }
 
+TEST(AuditRecordJson, NumberFollowedByJunkIsRejected) {
+  // A number ends at a delimiter: a corrupted value must not be read as its
+  // leading digits ("0n5" as 0) and written back as a different line.
+  const auto substituted = [](std::string line, const std::string& from, const std::string& to) {
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) line.replace(at, from.size(), to);
+    return line;
+  };
+  const std::string probe = to_json_line(make_probe());
+  EXPECT_FALSE(
+      telemetry::parse_audit_line(substituted(probe, R"("seconds":0.5)", R"("seconds":0n5)")));
+  const std::string decision = to_json_line(make_scanner_bait_decision());
+  for (const auto& [from, to] : std::initializer_list<std::pair<std::string, std::string>>{
+           {R"("bucket":42,)", R"("bucket":42x,)"},
+           {R"("tree_path":[0,1,4])", R"("tree_path":[0,1q,4])"},
+           {R"(["num_indices",4096])", R"(["num_indices",4096e])"}}) {
+    EXPECT_FALSE(telemetry::parse_audit_line(substituted(decision, from, to))) << to;
+  }
+
+  // Whitespace before the delimiter still ends a well-formed number.
+  const auto spaced =
+      telemetry::parse_audit_line(substituted(probe, R"("seconds":0.5)", R"("seconds":0.5 )"));
+  ASSERT_TRUE(spaced.has_value());
+  EXPECT_DOUBLE_EQ(spaced->seconds, 0.5);
+}
+
 TEST(AuditRecordJson, EverySingleBitFlipIsRejectedOrRoundTrips) {
   // A corrupted byte either fails to parse or yields a record that is stable
   // under its own line: writing it and reading that line back gives the
