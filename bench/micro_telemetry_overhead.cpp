@@ -120,7 +120,7 @@ void QualityOnTune(benchmark::State& state) {
   run_tuned_loop(state);
   apollo::telemetry::set_enabled(false);
   apollo::telemetry::stop_collector();
-  // run_tuned_loop resets the runtime (and its accountant); the registry
+  // run_tuned_loop resets the runtime (and its quality totals); the registry
   // counter survives until reset_for_testing below.
   state.counters["probes"] =
       static_cast<double>(apollo::telemetry::MetricsRegistry::instance()

@@ -17,14 +17,6 @@ std::vector<std::string> app_feature_names() {
 
 void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
                           const std::string& func, const instr::InstructionMix& mix,
-                          const raja::IndexSet& iset) {
-  fill_kernel_features(record, loop_id, func, mix, iset.getLength(),
-                       static_cast<std::int64_t>(iset.getNumSegments()), iset.stride(),
-                       iset.type_name());
-}
-
-void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
-                          const std::string& func, const instr::InstructionMix& mix,
                           std::int64_t num_indices, std::int64_t num_segments,
                           std::int64_t stride, std::string_view index_type) {
   record[kFunc] = func;

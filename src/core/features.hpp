@@ -10,7 +10,6 @@
 
 #include "instr/mix.hpp"
 #include "perf/record.hpp"
-#include "raja/index_set.hpp"
 
 namespace apollo::features {
 
@@ -56,14 +55,10 @@ inline constexpr const char* kMeasureBytesPerIter = "measure:bytes_per_iter";
 /// The application feature names used by the bundled proxy apps.
 [[nodiscard]] std::vector<std::string> app_feature_names();
 
-/// Populate `record` with the kernel and instruction features for a launch.
-void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
-                          const std::string& func, const instr::InstructionMix& mix,
-                          const raja::IndexSet& iset);
-
-/// Same, from already-extracted index-set scalars. Used when the launch's
-/// record is materialized after the fact (online::Sample) and the IndexSet is
-/// no longer available.
+/// Populate `record` with the kernel and instruction features for a launch,
+/// from its index set's scalars (length, segment count, stride, type name).
+/// Launch records are materialized after the fact (online::Sample), when the
+/// IndexSet is no longer available.
 void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
                           const std::string& func, const instr::InstructionMix& mix,
                           std::int64_t num_indices, std::int64_t num_segments,

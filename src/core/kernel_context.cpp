@@ -124,10 +124,10 @@ telemetry::Counter& KernelContext::variant_counter_locked(const ModelParams& par
 
 void KernelContext::reset() {
   reset_stats();
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(online_shard_.mutex());
   telemetry_ready_ = false;
   telemetry_ = TelemetryHandles{};
-  quality_.clear();
+  online_shard_.clear_evidence_locked();
   probe_rotor_.store(0, std::memory_order_relaxed);
   noise_draws_.store(0, std::memory_order_relaxed);
   for (auto& entry : cache_) {

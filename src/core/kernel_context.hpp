@@ -12,16 +12,15 @@
 //   - the machine model's noise sample ids come from a per-kernel counter,
 //     so a kernel's model-charged seconds do not depend on how threads
 //     interleave;
-//   - the telemetry handle cache (interned trace name, per-variant dispatch
-//     counters, decision-latency histogram, quality gauges) and the
-//     quality-accounting state are guarded by a per-kernel mutex, so two
-//     threads launching *different* kernels never contend, and the mutex is
-//     touched only when telemetry is enabled;
 //   - the probe rotor cycles ground-truth probes round-robin over the
 //     non-executed variants of this kernel;
-//   - the Mode::Adapt shard (online::KernelShard: drift detector, sample
-//     tick, exploration draws, launch counts) sits behind its own lock,
-//     taken only in Adapt mode.
+//   - the online shard (online::KernelShard) holds the kernel's one mutex,
+//     its evidence table (decayed runtimes per feature bucket and variant),
+//     its quality totals and its Mode::Adapt state; the same mutex guards
+//     the telemetry handle cache below (interned trace name, per-variant
+//     dispatch counters, decision-latency histogram, quality gauges). Two
+//     threads launching *different* kernels never contend, and a launch
+//     takes the mutex only with telemetry on or in Adapt mode.
 //
 // Contexts are created on first use and then live for the process lifetime
 // (Runtime::reset() clears their state in place), so pointers cached on
@@ -31,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +37,6 @@
 #include "core/model_params.hpp"
 #include "online/kernel_shard.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/quality.hpp"
 
 namespace apollo {
 
@@ -104,10 +101,10 @@ public:
            noise_draws_.fetch_add(1, std::memory_order_relaxed) * 0x9e3779b97f4a7c15ULL;
   }
 
-  /// Mode::Adapt bookkeeping for this kernel (used by online::OnlineTuner).
+  /// The kernel's lock, evidence table, quality totals and Mode::Adapt state.
   [[nodiscard]] online::KernelShard& online_shard() noexcept { return online_shard_; }
 
-  // --- telemetry + quality (per-kernel mutex) -------------------------------
+  // --- telemetry (online_shard().mutex()) -----------------------------------
   /// Cached metric handles: interned name, per-variant dispatch counters,
   /// decision-latency histogram, quality gauges. Registry lookups are paid
   /// once per kernel (and once per new variant), never per launch.
@@ -119,18 +116,12 @@ public:
     std::vector<std::pair<std::uint64_t, telemetry::Counter*>> variants;
   };
 
-  /// Serializes telemetry-handle init, variant-counter growth, and quality
-  /// updates for this kernel only. Never taken when telemetry is off.
-  [[nodiscard]] std::mutex& mutex() noexcept { return mutex_; }
-
   /// Handle cache, resolved lazily on the first telemetry-on launch.
-  /// Requires mutex().
+  /// Requires online_shard().mutex().
   [[nodiscard]] TelemetryHandles& telemetry_locked();
-  /// The dispatch counter for this launch's executed variant. Requires mutex().
+  /// The dispatch counter for this launch's executed variant. Requires
+  /// online_shard().mutex().
   [[nodiscard]] telemetry::Counter& variant_counter_locked(const ModelParams& params);
-
-  /// Model-quality counters for this kernel. Requires mutex().
-  [[nodiscard]] telemetry::QualityAccountant& quality_locked() noexcept { return quality_; }
 
   /// Probe rotor: the next slot in this kernel's round-robin over candidate
   /// probe variants. Lock-free.
@@ -155,8 +146,12 @@ public:
   // Each entry is a seqlock: `version` is even when stable; writers CAS it
   // even→odd, store key/packed, then publish even+2. Readers that observe an
   // odd or changed version treat the entry as a miss. Every field is an
-  // atomic, so concurrent lookup/store/hot-swap is race-free (TSan-clean) —
-  // a torn pair can never be returned as a hit.
+  // atomic, and key/packed are stored with release and loaded with acquire:
+  // a reader that loads either word from a writer also sees that writer's
+  // odd version, or a later one, on its re-check, so a torn pair is never
+  // returned as a hit. No fence is involved, so ThreadSanitizer checks this
+  // ordering too; on x86-64 the release stores and acquire loads are plain
+  // moves.
 
   static constexpr unsigned kInlineCacheBits = 4;
   static constexpr std::size_t kInlineCacheEntries = std::size_t{1} << kInlineCacheBits;
@@ -166,9 +161,8 @@ public:
   [[nodiscard]] bool inline_cache_lookup(std::uint64_t key, std::uint64_t& packed_out) noexcept {
     InlineCacheEntry& entry = cache_[inline_cache_slot(key)];
     const std::uint32_t v0 = entry.version.load(std::memory_order_acquire);
-    if ((v0 & 1u) == 0u && entry.key.load(std::memory_order_relaxed) == key) {
-      const std::uint64_t packed = entry.packed.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+    if ((v0 & 1u) == 0u && entry.key.load(std::memory_order_acquire) == key) {
+      const std::uint64_t packed = entry.packed.load(std::memory_order_acquire);
       if (entry.version.load(std::memory_order_relaxed) == v0) {
         packed_out = packed;
         this_thread_stripe().cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -190,8 +184,8 @@ public:
                                                std::memory_order_relaxed)) {
       return;
     }
-    entry.key.store(key, std::memory_order_relaxed);
-    entry.packed.store(packed, std::memory_order_relaxed);
+    entry.key.store(key, std::memory_order_release);
+    entry.packed.store(packed, std::memory_order_release);
     entry.version.store(v + 2, std::memory_order_release);
   }
 
@@ -203,10 +197,10 @@ public:
     return sum_stripes(&StatsStripe::cache_misses);
   }
 
-  /// Reset every counter in place (stats, quality, rotor, noise ids) and drop the
-  /// telemetry handle cache so it re-resolves after a telemetry reconfigure.
-  /// The context itself — and any pointer cached on a KernelHandle — stays
-  /// valid.
+  /// Reset every counter in place (stats, rotor, noise ids), clear the
+  /// evidence table and quality totals, and drop the telemetry handle cache
+  /// so it re-resolves after a telemetry reconfigure. The context itself —
+  /// and any pointer cached on a KernelHandle — stays valid.
   void reset();
 
 private:
@@ -246,10 +240,8 @@ private:
   alignas(64) std::atomic<std::uint64_t> noise_draws_{0};
   alignas(64) online::KernelShard online_shard_{loop_id_, kernel_seed_};
 
-  std::mutex mutex_;
-  bool telemetry_ready_ = false;  ///< mutex_
-  TelemetryHandles telemetry_;    ///< mutex_
-  telemetry::QualityAccountant quality_;  ///< mutex_
+  bool telemetry_ready_ = false;  ///< online_shard_.mutex()
+  TelemetryHandles telemetry_;    ///< online_shard_.mutex()
   std::atomic<std::uint64_t> probe_rotor_{0};
 
   StatsStripe stripes_[kStatsStripes];

@@ -378,33 +378,30 @@ void Runtime::reset_stats() noexcept {
   for (auto& [loop_id, context] : contexts_) context->reset_stats();
 }
 
-std::vector<std::pair<std::string, telemetry::KernelQuality>> Runtime::quality_snapshot() {
-  std::vector<std::pair<std::string, telemetry::KernelQuality>> result;
+std::vector<std::pair<std::string, online::KernelQuality>> Runtime::quality_snapshot() {
+  std::vector<std::pair<std::string, online::KernelQuality>> result;
   const std::lock_guard<std::mutex> lock(contexts_mutex_);
   for (auto& [loop_id, context] : contexts_) {
-    const std::lock_guard<std::mutex> context_lock(context->mutex());
-    for (auto& entry : context->quality_locked().snapshot()) result.push_back(std::move(entry));
+    online::KernelShard& shard = context->online_shard();
+    const std::lock_guard<std::mutex> shard_lock(shard.mutex());
+    const online::KernelQuality& quality = shard.quality_locked();
+    // Contexts persist across reset(); a kernel nothing scored is left out.
+    if (quality.launches > 0 || quality.probes > 0 || quality.calibration_samples > 0) {
+      result.emplace_back(loop_id, quality);
+    }
   }
   return result;  // contexts_ is name-sorted, so the merged view is too
 }
 
 std::uint64_t Runtime::probe_count() {
   std::uint64_t total = 0;
-  const std::lock_guard<std::mutex> lock(contexts_mutex_);
-  for (auto& [loop_id, context] : contexts_) {
-    const std::lock_guard<std::mutex> context_lock(context->mutex());
-    total += context->quality_locked().total_probes();
-  }
+  for (const auto& [loop_id, quality] : quality_snapshot()) total += quality.probes;
   return total;
 }
 
 double Runtime::regret_seconds_total() {
   double total = 0.0;
-  const std::lock_guard<std::mutex> lock(contexts_mutex_);
-  for (auto& [loop_id, context] : contexts_) {
-    const std::lock_guard<std::mutex> context_lock(context->mutex());
-    total += context->quality_locked().total_regret_seconds();
-  }
+  for (const auto& [loop_id, quality] : quality_snapshot()) total += quality.regret_seconds;
   return total;
 }
 
@@ -707,15 +704,56 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   // point.
   context.charge(seconds);
 
-  const char* trace_name = nullptr;
-  std::uint64_t bucket = 0;
+  online::KernelShard& shard = context.online_shard();
+  const online::Variant executed{params.policy, params.chunk_size};
+  const std::uint64_t bucket = (telem && tuned) || mode == Mode::Adapt
+                                   ? online::feature_bucket(iset.getLength(), iset.getNumSegments())
+                                   : 0;
+  // Budgeted ground-truth probe (telemetry on): every probe_stride-th tuned
+  // launch (process-wide tick, so the budget holds across kernels and
+  // threads) also times one non-executed variant, rotating through this
+  // kernel's candidates. Model timing only — a finished wall-clock launch
+  // cannot be re-run untuned (there, the Adapt explorer supplies off-policy
+  // ground truth). The probe is priced outside the kernel's lock and shared
+  // with the sample buffer (retraining data), the kernel's evidence table
+  // and the audit log.
   bool probe_armed = false;
   online::Variant probe_variant{};
-  if (telem && tuned) bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
+  double probe_seconds = 0.0;
+  if (telem && tuned && timing_ == TimingSource::Model &&
+      probe_due(telemetry::config().probe_stride)) {
+    const online::Variant candidates[] = {{raja::PolicyType::seq_segit_seq_exec, 0},
+                                          {raja::PolicyType::seq_segit_omp_parallel_for_exec, 0}};
+    for (int i = 0; i < 2 && !probe_armed; ++i) {
+      const online::Variant candidate = candidates[context.next_probe_slot() % 2];
+      if (candidate.key() != executed.key()) {
+        probe_variant = candidate;
+        probe_armed = true;
+      }
+    }
+    if (probe_armed) {
+      probe_seconds = measure_seconds(
+          context, make_query(context, kernel, iset, probe_variant.policy, probe_variant.chunk));
+      emit_record(kernel, iset, probe_variant.policy, probe_variant.chunk, probe_seconds);
+    }
+  }
+
+  // The evidence table takes the probe first, then the launch's own runtime,
+  // each exactly once. In Adapt mode the tuner applies both (one shard lock
+  // each; it scores the launch's quality too when telemetry is on) and feeds
+  // the launch's regret to the kernel's drift detector.
+  bool adapt_record = false;
+  if (mode == Mode::Adapt) {
+    online::OnlineTuner& tuner = online();
+    if (probe_armed) tuner.observe_probe(shard, bucket, probe_variant, probe_seconds);
+    adapt_record = tuner.observe(shard, bucket, executed, seconds, params.explored, telem);
+  }
+
+  const char* trace_name = nullptr;
   if (telem) {
-    // Per-kernel lock: concurrent launches of *different* kernels never
-    // serialize here.
-    const std::lock_guard<std::mutex> lock(context.mutex());
+    // The kernel's one lock: concurrent launches of *different* kernels
+    // never serialize here.
+    const std::lock_guard<std::mutex> lock(shard.mutex());
     KernelContext::TelemetryHandles& entry = context.telemetry_locked();
     trace_name = entry.name;
     context.variant_counter_locked(params).inc();
@@ -726,39 +764,21 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       entry.decision_seconds->observe(static_cast<double>(t_pending.decide_dur_ns) * 1e-9);
     }
     if (tuned) {
-      // Quality accounting: refresh this variant's baseline and score the
-      // model's choice (explored launches refresh evidence only).
-      telemetry::QualityAccountant& quality = context.quality_locked();
-      const std::uint64_t vkey = online::Variant{params.policy, params.chunk_size}.key();
-      quality.observe_choice(context.loop_id(), bucket, vkey, seconds, !params.explored);
-      if (sampled) {
-        quality.observe_calibration(context.loop_id(), t_pending.record.predicted_seconds,
-                                    seconds);
-        // The exported gauges ride the introspection stride (and the probe
-        // path below): the live files refresh on a 500ms cadence, so
-        // per-launch gauge stores would buy nothing but hot-path cost.
-        if (const telemetry::KernelQuality* q = quality.kernel(context.loop_id())) {
-          entry.accuracy->set(q->accuracy());
-          entry.regret_seconds->set(q->regret_seconds);
-        }
+      // Quality accounting in Tune mode: the probe refreshes its variant's
+      // baseline, then the launch refreshes its own and is scored against
+      // the bucket's best (explored launches refresh evidence only).
+      if (mode == Mode::Tune) {
+        if (probe_armed) shard.probe_locked(bucket, probe_variant.key(), probe_seconds);
+        shard.observe_locked(bucket, executed.key(), seconds, /*score=*/!params.explored);
       }
-      // Budgeted ground-truth probe: every probe_stride-th tuned launch
-      // (process-wide tick, so the budget holds across kernels and threads)
-      // also times one non-executed variant, rotating through this kernel's
-      // candidates. Model timing only — a finished wall-clock launch cannot
-      // be re-run untuned (there, the Adapt explorer supplies off-policy
-      // ground truth).
-      if (timing_ == TimingSource::Model && probe_due(telemetry::config().probe_stride)) {
-        const online::Variant candidates[] = {
-            {raja::PolicyType::seq_segit_seq_exec, 0},
-            {raja::PolicyType::seq_segit_omp_parallel_for_exec, 0}};
-        for (int i = 0; i < 2 && !probe_armed; ++i) {
-          const online::Variant candidate = candidates[context.next_probe_slot() % 2];
-          if (candidate.key() != vkey) {
-            probe_variant = candidate;
-            probe_armed = true;
-          }
-        }
+      online::KernelQuality& quality = shard.quality_locked();
+      if (sampled) quality.calibrate(t_pending.record.predicted_seconds, seconds);
+      // The exported gauges ride the introspection stride and the probes:
+      // the live files refresh on a 500ms cadence, so per-launch gauge
+      // stores would buy nothing but hot-path cost.
+      if (sampled || probe_armed) {
+        entry.accuracy->set(quality.accuracy());
+        entry.regret_seconds->set(quality.regret_seconds);
       }
     }
   }
@@ -769,8 +789,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     const std::uint64_t end_ns = t_pending.start_ns + t_pending.decide_dur_ns +
                                  static_cast<std::uint64_t>(seconds * 1e9);
     telemetry::emit_span(telemetry::EventKind::Launch, trace_name, t_pending.start_ns, end_ns,
-                         online::Variant{params.policy, params.chunk_size}.key(),
-                         params.explored ? 1 : 0);
+                         executed.key(), params.explored ? 1 : 0);
     // Decide spans ride the introspection stride: every tuned launch feeds
     // the latency histograms, but only sampled launches pay a second event.
     if (sampled && t_pending.decide_dur_ns > 0) {
@@ -795,26 +814,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   }
 
   if (probe_armed) {
-    // The probe runs outside the per-kernel lock: it prices the alternative
-    // variant through the machine model and shares the measurement with the
-    // sample buffer (retraining data), the drift detector (Adapt mode), the
-    // quality baselines, and the audit log.
-    const double probe_seconds = measure_seconds(
-        context, make_query(context, kernel, iset, probe_variant.policy, probe_variant.chunk));
-    emit_record(kernel, iset, probe_variant.policy, probe_variant.chunk, probe_seconds);
-    {
-      const std::lock_guard<std::mutex> lock(context.mutex());
-      telemetry::QualityAccountant& quality = context.quality_locked();
-      quality.record_probe(context.loop_id(), bucket, probe_variant.key(), probe_seconds);
-      if (const telemetry::KernelQuality* q = quality.kernel(context.loop_id())) {
-        KernelContext::TelemetryHandles& entry = context.telemetry_locked();
-        entry.accuracy->set(q->accuracy());
-        entry.regret_seconds->set(q->regret_seconds);
-      }
-    }
-    if (mode == Mode::Adapt) {
-      online().observe_probe(context.online_shard(), bucket, probe_variant, probe_seconds);
-    }
     static telemetry::Counter& probes = telemetry::MetricsRegistry::instance().counter(
         "apollo_probe_total", "Ground-truth probes launched (alternative-variant timings).");
     probes.inc();
@@ -833,20 +832,14 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   }
 
   if (mode == Mode::Adapt) {
-    const auto adapt_bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
-    // The Adapt tail takes only this kernel's online-shard lock (once); the
-    // retrain triggers are atomics and the retrain itself runs on the
-    // Retrainer's background thread.
-    online::OnlineTuner& tuner = online();
     // Explored launches always land in the buffer (they carry the off-policy
     // labels retraining needs); predicted launches are strided per kernel to
-    // keep the hot path cheap.
-    if (tuner.observe(context.online_shard(), adapt_bucket,
-                      online::Variant{params.policy, params.chunk_size}, seconds,
-                      params.explored)) {
+    // keep the hot path cheap. The retrain triggers are atomics and the
+    // retrain itself runs on the Retrainer's background thread.
+    if (adapt_record) {
       emit_record(kernel, iset, params.policy, params.chunk_size, seconds, params.threads);
     }
-    tuner.maybe_retrain();
+    online().maybe_retrain();
     return;
   }
 

@@ -21,8 +21,8 @@
 // models" direction from the paper's conclusion, closed inside one process.
 //
 // Layering (see docs/architecture.md): the Runtime is a facade. Per-kernel
-// state — the stats shard, cached telemetry handles, quality accounting, the
-// probe rotor — lives in KernelContext (resolved once per call site, cached
+// state — the stats shard, cached telemetry handles, the evidence table and
+// quality totals, the probe rotor — lives in KernelContext (resolved once per call site, cached
 // on the KernelHandle as an atomic pointer). Models live in an immutable
 // ModelSnapshot published by atomic pointer swap. Application attributes the
 // cost model needs (problem name, timestep) come from a thread-local view of
@@ -30,8 +30,8 @@
 // steady-state dispatch path therefore takes no process-wide lock, writes no
 // process-wide counter and looks up no map: concurrent application threads
 // launching different kernels never serialize, and launches of the same
-// kernel contend only on that kernel's atomics (plus its mutex when
-// telemetry is on, and its online shard's lock in Mode::Adapt).
+// kernel contend only on that kernel's atomics (plus its one mutex when
+// telemetry is on or in Mode::Adapt).
 
 #include <atomic>
 #include <cstdint>
@@ -57,7 +57,6 @@
 #include "raja/index_set.hpp"
 #include "raja/policy_switcher.hpp"
 #include "sim/machine.hpp"
-#include "telemetry/quality.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace apollo {
@@ -240,7 +239,7 @@ public:
   /// cumulative regret seconds, probe counts, and predicted-vs-observed
   /// calibration. Sorted by kernel name; empty until a tuned launch ran with
   /// telemetry enabled.
-  [[nodiscard]] std::vector<std::pair<std::string, telemetry::KernelQuality>> quality_snapshot();
+  [[nodiscard]] std::vector<std::pair<std::string, online::KernelQuality>> quality_snapshot();
   /// Ground-truth probes launched (all kernels) and total regret charged.
   [[nodiscard]] std::uint64_t probe_count();
   [[nodiscard]] double regret_seconds_total();

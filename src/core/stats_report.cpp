@@ -49,7 +49,7 @@ std::string format_stats(const RunStats& stats) {
 }
 
 std::string format_quality(
-    const std::vector<std::pair<std::string, telemetry::KernelQuality>>& quality) {
+    const std::vector<std::pair<std::string, online::KernelQuality>>& quality) {
   bool any = false;
   for (const auto& [loop_id, q] : quality) {
     if (q.launches > 0 || q.probes > 0) any = true;

@@ -18,7 +18,7 @@ namespace apollo {
 /// per-kernel accuracy, regret, probes, and calibration. Empty string when
 /// nothing has been scored (telemetry off or no tuned launches).
 [[nodiscard]] std::string format_quality(
-    const std::vector<std::pair<std::string, telemetry::KernelQuality>>& quality);
+    const std::vector<std::pair<std::string, online::KernelQuality>>& quality);
 
 /// CSV with header: loop_id,invocations,seconds,percent.
 void write_stats_csv(std::ostream& out, const RunStats& stats);

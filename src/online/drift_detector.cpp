@@ -14,25 +14,9 @@ std::uint64_t feature_bucket(std::int64_t num_indices, std::size_t num_segments)
 
 DriftDetector::DriftDetector(DriftConfig config) : config_(config) {}
 
-void DriftDetector::observe(std::uint64_t bucket, std::uint64_t variant, double seconds,
-                            bool chosen) {
-  auto& variants = baselines_[bucket];
-  auto& baseline = variants[variant];
-  if (baseline.seeded) {
-    baseline.value += config_.baseline_alpha * (seconds - baseline.value);
-  } else {
-    baseline.value = seconds;
-    baseline.seeded = true;
-  }
-  if (!chosen) return;
-
-  // Regret of the chosen variant against the best variant seen recently in
-  // this bucket. With a single observed variant there is no evidence of a
-  // better alternative, so regret is zero by construction.
-  double best = baseline.value;
-  for (const auto& [id, other] : variants) {
-    if (other.seeded) best = std::min(best, other.value);
-  }
+void DriftDetector::observe(double seconds, double best) {
+  // With a single observed variant, best is the launch's own baseline: no
+  // evidence of a better alternative, so regret is zero by construction.
   const double regret = best > 0.0 ? std::max(0.0, seconds / best - 1.0) : 0.0;
   if (config_.window == 0) return;
   if (regrets_.size() < config_.window) {
@@ -62,24 +46,6 @@ bool DriftDetector::consume_fire() noexcept {
   const bool fired = fire_pending_;
   fire_pending_ = false;
   return fired;
-}
-
-double DriftDetector::baseline(std::uint64_t bucket, std::uint64_t variant) const noexcept {
-  const auto bucket_it = baselines_.find(bucket);
-  if (bucket_it == baselines_.end()) return -1.0;
-  const auto variant_it = bucket_it->second.find(variant);
-  if (variant_it == bucket_it->second.end() || !variant_it->second.seeded) return -1.0;
-  return variant_it->second.value;
-}
-
-double DriftDetector::best_baseline(std::uint64_t bucket) const noexcept {
-  const auto bucket_it = baselines_.find(bucket);
-  if (bucket_it == baselines_.end()) return -1.0;
-  double best = -1.0;
-  for (const auto& [variant, ewma] : bucket_it->second) {
-    if (ewma.seeded && (best < 0.0 || ewma.value < best)) best = ewma.value;
-  }
-  return best;
 }
 
 double DriftDetector::mean_regret() const noexcept {

@@ -3,17 +3,16 @@
 // Per-kernel workload-drift detection. The paper trains its models offline
 // and freezes them; when the input distribution shifts, a frozen model stays
 // pinned to a stale choice with nothing in the loop to notice. This detector
-// closes that gap: it tracks, per coarse feature bucket, a decayed mean
-// runtime for every execution variant that has been observed (the predicted
-// choice plus the Explorer's occasional off-policy launches), and scores each
-// *predicted* launch by its relative regret against the best variant seen
-// recently for similar features. When the windowed mean regret crosses a
+// closes that gap: each *predicted* launch is scored by its relative regret
+// against the best variant its kernel's evidence table (EvidenceTable) knows
+// for similar features, decayed runtimes that every executed variant feeds
+// (the predicted choice plus the Explorer's occasional off-policy launches
+// and the ground-truth probes). When the windowed mean regret crosses a
 // threshold, the detector fires and the adaptation loop reacts (boost
 // exploration, retrain, hot-swap).
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace apollo::online {
@@ -22,7 +21,6 @@ struct DriftConfig {
   std::size_t window = 48;        ///< regret samples in the sliding window
   std::size_t min_samples = 12;   ///< windowed samples required before firing
   double regret_threshold = 0.25; ///< mean relative regret that fires
-  double baseline_alpha = 0.25;   ///< EWMA weight for per-(bucket,variant) runtimes
   std::size_t cooldown = 64;      ///< choice observations to ignore after a fire
 };
 
@@ -36,10 +34,10 @@ class DriftDetector {
 public:
   explicit DriftDetector(DriftConfig config = {});
 
-  /// Record one observed launch. `variant` is any stable encoding of the
-  /// executed (policy, chunk) pair. Chosen launches (the model's prediction)
-  /// contribute a regret sample; explored launches only refresh baselines.
-  void observe(std::uint64_t bucket, std::uint64_t variant, double seconds, bool chosen);
+  /// Record one predicted launch that ran `seconds`, where `best` is its
+  /// bucket's best decayed runtime after the launch's own update: the
+  /// launch contributes a regret sample of seconds / best - 1.
+  void observe(double seconds, double best);
 
   /// True exactly once per firing (reading clears the flag, not the window).
   [[nodiscard]] bool consume_fire() noexcept;
@@ -48,27 +46,15 @@ public:
   [[nodiscard]] std::size_t window_size() const noexcept { return regrets_.size(); }
   [[nodiscard]] std::uint64_t fires() const noexcept { return fires_; }
 
-  /// Decayed mean runtime of one variant in one bucket (< 0 when unseen).
-  [[nodiscard]] double baseline(std::uint64_t bucket, std::uint64_t variant) const noexcept;
-  /// Best decayed mean runtime across a bucket's variants (< 0 when empty).
-  [[nodiscard]] double best_baseline(std::uint64_t bucket) const noexcept;
-
   /// Forget the regret window and re-arm (called after a model hot-swap so
-  /// the new model starts from a clean slate). Variant baselines are kept —
-  /// they are the evidence the next drift detection needs.
+  /// the new model starts from a clean slate). The kernel's evidence table
+  /// is not the detector's: it keeps the baselines the next detection needs.
   void rearm() noexcept;
 
   const DriftConfig& config() const noexcept { return config_; }
 
 private:
-  struct Ewma {
-    double value = 0.0;
-    bool seeded = false;
-  };
-
   DriftConfig config_;
-  /// bucket -> variant -> decayed mean runtime.
-  std::unordered_map<std::uint64_t, std::unordered_map<std::uint64_t, Ewma>> baselines_;
   /// Fixed ring of the last `window` regret samples: no allocation on the
   /// per-launch path once the window has filled for the first time.
   std::vector<double> regrets_;

@@ -34,8 +34,7 @@ OnlineTuner::OnlineTuner(SampleBuffer* buffer, OnlineConfig config)
       retrainer_(config_.tree_params) {
   retrainer_.set_train_chunk(!config_.explorer.chunk_values.empty());
   retrainer_.set_publisher([this](Retrainer::Result result) {
-    registry_.publish(std::move(result.policy), std::move(result.chunk),
-                      std::move(result.threads));
+    registry_.publish(std::move(result.policy), std::move(result.chunk));
   });
   if (!config_.model_dir.empty()) {
     registry_.set_persist_dir(config_.model_dir);
@@ -65,7 +64,8 @@ void OnlineTuner::configure(OnlineConfig config) {
 
 void OnlineTuner::attach_locked(KernelShard& shard) {
   if (shard.incarnation_.load(std::memory_order_relaxed) == incarnation_) return;
-  shard.detector_.emplace(config_.drift);
+  shard.evidence_.clear();
+  shard.detector_ = DriftDetector(config_.drift);
   shard.draws_.store(0, std::memory_order_relaxed);
   shard.record_tick_ = 0;
   shard.launches_ = 0;
@@ -99,8 +99,8 @@ std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint6
   if (config_.reprobe_stride > 0 && n % config_.reprobe_stride == 0) {
     return candidate;  // periodic re-probe ignores the guard
   }
-  const double known = shard.detector_->baseline(bucket, candidate->key());
-  const double best = shard.detector_->best_baseline(bucket);
+  const double known = shard.evidence_.baseline(bucket, candidate->key());
+  const double best = shard.evidence_.best(bucket);
   if (known > 0.0 && best > 0.0 && known > config_.explore_cost_guard * best) {
     ++shard.vetoes_;
     if (telemetry::enabled()) {
@@ -115,7 +115,7 @@ std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint6
 }
 
 bool OnlineTuner::observe(KernelShard& shard, std::uint64_t bucket, const Variant& executed,
-                          double seconds, bool explored) {
+                          double seconds, bool explored, bool score) {
   bool record = false;
   bool fired = false;
   std::uint64_t cadence_flush = 0;
@@ -124,12 +124,14 @@ bool OnlineTuner::observe(KernelShard& shard, std::uint64_t bucket, const Varian
     attach_locked(shard);
     record = explored || config_.sample_stride <= 1 ||
              shard.record_tick_++ % config_.sample_stride == 0;
-    shard.detector_->observe(bucket, executed.key(), seconds, /*chosen=*/!explored);
+    const BestVariant best =
+        shard.observe_locked(bucket, executed.key(), seconds, score && !explored);
+    if (!explored) shard.detector_.observe(seconds, best.seconds);
     ++shard.launches_;
     if (config_.retrain_every > 0 && ++shard.cadence_unflushed_ >= cadence_batch_) {
       cadence_flush = std::exchange(shard.cadence_unflushed_, 0);
     }
-    fired = shard.detector_->consume_fire();
+    fired = shard.detector_.consume_fire();
   }
   if (cadence_flush > 0) cadence_launches_.fetch_add(cadence_flush, std::memory_order_relaxed);
   if (fired) {
@@ -153,7 +155,7 @@ void OnlineTuner::observe_probe(KernelShard& shard, std::uint64_t bucket, const 
                                 double seconds) {
   const std::lock_guard<std::mutex> lock(shard.mutex_);
   attach_locked(shard);
-  shard.detector_->observe(bucket, variant.key(), seconds, /*chosen=*/false);
+  shard.probe_locked(bucket, variant.key(), seconds);
 }
 
 void OnlineTuner::maybe_retrain() {
@@ -205,7 +207,7 @@ void OnlineTuner::on_models_swapped() {
   for (KernelShard* shard : attached_shards()) {
     const std::lock_guard<std::mutex> lock(shard->mutex_);
     if (shard->incarnation_.load(std::memory_order_relaxed) == incarnation_) {
-      shard->detector_->rearm();
+      shard->detector_.rearm();
     }
   }
 }

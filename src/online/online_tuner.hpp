@@ -10,9 +10,11 @@
 //   1. the Explorer occasionally substitutes a non-predicted variant so the
 //      sample buffer keeps covering the label space (drift-aware: the rate
 //      is boosted between a drift firing and the next hot-swap);
-//   2. the executed variant's measured runtime feeds the kernel's
-//      DriftDetector; explored launches also land in the SampleBuffer, plus
-//      every sample_stride-th predicted launch of each kernel;
+//   2. the executed variant's measured runtime feeds the kernel's evidence
+//      table, and a predicted launch's regret against the table's best
+//      feeds its DriftDetector; explored launches also land in the
+//      SampleBuffer, plus every sample_stride-th predicted launch of each
+//      kernel;
 //   3. when drift fires (or a launch-count cadence elapses), the Retrainer
 //      fits fresh models from the buffer on a background thread;
 //   4. the result is published to the ModelRegistry; the Runtime notices the
@@ -106,22 +108,25 @@ public:
   [[nodiscard]] Retrainer& retrainer() noexcept { return retrainer_; }
 
   /// Exploration decision for this launch of `shard`'s kernel (cost-guarded
-  /// epsilon-greedy). The guard consults the kernel's own detector: a
+  /// epsilon-greedy). The guard reads the kernel's evidence table: a
   /// candidate whose decayed runtime in this bucket exceeds
   /// explore_cost_guard x the bucket's best is vetoed, except for the
   /// periodic re-probe.
   [[nodiscard]] std::optional<Variant> maybe_explore(KernelShard& shard, std::uint64_t bucket);
 
-  /// Feed one finished launch into the kernel's drift detection and the
-  /// retrain triggers. Returns true when the launch should be recorded into
-  /// the sample buffer: always when explored, else every sample_stride-th
-  /// predicted launch of this kernel.
+  /// Feed one finished launch into the kernel's evidence table, its drift
+  /// detection and the retrain triggers; with `score` (telemetry on), a
+  /// predicted launch is also scored into the kernel's quality totals.
+  /// Returns true when the launch should be recorded into the sample buffer:
+  /// always when explored, else every sample_stride-th predicted launch of
+  /// this kernel.
   [[nodiscard]] bool observe(KernelShard& shard, std::uint64_t bucket, const Variant& executed,
-                             double seconds, bool explored);
+                             double seconds, bool explored, bool score);
 
   /// Feed a ground-truth probe: `variant` was timed for this bucket but not
-  /// executed for the application, so it refreshes the detector's baseline
-  /// evidence without counting as a launch or arming the retrain triggers.
+  /// executed for the application, so it refreshes the kernel's evidence
+  /// (and counts as a probe) without counting as a launch or arming the
+  /// retrain triggers.
   void observe_probe(KernelShard& shard, std::uint64_t bucket, const Variant& variant,
                      double seconds);
 

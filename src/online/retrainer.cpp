@@ -122,12 +122,6 @@ void Retrainer::run(std::vector<perf::SampleRecord> samples,
         // No usable chunk sweep data in this window; keep the policy model.
       }
     }
-    if (train_threads_) {
-      try {
-        result.threads = Trainer::train(samples, TunedParameter::Threads, params_);
-      } catch (const std::exception&) {
-      }
-    }
     if (publisher_) publisher_(std::move(result));
     completed_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& error) {

@@ -42,7 +42,6 @@ public:
   struct Result {
     std::optional<TunerModel> policy;
     std::optional<TunerModel> chunk;
-    std::optional<TunerModel> threads;
   };
   /// Called on the background thread after a successful retrain. Must be
   /// thread-safe (ModelRegistry::publish is).
@@ -54,10 +53,10 @@ public:
   void set_publisher(PublishFn publisher) { publisher_ = std::move(publisher); }
   void set_tree_params(const ml::TreeParams& params) { params_ = params; }
 
-  /// Which parameters to (re)fit. Policy is always fitted; chunk/threads are
-  /// fitted only when enabled AND the samples contain usable sweep data.
+  /// Which parameters to (re)fit. Policy is always fitted; chunk is fitted
+  /// only when enabled AND the samples contain usable sweep data. Team size
+  /// is tuned offline only (Record's thread_values sweep).
   void set_train_chunk(bool enabled) noexcept { train_chunk_ = enabled; }
-  void set_train_threads(bool enabled) noexcept { train_threads_ = enabled; }
 
   /// Kick off a background retrain over `samples` (a window copied out by
   /// SampleBuffer::snapshot_shared; the window is collapsed and materialized
@@ -93,7 +92,6 @@ private:
   ml::TreeParams params_;
   PublishFn publisher_;
   bool train_chunk_ = false;
-  bool train_threads_ = false;
   std::atomic<bool> busy_{false};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};

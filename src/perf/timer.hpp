@@ -3,10 +3,11 @@
 // Timing sources for kernel measurement.
 //
 // Apollo records one runtime per kernel invocation. On the paper's testbed
-// that is a wall-clock measurement (via Caliper); in this reproduction the
-// default source for experiments is the calibrated machine model in
-// `src/sim/` (see DESIGN.md, substitution 1). Both plug in behind the same
-// interface so the recorder code path is identical either way.
+// that is a wall-clock measurement (via Caliper); this header holds that
+// source. The default source for experiments in this reproduction is the
+// calibrated machine model in `src/sim/` (see DESIGN.md, substitution 1):
+// under TimingSource::Model, Runtime::end prices each launch with
+// sim::MachineModel instead of reading a clock.
 
 #include <chrono>
 
@@ -26,18 +27,6 @@ public:
 private:
   using clock = std::chrono::steady_clock;
   clock::time_point begin_{};
-};
-
-/// Accumulates simulated seconds. The machine model charges costs here so
-/// experiment harnesses can report deterministic "virtual" runtimes.
-class VirtualClock {
-public:
-  void advance(double seconds) noexcept { now_ += seconds; }
-  [[nodiscard]] double now() const noexcept { return now_; }
-  void reset() noexcept { now_ = 0.0; }
-
-private:
-  double now_ = 0.0;
 };
 
 }  // namespace apollo::perf

@@ -337,6 +337,43 @@ TEST_F(ConcurrentDispatchTest, TelemetryOnTunedDispatchStaysExact) {
   EXPECT_LE(rt.probe_count(), static_cast<std::uint64_t>(kTotal) / stride + 1);
 }
 
+TEST_F(ConcurrentDispatchTest, AdaptTelemetryQualityCountsStayExact) {
+  // Adapt with telemetry on: every launch and every probe lands once in its
+  // kernel's evidence table, under the kernel's one lock. So every launch the
+  // explorer did not substitute is scored exactly once, and every probe is
+  // counted, however the threads interleave.
+  const auto& model = stress_model();
+  apollo::telemetry::set_enabled(true);
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Adapt);
+  rt.sample_buffer().set_capacity(8192);
+  online::OnlineConfig config;
+  config.explorer.epsilon = 0.2;
+  config.explorer.boosted_epsilon = 0.2;
+  rt.configure_online(config);
+  rt.set_policy_model(model);
+  run_stress();
+  rt.online().wait_retrain_idle();
+
+  const auto status = rt.online().status();
+  std::uint64_t scored = 0;
+  std::uint64_t probes = 0;
+  for (const auto& [loop_id, quality] : rt.quality_snapshot()) {
+    scored += quality.launches;
+    probes += quality.probes;
+  }
+  expect_exact_counts(rt.stats());
+  EXPECT_EQ(status.launches, static_cast<std::uint64_t>(kTotal));
+  EXPECT_GT(status.explorations, status.exploration_vetoes);
+  EXPECT_EQ(scored,
+            static_cast<std::uint64_t>(kTotal) - (status.explorations - status.exploration_vetoes));
+  const std::size_t stride = apollo::telemetry::config().probe_stride;
+  ASSERT_GT(stride, 0u);
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(probes, rt.probe_count());
+  EXPECT_LE(rt.probe_count(), static_cast<std::uint64_t>(kTotal) / stride + 1);
+}
+
 TEST_F(ConcurrentDispatchTest, InlineCacheNeverServesStaleDecisionAcrossHotSwap) {
   // Two single-leaf models with opposite answers are hot-swapped continuously
   // while all threads dispatch through the per-site inline cache. The cache

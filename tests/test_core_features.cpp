@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/features.hpp"
+#include "raja/index_set.hpp"
 
 namespace features = apollo::features;
 namespace instr = apollo::instr;
@@ -42,7 +43,9 @@ TEST(Features, FillKernelFeatures) {
   raja::IndexSet iset;
   iset.push_back(raja::RangeSegment{0, 100});
   iset.push_back(raja::RangeSegment{200, 300});
-  features::fill_kernel_features(record, "app:kernel", "Kernel", mix, iset);
+  features::fill_kernel_features(record, "app:kernel", "Kernel", mix, iset.getLength(),
+                                 static_cast<std::int64_t>(iset.getNumSegments()), iset.stride(),
+                                 iset.type_name());
 
   EXPECT_EQ(record.at("func").as_string(), "Kernel");
   EXPECT_EQ(record.at("loop_id").as_string(), "app:kernel");

@@ -631,7 +631,7 @@ TEST_F(RuntimeTest, MalformedChunkLabelIsRejectedAtPublish) {
 
 // The probe budget is the Runtime's process-wide rotor: every stride-th tuned
 // launch also times one alternative variant, which the kernel's quality
-// accountant counts. Stride 0 turns probing off.
+// totals count. Stride 0 turns probing off.
 TEST(QualityAccountant, ProbeBudgetIsStrided) {
   auto& rt = Runtime::instance();
   const auto probes_over_64_launches = [&rt](std::size_t stride) {

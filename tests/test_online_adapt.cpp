@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <stdexcept>
 
 #include "core/runtime.hpp"
@@ -142,11 +143,28 @@ TEST_F(AdaptModeTest, ConfigureOnlineResetsState) {
   rt.configure_online(config);
   for (int i = 0; i < 50; ++i) launch(1000);
   EXPECT_GT(rt.online().status().explorations, 0u);
+  // Exploration put both policies into the kernel's evidence table.
+  online::KernelShard& shard = rt.context_for(stream_kernel()).online_shard();
+  const std::uint64_t bucket = online::feature_bucket(1000, 1);
+  const auto variants_seen = [&shard, bucket] {
+    const std::lock_guard<std::mutex> lock(shard.mutex());
+    int seen = 0;
+    for (const auto policy :
+         {raja::PolicyType::seq_segit_seq_exec, raja::PolicyType::seq_segit_omp_parallel_for_exec}) {
+      if (shard.evidence_locked().baseline(bucket, online::Variant{policy, 0}.key()) >= 0.0) ++seen;
+    }
+    return seen;
+  };
+  EXPECT_EQ(variants_seen(), 2);
 
   config.explorer.epsilon = 0.0;
   rt.configure_online(config);
   EXPECT_EQ(rt.online().status().explorations, 0u);
   EXPECT_EQ(rt.online().status().launches, 0u);
+  // The next launch attaches the shard to the new configuration, which
+  // clears the table first: only that launch's own variant is left.
+  launch(1000);
+  EXPECT_EQ(variants_seen(), 1);
 }
 
 TEST_F(AdaptModeTest, RegistryRejectsModelsTheRuntimeCannotCompile) {

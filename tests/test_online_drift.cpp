@@ -1,13 +1,23 @@
-// Unit tests for workload-drift detection: feature buckets, baseline EWMAs,
-// regret-window firing, cooldown, and re-arming after a hot-swap.
+// Unit tests for workload-drift detection and the evidence it reads: feature
+// buckets, the per-kernel evidence table's decayed baselines, regret-window
+// firing, cooldown, and re-arming after a hot-swap.
 
 #include <gtest/gtest.h>
 
-#include "online/drift_detector.hpp"
+#include <mutex>
+#include <string>
 
+#include "online/drift_detector.hpp"
+#include "online/evidence_table.hpp"
+#include "online/kernel_shard.hpp"
+
+using apollo::online::BestVariant;
 using apollo::online::DriftConfig;
 using apollo::online::DriftDetector;
+using apollo::online::EvidenceTable;
 using apollo::online::feature_bucket;
+using apollo::online::KernelQuality;
+using apollo::online::KernelShard;
 
 namespace {
 
@@ -24,8 +34,23 @@ DriftConfig small_config() {
   return c;
 }
 
+/// A kernel's drift detector together with the evidence table that feeds
+/// it, wired as OnlineTuner::observe wires them: every launch refreshes the
+/// table, and a chosen one is scored against the table's best.
+class Detector : public DriftDetector {
+public:
+  explicit Detector(DriftConfig config) : DriftDetector(config) {}
+
+  void observe(std::uint64_t bucket, std::uint64_t variant, double seconds, bool chosen) {
+    const BestVariant best = table.observe(bucket, variant, seconds);
+    if (chosen) DriftDetector::observe(seconds, best.seconds);
+  }
+
+  EvidenceTable table;
+};
+
 /// Teach the detector both variants' runtimes via explored observations.
-void seed_baselines(DriftDetector& det, double fast_seconds, double slow_seconds) {
+void seed_baselines(Detector& det, double fast_seconds, double slow_seconds) {
   for (int i = 0; i < 4; ++i) {
     det.observe(kBucket, kFast, fast_seconds, /*chosen=*/false);
     det.observe(kBucket, kSlow, slow_seconds, /*chosen=*/false);
@@ -43,7 +68,7 @@ TEST(FeatureBucket, GroupsByMagnitudeAndSegments) {
 }
 
 TEST(DriftDetector, SingleVariantNeverFires) {
-  DriftDetector det(small_config());
+  Detector det(small_config());
   // Only the chosen variant has ever been observed: regret is zero by
   // construction, no matter how slow the launches are.
   for (int i = 0; i < 100; ++i) det.observe(kBucket, kFast, 5.0, /*chosen=*/true);
@@ -52,7 +77,7 @@ TEST(DriftDetector, SingleVariantNeverFires) {
 }
 
 TEST(DriftDetector, FiresWhenChosenVariantRegretsAgainstKnownBetter) {
-  DriftDetector det(small_config());
+  Detector det(small_config());
   seed_baselines(det, /*fast=*/1.0, /*slow=*/2.0);
   EXPECT_FALSE(det.consume_fire());
 
@@ -65,7 +90,7 @@ TEST(DriftDetector, FiresWhenChosenVariantRegretsAgainstKnownBetter) {
 }
 
 TEST(DriftDetector, CooldownSuppressesImmediateRefire) {
-  DriftDetector det(small_config());
+  Detector det(small_config());
   seed_baselines(det, 1.0, 2.0);
   for (int i = 0; i < 4; ++i) det.observe(kBucket, kSlow, 2.0, /*chosen=*/true);
   ASSERT_TRUE(det.consume_fire());
@@ -82,21 +107,21 @@ TEST(DriftDetector, CooldownSuppressesImmediateRefire) {
 }
 
 TEST(DriftDetector, BaselineAccessors) {
-  DriftDetector det(small_config());
-  EXPECT_LT(det.baseline(kBucket, kFast), 0.0);      // unseen
-  EXPECT_LT(det.best_baseline(kBucket), 0.0);        // empty bucket
+  Detector det(small_config());
+  EXPECT_LT(det.table.baseline(kBucket, kFast), 0.0);      // unseen
+  EXPECT_LT(det.table.best(kBucket), 0.0);                 // empty bucket
 
   seed_baselines(det, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(det.baseline(kBucket, kFast), 1.0);
-  EXPECT_DOUBLE_EQ(det.baseline(kBucket, kSlow), 2.0);
-  EXPECT_DOUBLE_EQ(det.best_baseline(kBucket), 1.0);
-  EXPECT_LT(det.baseline(kBucket + 1, kFast), 0.0);  // other buckets untouched
+  EXPECT_DOUBLE_EQ(det.table.baseline(kBucket, kFast), 1.0);
+  EXPECT_DOUBLE_EQ(det.table.baseline(kBucket, kSlow), 2.0);
+  EXPECT_DOUBLE_EQ(det.table.best(kBucket), 1.0);
+  EXPECT_LT(det.table.baseline(kBucket + 1, kFast), 0.0);  // other buckets untouched
 }
 
 TEST(DriftDetector, RegretWindowSlides) {
   DriftConfig config = small_config();
   config.regret_threshold = 10.0;  // never fire; we only watch the window
-  DriftDetector det(config);
+  Detector det(config);
   seed_baselines(det, 1.0, 2.0);
 
   for (int i = 0; i < 20; ++i) det.observe(kBucket, kSlow, 2.0, /*chosen=*/true);
@@ -109,7 +134,7 @@ TEST(DriftDetector, RegretWindowSlides) {
 }
 
 TEST(DriftDetector, RearmClearsWindowKeepsBaselines) {
-  DriftDetector det(small_config());
+  Detector det(small_config());
   seed_baselines(det, 1.0, 2.0);
   for (int i = 0; i < 3; ++i) det.observe(kBucket, kSlow, 2.0, /*chosen=*/true);
   EXPECT_GT(det.window_size(), 0u);
@@ -118,5 +143,60 @@ TEST(DriftDetector, RearmClearsWindowKeepsBaselines) {
   EXPECT_EQ(det.window_size(), 0u);
   EXPECT_FALSE(det.consume_fire());
   // Baselines survive: they are the evidence the next detection needs.
-  EXPECT_DOUBLE_EQ(det.baseline(kBucket, kSlow), 2.0);
+  EXPECT_DOUBLE_EQ(det.table.baseline(kBucket, kSlow), 2.0);
+}
+
+// One kernel's shard feeds quality accounting and drift detection from a
+// single table. The expected numbers are what the two separate tables this
+// one replaced (the quality accountant's and the drift detector's own EWMA
+// baselines, fed the same launches and probe in the same order) gave on this
+// sequence: merging them changed no score.
+TEST(EvidenceTable, QualityAndDriftScoreOneSequenceAsTheirOwnTablesDid) {
+  const std::string name = "k";
+  KernelShard shard(name, 1);
+  DriftConfig config;
+  config.regret_threshold = 100.0;  // never fire: watch the window
+  DriftDetector det(config);
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  const auto launch = [&](std::uint64_t variant, double seconds, bool chosen) {
+    const BestVariant best = shard.observe_locked(kBucket, variant, seconds, /*score=*/chosen);
+    if (chosen) det.observe(seconds, best.seconds);
+  };
+  launch(kSlow, 0.010, true);
+  launch(kFast, 0.004, false);  // explored
+  launch(kSlow, 0.012, true);
+  shard.probe_locked(kBucket, kFast, 0.003);
+  launch(kSlow, 0.011, true);
+  launch(kFast, 0.005, true);
+  launch(kFast, 0.0045, true);
+  launch(kSlow, 0.009, false);  // explored
+  launch(kSlow, 0.010, true);
+
+  const KernelQuality& quality = shard.quality_locked();
+  EXPECT_EQ(quality.launches, 6u);
+  EXPECT_EQ(quality.agreements, 3u);
+  EXPECT_EQ(quality.probes, 1u);
+  EXPECT_DOUBLE_EQ(quality.regret_seconds, 0.022343749999999999);
+  EXPECT_EQ(det.window_size(), 6u);
+  EXPECT_DOUBLE_EQ(det.mean_regret(), 0.93995966580236223);
+  EXPECT_DOUBLE_EQ(shard.evidence_locked().baseline(kBucket, kSlow), 0.010164062500000001);
+  EXPECT_DOUBLE_EQ(shard.evidence_locked().baseline(kBucket, kFast), 0.0041718750000000002);
+  EXPECT_DOUBLE_EQ(shard.evidence_locked().best(kBucket), 0.0041718750000000002);
+}
+
+TEST(EvidenceTable, TiesGoToTheFirstSeenVariant) {
+  const std::string name = "k";
+  KernelShard shard(name, 1);
+  DriftDetector det;
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  det.observe(0.002, shard.observe_locked(kBucket, kSlow, 0.002, /*score=*/true).seconds);
+  shard.probe_locked(kBucket, kFast, 0.002);
+  // kFast ties kSlow, which was seen first: a disagreement, with no regret.
+  const BestVariant best = shard.observe_locked(kBucket, kFast, 0.002, /*score=*/true);
+  det.observe(0.002, best.seconds);
+  EXPECT_EQ(best.variant, kSlow);
+  EXPECT_EQ(shard.quality_locked().launches, 2u);
+  EXPECT_EQ(shard.quality_locked().agreements, 1u);
+  EXPECT_DOUBLE_EQ(shard.quality_locked().regret_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(det.mean_regret(), 0.0);
 }

@@ -187,16 +187,6 @@ TEST(Timer, StopwatchMeasuresElapsed) {
   EXPECT_LT(elapsed, 5.0);
 }
 
-TEST(Timer, VirtualClockAccumulates) {
-  perf::VirtualClock clock;
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-  clock.advance(1.5);
-  clock.advance(0.25);
-  EXPECT_DOUBLE_EQ(clock.now(), 1.75);
-  clock.reset();
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-}
-
 TEST_F(BlackboardTest, GenerationTracksMutations) {
   auto& board = perf::Blackboard::instance();
   const auto start = board.generation();

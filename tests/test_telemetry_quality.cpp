@@ -1,7 +1,8 @@
-// Unit tests for the model-quality observability layer: the QualityAccountant
-// (online accuracy / regret / calibration with budgeted probes), the decision
-// audit log (JSON round-trip, segment rotation, partial-line tolerance), the
-// hardened environment parsing, and the quality pane formatting.
+// Unit tests for the model-quality observability layer: per-kernel quality
+// totals (online accuracy / regret / calibration with budgeted probes, scored
+// from the kernel's evidence table), the decision audit log (JSON round-trip,
+// segment rotation, partial-line tolerance), the hardened environment
+// parsing, and the quality pane formatting.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,20 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/kernel_context.hpp"
+#include "core/runtime.hpp"
 #include "core/stats_report.hpp"
+#include "online/kernel_shard.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/env.hpp"
-#include "telemetry/quality.hpp"
 
 namespace telemetry = apollo::telemetry;
+namespace online = apollo::online;
 namespace fs = std::filesystem;
 
 namespace {
@@ -74,6 +80,35 @@ telemetry::AuditRecord make_scanner_bait_decision() {
   return decision;
 }
 
+/// One finished tuned launch of the shard's kernel, scored as Runtime::end
+/// scores it with telemetry on (`chosen` = false: an explored launch).
+void launch(online::KernelShard& shard, std::uint64_t bucket, std::uint64_t variant,
+            double seconds, bool chosen = true) {
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  shard.observe_locked(bucket, variant, seconds, /*score=*/chosen);
+}
+
+void probe(online::KernelShard& shard, std::uint64_t bucket, std::uint64_t variant,
+           double seconds) {
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  shard.probe_locked(bucket, variant, seconds);
+}
+
+online::KernelQuality totals(online::KernelShard& shard) {
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  return shard.quality_locked();
+}
+
+double baseline(online::KernelShard& shard, std::uint64_t bucket, std::uint64_t variant) {
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  return shard.evidence_locked().baseline(bucket, variant);
+}
+
+double best_baseline(online::KernelShard& shard, std::uint64_t bucket) {
+  const std::lock_guard<std::mutex> lock(shard.mutex());
+  return shard.evidence_locked().best(bucket);
+}
+
 telemetry::AuditRecord make_probe() {
   telemetry::AuditRecord record;
   record.kind = telemetry::AuditRecord::Kind::Probe;
@@ -90,105 +125,123 @@ telemetry::AuditRecord make_probe() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// QualityAccountant
+// Quality totals, scored from each kernel's evidence table (the suite keeps
+// the name of the QualityAccountant these totals replaced)
 
 TEST(QualityAccountant, UnscoredKernelReportsPerfectAccuracyAndNoRegret) {
-  telemetry::QualityAccountant accountant;
-  EXPECT_EQ(accountant.kernel("never_seen"), nullptr);
-  telemetry::KernelQuality empty;
-  EXPECT_DOUBLE_EQ(empty.accuracy(), 1.0);
-  EXPECT_DOUBLE_EQ(empty.calibration(), 0.0);
-  EXPECT_EQ(accountant.total_probes(), 0u);
-  EXPECT_DOUBLE_EQ(accountant.total_regret_seconds(), 0.0);
+  const std::string name = "never_seen";
+  online::KernelShard shard(name, 1);
+  const online::KernelQuality quality = totals(shard);
+  EXPECT_EQ(quality.launches, 0u);
+  EXPECT_EQ(quality.probes, 0u);
+  EXPECT_DOUBLE_EQ(quality.accuracy(), 1.0);
+  EXPECT_DOUBLE_EQ(quality.calibration(), 0.0);
+  EXPECT_DOUBLE_EQ(quality.regret_seconds, 0.0);
+
+  // The Runtime's view leaves a kernel nothing scored out of its totals.
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  (void)rt.context_for_id("quality:never_seen");
+  EXPECT_TRUE(rt.quality_snapshot().empty());
+  EXPECT_EQ(rt.probe_count(), 0u);
+  EXPECT_DOUBLE_EQ(rt.regret_seconds_total(), 0.0);
 }
 
 TEST(QualityAccountant, AgreementAndRegretTrackBestKnownVariant) {
-  telemetry::QualityAccountant accountant({/*baseline_alpha=*/1.0});
+  const std::string name = "k";
+  online::KernelShard shard(name, 1);
 
   // First launch: only evidence is itself, so it scores as an agreement.
-  EXPECT_DOUBLE_EQ(accountant.observe_choice("k", 0, kSeq, 0.010, true), 0.0);
+  launch(shard, 0, kSeq, 0.010);
+  EXPECT_DOUBLE_EQ(totals(shard).regret_seconds, 0.0);
   // A probe proves the other variant is 4x faster...
-  accountant.record_probe("k", 0, kOmp, 0.0025);
+  probe(shard, 0, kOmp, 0.0025);
   // ...so sticking with the slow variant now charges regret.
-  const double regret = accountant.observe_choice("k", 0, kSeq, 0.010, true);
-  EXPECT_NEAR(regret, 0.010 - 0.0025, 1e-12);
+  launch(shard, 0, kSeq, 0.010);
+  const double regret = 0.010 - 0.0025;
 
-  const telemetry::KernelQuality* quality = accountant.kernel("k");
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->launches, 2u);
-  EXPECT_EQ(quality->agreements, 1u);
-  EXPECT_EQ(quality->probes, 1u);
-  EXPECT_NEAR(quality->regret_seconds, regret, 1e-12);
-  EXPECT_DOUBLE_EQ(quality->accuracy(), 0.5);
-  EXPECT_NEAR(accountant.total_regret_seconds(), regret, 1e-12);
+  const online::KernelQuality quality = totals(shard);
+  EXPECT_EQ(quality.launches, 2u);
+  EXPECT_EQ(quality.agreements, 1u);
+  EXPECT_EQ(quality.probes, 1u);
+  EXPECT_NEAR(quality.regret_seconds, regret, 1e-12);
+  EXPECT_DOUBLE_EQ(quality.accuracy(), 0.5);
 
   // Switching to the fast variant is an agreement with zero regret.
-  EXPECT_DOUBLE_EQ(accountant.observe_choice("k", 0, kOmp, 0.0025, true), 0.0);
-  EXPECT_EQ(accountant.kernel("k")->agreements, 2u);
+  launch(shard, 0, kOmp, 0.0025);
+  EXPECT_EQ(totals(shard).agreements, 2u);
+  EXPECT_NEAR(totals(shard).regret_seconds, regret, 1e-12);
 }
 
 TEST(QualityAccountant, ExplorationRefreshesBaselinesWithoutScoring) {
-  telemetry::QualityAccountant accountant({/*baseline_alpha=*/1.0});
-  accountant.observe_choice("k", 7, kSeq, 0.020, true);
+  const std::string name = "k";
+  online::KernelShard shard(name, 1);
+  launch(shard, 7, kSeq, 0.020);
   // Exploration substitute: feeds the baseline, does not count as a decision.
-  EXPECT_DOUBLE_EQ(accountant.observe_choice("k", 7, kOmp, 0.001, false), 0.0);
-  const telemetry::KernelQuality* quality = accountant.kernel("k");
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->launches, 1u);
-  EXPECT_NEAR(accountant.baseline("k", 7, kOmp), 0.001, 1e-12);
-  EXPECT_NEAR(accountant.best_baseline("k", 7), 0.001, 1e-12);
+  launch(shard, 7, kOmp, 0.001, /*chosen=*/false);
+  EXPECT_EQ(totals(shard).launches, 1u);
+  EXPECT_DOUBLE_EQ(totals(shard).regret_seconds, 0.0);
+  EXPECT_NEAR(baseline(shard, 7, kOmp), 0.001, 1e-12);
+  EXPECT_NEAR(best_baseline(shard, 7), 0.001, 1e-12);
   // The next model-chosen slow launch is now a disagreement.
-  accountant.observe_choice("k", 7, kSeq, 0.020, true);
-  EXPECT_EQ(accountant.kernel("k")->launches, 2u);
-  EXPECT_EQ(accountant.kernel("k")->agreements, 1u);
+  launch(shard, 7, kSeq, 0.020);
+  EXPECT_EQ(totals(shard).launches, 2u);
+  EXPECT_EQ(totals(shard).agreements, 1u);
 }
 
 TEST(QualityAccountant, BucketsAreScoredIndependently) {
-  telemetry::QualityAccountant accountant({/*baseline_alpha=*/1.0});
-  accountant.record_probe("k", 1, kOmp, 0.001);
-  accountant.observe_choice("k", 1, kSeq, 0.010, true);  // disagreement in bucket 1
-  accountant.observe_choice("k", 2, kSeq, 0.010, true);  // bucket 2 has no omp evidence
-  const telemetry::KernelQuality* quality = accountant.kernel("k");
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->launches, 2u);
-  EXPECT_EQ(quality->agreements, 1u);
-  EXPECT_DOUBLE_EQ(accountant.baseline("k", 2, kOmp), -1.0);
-  EXPECT_DOUBLE_EQ(accountant.best_baseline("k", 3), -1.0);
+  const std::string name = "k";
+  online::KernelShard shard(name, 1);
+  probe(shard, 1, kOmp, 0.001);
+  launch(shard, 1, kSeq, 0.010);  // disagreement in bucket 1
+  launch(shard, 2, kSeq, 0.010);  // bucket 2 has no omp evidence
+  const online::KernelQuality quality = totals(shard);
+  EXPECT_EQ(quality.launches, 2u);
+  EXPECT_EQ(quality.agreements, 1u);
+  EXPECT_DOUBLE_EQ(baseline(shard, 2, kOmp), -1.0);
+  EXPECT_DOUBLE_EQ(best_baseline(shard, 3), -1.0);
 }
 
 TEST(QualityAccountant, CalibrationAveragesPredictedOverObserved) {
-  telemetry::QualityAccountant accountant;
-  accountant.observe_calibration("k", 0.004, 0.002);
-  accountant.observe_calibration("k", 0.002, 0.004);
-  const telemetry::KernelQuality* quality = accountant.kernel("k");
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->calibration_samples, 2u);
-  EXPECT_DOUBLE_EQ(quality->calibration(), 1.0);
+  online::KernelQuality quality;
+  quality.calibrate(0.004, 0.002);
+  quality.calibrate(0.002, 0.004);
+  EXPECT_EQ(quality.calibration_samples, 2u);
+  EXPECT_DOUBLE_EQ(quality.calibration(), 1.0);
 }
 
 TEST(QualityAccountant, ClearForgetsEverything) {
-  telemetry::QualityAccountant accountant;
-  accountant.observe_choice("k", 0, kSeq, 0.010, true);
-  accountant.record_probe("k", 0, kOmp, 0.001);
-  accountant.clear();
-  EXPECT_EQ(accountant.kernel("k"), nullptr);
-  EXPECT_EQ(accountant.total_probes(), 0u);
-  EXPECT_DOUBLE_EQ(accountant.total_regret_seconds(), 0.0);
-  EXPECT_TRUE(accountant.snapshot().empty());
-  // And the accountant still works after the reset (caches were invalidated).
-  accountant.observe_choice("k", 0, kSeq, 0.010, true);
-  ASSERT_NE(accountant.kernel("k"), nullptr);
-  EXPECT_EQ(accountant.kernel("k")->launches, 1u);
+  // Runtime::reset clears each kernel through KernelContext::reset.
+  const auto context = std::make_unique<apollo::KernelContext>("k");
+  online::KernelShard& shard = context->online_shard();
+  launch(shard, 0, kSeq, 0.010);
+  probe(shard, 0, kOmp, 0.001);
+  context->reset();
+  const online::KernelQuality cleared = totals(shard);
+  EXPECT_EQ(cleared.launches, 0u);
+  EXPECT_EQ(cleared.probes, 0u);
+  EXPECT_DOUBLE_EQ(cleared.regret_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(baseline(shard, 0, kSeq), -1.0);
+  EXPECT_DOUBLE_EQ(best_baseline(shard, 0), -1.0);
+  // And the table still works after the reset (its bucket cache was dropped).
+  launch(shard, 0, kSeq, 0.010);
+  EXPECT_EQ(totals(shard).launches, 1u);
+  EXPECT_DOUBLE_EQ(baseline(shard, 0, kSeq), 0.010);
 }
 
 TEST(QualityAccountant, SnapshotIsSortedByKernelName) {
-  telemetry::QualityAccountant accountant;
-  accountant.observe_choice("zeta", 0, kSeq, 0.01, true);
-  accountant.observe_choice("alpha", 0, kSeq, 0.01, true);
-  const auto snapshot = accountant.snapshot();
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  launch(rt.context_for_id("quality:zeta").online_shard(), 0, kSeq, 0.01);
+  launch(rt.context_for_id("quality:alpha").online_shard(), 0, kSeq, 0.01);
+  probe(rt.context_for_id("quality:alpha").online_shard(), 0, kOmp, 0.001);
+  const auto snapshot = rt.quality_snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "alpha");
-  EXPECT_EQ(snapshot[1].first, "zeta");
+  EXPECT_EQ(snapshot[0].first, "quality:alpha");
+  EXPECT_EQ(snapshot[1].first, "quality:zeta");
+  EXPECT_EQ(rt.probe_count(), 1u);
+  rt.reset();
+  EXPECT_TRUE(rt.quality_snapshot().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -481,11 +534,11 @@ TEST_F(EnvParsingTest, ZeroAndNegativeAreRejectedByMinimum) {
 TEST(FormatQuality, EmptyAndUnscoredRenderNothing) {
   EXPECT_TRUE(apollo::format_quality({}).empty());
   // Kernels with zero scored launches and no probes carry no signal.
-  EXPECT_TRUE(apollo::format_quality({{"k", telemetry::KernelQuality{}}}).empty());
+  EXPECT_TRUE(apollo::format_quality({{"k", online::KernelQuality{}}}).empty());
 }
 
 TEST(FormatQuality, RendersAccuracyRegretAndProbes) {
-  telemetry::KernelQuality quality;
+  online::KernelQuality quality;
   quality.launches = 10;
   quality.agreements = 9;
   quality.probes = 3;
