@@ -11,7 +11,6 @@
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
 #include "perf/blackboard.hpp"
-#include "service/client.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/env.hpp"
 
@@ -181,10 +180,8 @@ Runtime::Runtime() {
 }
 
 Runtime::~Runtime() {
-  // The service client's thread drains records_ and publishes into the
-  // tuner's registry; stop it while both are still alive.
+  // Joins any in-flight retrain while the sample buffer it reads is alive.
   const std::lock_guard<std::mutex> lock(online_mutex_);
-  service_.reset();
   online_.reset();
 }
 
@@ -294,16 +291,6 @@ online::OnlineTuner& Runtime::online_locked() {
   if (!online_) {
     online_ = std::make_unique<online::OnlineTuner>(&records_);
     online_ptr_.store(online_.get(), std::memory_order_release);
-    // Fleet mode: when APOLLO_SERVICE_SOCKET names a trainer daemon, a
-    // background client drains the sample buffer to it and applies pushed
-    // model generations through the registry — the same hot-swap path local
-    // retrains use. Everything here is off the dispatch path; a missing or
-    // dying daemon degrades to pure-local adaptation.
-    const auto config = service::ClientConfig::from_env();
-    if (config.enabled()) {
-      service_ = std::make_unique<service::ServiceClient>(&records_, &online_->registry(), config);
-      service_->start();
-    }
   }
   return *online_;
 }
@@ -326,7 +313,6 @@ void Runtime::configure_online(online::OnlineConfig config) {
 void Runtime::reset() {
   {
     const std::lock_guard<std::mutex> lock(online_mutex_);
-    service_.reset();  // stops the fleet client before its registry dies
     online_ptr_.store(nullptr, std::memory_order_release);
     online_.reset();  // joins any in-flight retrain before state is torn down
   }
@@ -588,8 +574,9 @@ const std::shared_ptr<const ModelSnapshot>& Runtime::refresh_adapt_models() {
     const std::lock_guard<std::mutex> lock(models_mutex_);
     if (version != adapt_version_.load(std::memory_order_relaxed)) {
       if (const auto published = tuner.registry().current()) {
-        // Slots the registry did not retrain carry the previous generation's
-        // compilation forward (shared, immutable).
+        // Slots the registry does not fill (the team-size model, or a
+        // parameter not yet retrained) carry the previous compilation
+        // forward (shared, immutable).
         auto next = models_ ? std::make_shared<ModelSnapshot>(*models_)
                             : std::make_shared<ModelSnapshot>();
         next->version = version;
@@ -600,10 +587,6 @@ const std::shared_ptr<const ModelSnapshot>& Runtime::refresh_adapt_models() {
         if (published->chunk) {
           next->chunk = compile_checked(*published->chunk, TunedParameter::ChunkSize,
                                         "Runtime: not a chunk-size model");
-        }
-        if (published->threads) {
-          next->threads = compile_checked(*published->threads, TunedParameter::Threads,
-                                          "Runtime: not a team-size model");
         }
         models_ = std::move(next);
         model_epoch_.fetch_add(1, std::memory_order_release);

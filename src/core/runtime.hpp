@@ -61,10 +61,6 @@
 
 namespace apollo {
 
-namespace service {
-class ServiceClient;
-}
-
 class ClusterAccountant;
 
 enum class Mode : std::uint8_t { Off, Record, Tune, Adapt };
@@ -223,17 +219,6 @@ public:
     return online_ptr_.load(std::memory_order_acquire) != nullptr;
   }
 
-  // --- fleet service (APOLLO_SERVICE_SOCKET) --------------------------------
-  /// The fleet service client, when APOLLO_SERVICE_SOCKET named a daemon
-  /// socket at the time the online tuner was created (Mode::Adapt's first
-  /// launch, or the first online() call). nullptr when fleet mode is off.
-  /// The client drains the sample buffer to the daemon and applies pushed
-  /// model generations through the same registry hot-swap path local
-  /// retrains use; the dispatch hot path is unaware of it either way.
-  [[nodiscard]] service::ServiceClient* service_client() const noexcept {
-    return service_.get();
-  }
-
   // --- model quality (telemetry on, Tune/Adapt modes) -----------------------
   /// Per-kernel quality counters: online accuracy vs the best-known variant,
   /// cumulative regret seconds, probe counts, and predicted-vs-observed
@@ -362,14 +347,11 @@ private:
   std::atomic<std::uint64_t> probe_tick_{0};
 
   // --- online adaptation ----------------------------------------------------
-  /// Guards creation and teardown of the tuner (and the fleet client). The
-  /// dispatch path never takes it once the tuner exists.
+  /// Guards creation and teardown of the tuner. The dispatch path never
+  /// takes it once the tuner exists.
   std::mutex online_mutex_;
   std::unique_ptr<online::OnlineTuner> online_;  ///< online_mutex_ (creation)
   std::atomic<online::OnlineTuner*> online_ptr_{nullptr};
-  /// Fleet client (borrows records_ and the tuner's registry). Declared after
-  /// online_ so it is destroyed first — it must stop before the registry dies.
-  std::unique_ptr<service::ServiceClient> service_;  ///< online_mutex_ (creation)
 };
 
 namespace detail {

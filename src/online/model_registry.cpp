@@ -41,7 +41,6 @@ void validate(const ModelSnapshot& snapshot) {
   };
   check(snapshot.policy, TunedParameter::Policy);
   check(snapshot.chunk, TunedParameter::ChunkSize);
-  check(snapshot.threads, TunedParameter::Threads);
 }
 
 }  // namespace
@@ -63,14 +62,12 @@ std::shared_ptr<const ModelSnapshot> ModelRegistry::current() const {
 }
 
 std::uint64_t ModelRegistry::publish(std::optional<TunerModel> policy,
-                                     std::optional<TunerModel> chunk,
-                                     std::optional<TunerModel> threads) {
+                                     std::optional<TunerModel> chunk) {
   std::lock_guard lock(mutex_);
   auto next = std::make_shared<ModelSnapshot>();
   next->version = (current_ ? current_->version : 0) + 1;
   next->policy = policy ? std::move(policy) : (current_ ? current_->policy : std::nullopt);
   next->chunk = chunk ? std::move(chunk) : (current_ ? current_->chunk : std::nullopt);
-  next->threads = threads ? std::move(threads) : (current_ ? current_->threads : std::nullopt);
   validate(*next);
   if (!dir_.empty()) persist_locked(*next);
   current_ = std::move(next);
@@ -90,9 +87,6 @@ void ModelRegistry::persist_locked(const ModelSnapshot& snapshot) const {
   }
   if (snapshot.chunk) {
     snapshot.chunk->save_file((dir / version_file_name(snapshot.version, "chunk")).string());
-  }
-  if (snapshot.threads) {
-    snapshot.threads->save_file((dir / version_file_name(snapshot.version, "threads")).string());
   }
   // The LATEST pointer is written to a temp file and renamed so a crash
   // mid-write leaves the previous generation installed, never a torn file.
@@ -121,7 +115,6 @@ std::uint64_t ModelRegistry::load_latest() {
   const fs::path dir(dir_);
   snapshot->policy = load_if_present(dir / version_file_name(version, "policy"));
   snapshot->chunk = load_if_present(dir / version_file_name(version, "chunk"));
-  snapshot->threads = load_if_present(dir / version_file_name(version, "threads"));
   validate(*snapshot);
   if (snapshot->empty()) return 0;
   current_ = std::move(snapshot);

@@ -8,10 +8,10 @@
 // hot path can detect "nothing changed" with a single relaxed load.
 //
 // Optional persistence writes every published version to a model directory
-// (v000042.policy.model, ... plus a LATEST pointer file), so a crashed
-// process restarts from its last good models instead of the factory ones —
-// the paper's retrain-without-recompile property extended across process
-// lifetimes.
+// (v000042.policy.model, v000042.chunk.model and a LATEST pointer file), so
+// a crashed process restarts from its last good models instead of the
+// factory ones — the paper's retrain-without-recompile property extended
+// across process lifetimes.
 
 #include <atomic>
 #include <cstdint>
@@ -29,9 +29,8 @@ struct ModelSnapshot {
   std::uint64_t version = 0;
   std::optional<TunerModel> policy;
   std::optional<TunerModel> chunk;
-  std::optional<TunerModel> threads;
 
-  [[nodiscard]] bool empty() const noexcept { return !policy && !chunk && !threads; }
+  [[nodiscard]] bool empty() const noexcept { return !policy && !chunk; }
 };
 
 class ModelRegistry {
@@ -59,8 +58,7 @@ public:
   /// for another parameter than its slot, or with a label its parameter
   /// cannot name, throws std::invalid_argument and publishes nothing.
   std::uint64_t publish(std::optional<TunerModel> policy,
-                        std::optional<TunerModel> chunk = std::nullopt,
-                        std::optional<TunerModel> threads = std::nullopt);
+                        std::optional<TunerModel> chunk = std::nullopt);
 
   /// Restore the newest persisted generation from the persist dir. Returns
   /// the restored version, or 0 when the dir holds none. The restored

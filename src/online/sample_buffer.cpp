@@ -1,7 +1,6 @@
 #include "online/sample_buffer.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "core/features.hpp"
@@ -144,22 +143,6 @@ std::vector<perf::SampleRecord> SampleBuffer::drain() {
   out.reserve(taken.size());
   for (const auto& sample : taken) out.push_back(sample.materialize());
   return out;
-}
-
-std::size_t SampleBuffer::drain_into(std::vector<Sample>& out) {
-  std::vector<Sample> taken;
-  {
-    std::lock_guard lock(mutex_);
-    taken = take_ordered_locked();
-  }
-  const std::size_t count = taken.size();
-  if (out.empty()) {
-    out = std::move(taken);
-  } else {
-    out.insert(out.end(), std::make_move_iterator(taken.begin()),
-               std::make_move_iterator(taken.end()));
-  }
-  return count;
 }
 
 void SampleBuffer::clear() {

@@ -82,15 +82,11 @@ public:
   [[nodiscard]] std::vector<Sample> snapshot_shared(std::size_t max_samples = 0) const;
 
   /// Materialize the contents (oldest first) and leave the buffer empty.
+  /// One atomic take under the buffer lock: a producer pushing concurrently
+  /// either lands before the drain (and is returned) or after it (and is
+  /// retained for the next one), never dropped. Materialization runs after
+  /// the lock is released.
   [[nodiscard]] std::vector<perf::SampleRecord> drain();
-
-  /// Append the current contents (oldest first, unmaterialized) to `out` and
-  /// leave the buffer empty. Returns the number of samples handed off. One
-  /// atomic take under the buffer lock: a producer pushing concurrently
-  /// either lands before the drain (and is handed off) or after it (and is
-  /// retained for the next one) — never dropped. The service client's drain
-  /// primitive; materialization stays on the consumer thread.
-  std::size_t drain_into(std::vector<Sample>& out);
 
   void clear();
 

@@ -1,10 +1,23 @@
 #include "perf/record.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace apollo::perf {
+
+namespace {
+
+/// Index of the first `c` at or after `from` that no backslash escapes, or
+/// text.size() when there is none.
+std::size_t find_unescaped(const std::string& text, char c, std::size_t from = 0) {
+  std::size_t i = from;
+  while (i < text.size() && text[i] != c) i += text[i] == '\\' ? 2 : 1;
+  return std::min(i, text.size());
+}
+
+}  // namespace
 
 std::string escape_cell(const std::string& raw) {
   std::string out;
@@ -29,13 +42,15 @@ std::string unescape_cell(const std::string& escaped) {
       out += escaped[i];
       continue;
     }
-    if (i + 1 >= escaped.size()) throw std::runtime_error("perf: dangling escape");
+    if (i + 1 >= escaped.size()) {
+      throw std::runtime_error("perf: dangling escape in '" + escaped + "'");
+    }
     switch (escaped[++i]) {
       case '\\': out += '\\'; break;
       case 'p': out += '|'; break;
       case 'e': out += '='; break;
       case 'n': out += '\n'; break;
-      default: throw std::runtime_error("perf: unknown escape");
+      default: throw std::runtime_error("perf: unknown escape in '" + escaped + "'");
     }
   }
   return out;
@@ -58,22 +73,21 @@ SampleRecord decode_record(const std::string& line) {
   SampleRecord record;
   std::size_t pos = 0;
   while (pos <= line.size()) {
-    // Find the next unescaped '|'.
-    std::size_t end = pos;
-    while (end < line.size() && line[end] != '|') {
-      if (line[end] == '\\') ++end;  // skip escaped char
-      ++end;
-    }
+    const std::size_t end = find_unescaped(line, '|', pos);
     const std::string cell = line.substr(pos, end - pos);
     if (!cell.empty()) {
-      // Find the unescaped '=' separator.
-      std::size_t eq = 0;
-      while (eq < cell.size() && cell[eq] != '=') {
-        if (cell[eq] == '\\') ++eq;
-        ++eq;
+      // The encoder escapes every '=' inside a key or value, so a cell holds
+      // exactly one unescaped '='; a second one, like a repeated key, can
+      // only come from a damaged line.
+      const std::size_t eq = find_unescaped(cell, '=');
+      if (eq == cell.size()) throw std::runtime_error("perf: record cell missing '=': " + cell);
+      if (find_unescaped(cell, '=', eq + 1) != cell.size()) {
+        throw std::runtime_error("perf: record cell with a second '=': " + cell);
       }
-      if (eq >= cell.size()) throw std::runtime_error("perf: record cell missing '='");
-      record[unescape_cell(cell.substr(0, eq))] = Value::decode(unescape_cell(cell.substr(eq + 1)));
+      const std::string key = unescape_cell(cell.substr(0, eq));
+      if (!record.try_emplace(key, Value::decode(unescape_cell(cell.substr(eq + 1)))).second) {
+        throw std::runtime_error("perf: record repeats key '" + key + "'");
+      }
     }
     if (end >= line.size()) break;
     pos = end + 1;

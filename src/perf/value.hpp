@@ -7,11 +7,14 @@
 // string, plus lossless round-tripping through text so training records can
 // be written to disk and re-read by the model-generation pipeline.
 
+#include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <variant>
 
 namespace apollo::perf {
@@ -54,16 +57,28 @@ public:
     return "s:" + as_string();
   }
 
+  /// Inverse of encode(). A number must fill its whole body, with no
+  /// leading space or '+' (the encoder writes neither); anything else throws
+  /// std::runtime_error naming the text.
   static Value decode(const std::string& text) {
     if (text.size() >= 2 && text[1] == ':') {
       const std::string body = text.substr(2);
+      const char* const last = body.c_str() + body.size();
       switch (text[0]) {
-        case 'i': return Value(static_cast<std::int64_t>(std::stoll(body)));
+        case 'i': {
+          std::int64_t value = 0;
+          const auto [end, error] = std::from_chars(body.c_str(), last, value);
+          if (error != std::errc{} || end != last) {
+            throw std::runtime_error("perf::Value: malformed integer '" + body + "'");
+          }
+          return Value(value);
+        }
         case 'r': {
           // strtod, not stod: stod throws out_of_range for subnormals.
           char* end = nullptr;
           const double value = std::strtod(body.c_str(), &end);
-          if (end == body.c_str()) {
+          if (body.empty() || std::isspace(static_cast<unsigned char>(body[0])) ||
+              body[0] == '+' || end != last) {
             throw std::runtime_error("perf::Value: malformed real '" + body + "'");
           }
           return Value(value);

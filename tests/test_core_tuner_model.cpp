@@ -282,10 +282,11 @@ TEST(TreeHardening, BackwardChildEdgeRejectedAsCycle) {
 
 // --- Mutation sweeps over a saved model ------------------------------------
 //
-// The saved text is what model files hold and what ServiceClient::apply_push
-// parses out of every MODEL_PUSH. Whatever the damage, loading must either
-// throw, or yield a model that compiles (or is refused with
-// std::invalid_argument) and then predicts a label the model has.
+// The saved text is what model files hold, including the generations the
+// model registry persists and restores (apollo_adapt --model-dir). Whatever
+// the damage, loading must either throw, or yield a model that compiles (or
+// is refused with std::invalid_argument) and then predicts a label the model
+// has.
 
 namespace {
 

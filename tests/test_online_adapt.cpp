@@ -9,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/features.hpp"
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
 #include "ml/decision_tree.hpp"
@@ -188,4 +189,40 @@ TEST_F(AdaptModeTest, RegistryRejectsModelsTheRuntimeCannotCompile) {
   // Adapt launches keep deciding with generation 1 instead of throwing.
   for (int i = 0; i < 32; ++i) EXPECT_NO_THROW(launch(1000));
   EXPECT_EQ(registry.version(), 1u);
+}
+
+TEST_F(AdaptModeTest, LoadedTeamSizeModelCarriesAcrossHotSwaps) {
+  // The registry holds policy and chunk generations only; a team-size model
+  // loaded with set_threads_model rides along in the runtime's own snapshot
+  // each time a new generation is compiled in.
+  auto& rt = Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(Mode::Adapt);
+  online::OnlineConfig config;
+  config.sample_stride = 1;
+  config.explorer.epsilon = 0.0;
+  rt.configure_online(config);
+  rt.set_threads_model(constant_model(TunedParameter::Threads, "3"));
+
+  // Two generations, so the second swap compiles over a snapshot the first
+  // swap built. Each launch's policy shows which generation decided it.
+  online::ModelRegistry& registry = rt.online().registry();
+  const raja::IndexSet iset = raja::IndexSet::range(0, 100000);
+  ModelParams params;
+  for (const char* policy : {"seq", "omp"}) {
+    registry.publish(constant_model(TunedParameter::Policy, policy));
+    rt.clear_records();
+    params = rt.begin(stream_kernel(), iset);
+    rt.end(stream_kernel(), iset, params);
+    EXPECT_EQ(raja::policy_name(params.policy), std::string(policy));
+    EXPECT_TRUE(rt.has_threads_model()) << policy;
+  }
+
+  // The omp launch ran, and was timed and sampled, at the model's team of 3.
+  EXPECT_FALSE(params.explored);
+  EXPECT_EQ(params.threads, 3u);
+  const auto records = rt.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records.back().at(features::kParamThreads).as_int(), 3);
 }

@@ -141,46 +141,30 @@ TEST(SampleBuffer, MaterializeBuildsFullRecord) {
   EXPECT_EQ(make_sample(0).materialize().count(features::kParamThreads), 0u);
 }
 
-TEST(SampleBuffer, DrainIntoAppendsInOrderAndEmpties) {
-  SampleBuffer buffer(8);
-  for (int i = 0; i < 5; ++i) buffer.push(make_sample(i));
-  std::vector<Sample> out;
-  EXPECT_EQ(buffer.drain_into(out), 5u);
-  EXPECT_TRUE(buffer.empty());
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_DOUBLE_EQ(out.front().seconds, 0.0);
-  EXPECT_DOUBLE_EQ(out.back().seconds, 4.0);
-
-  // Appends to what the caller already holds, never clobbers.
-  buffer.push(make_sample(9));
-  EXPECT_EQ(buffer.drain_into(out), 1u);
-  ASSERT_EQ(out.size(), 6u);
-  EXPECT_DOUBLE_EQ(out.back().seconds, 9.0);
-  EXPECT_EQ(buffer.drain_into(out), 0u);  // empty drain is a no-op
-  EXPECT_EQ(out.size(), 6u);
-}
-
-TEST(SampleBuffer, DrainIntoConcurrentWithPushesLosesNothing) {
-  // The service client's shipping path: one producer keeps pushing while the
+TEST(SampleBuffer, DrainConcurrentWithPushesLosesNothing) {
+  // Runtime::flush_records' path: one producer keeps pushing while the
   // drainer repeatedly empties the buffer. With capacity above the push
   // count, every sample must come out exactly once, in order.
   constexpr int kPushes = 20000;
   SampleBuffer buffer(kPushes);
-  std::vector<Sample> drained;
+  std::vector<apollo::perf::SampleRecord> drained;
+  const auto drain = [&] {
+    for (auto& record : buffer.drain()) drained.push_back(std::move(record));
+  };
   std::atomic<bool> done{false};
 
   std::thread producer([&] {
     for (int i = 0; i < kPushes; ++i) buffer.push(make_sample(i));
     done.store(true);
   });
-  while (!done.load() || !buffer.empty()) (void)buffer.drain_into(drained);
+  while (!done.load() || !buffer.empty()) drain();
   producer.join();
-  (void)buffer.drain_into(drained);
+  drain();
 
   EXPECT_EQ(buffer.total_pushed(), static_cast<std::uint64_t>(kPushes));
   ASSERT_EQ(drained.size(), static_cast<std::size_t>(kPushes));
   for (int i = 0; i < kPushes; ++i) {
-    ASSERT_DOUBLE_EQ(drained[static_cast<std::size_t>(i)].seconds, static_cast<double>(i));
+    ASSERT_DOUBLE_EQ(seconds_of(drained[static_cast<std::size_t>(i)]), static_cast<double>(i));
   }
 }
 

@@ -1,12 +1,16 @@
 // Unit tests for the perf (mini-Caliper) substrate: typed values, the
-// attribute blackboard, scoped annotations, and record serialization.
+// attribute blackboard, scoped annotations, and record serialization,
+// including prefix and bit-flip sweeps over a records-file line.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "perf/blackboard.hpp"
 #include "perf/record.hpp"
@@ -156,6 +160,125 @@ TEST(Record, StreamRoundTripMultiple) {
 
 TEST(Record, MissingEqualsThrows) {
   EXPECT_THROW((void)perf::decode_record("novalue"), std::runtime_error);
+}
+
+namespace {
+
+/// The std::runtime_error message decode_record gives for `line`; any other
+/// outcome fails the test.
+std::string decode_error(const std::string& line) {
+  try {
+    (void)perf::decode_record(line);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << line << ": threw something other than std::runtime_error: "
+                  << error.what();
+    return {};
+  }
+  ADD_FAILURE() << line << ": decoded";
+  return {};
+}
+
+}  // namespace
+
+TEST(Record, DamagedCellsThrowRuntimeErrorNamingTheText) {
+  // Each line pairs with the text its error must name.
+  const std::pair<std::string, std::string> cases[] = {
+      // A number must fill its body: no trailing bytes, no leading space or
+      // '+' (the encoder writes neither).
+      {"num_indices=i:512x", "'512x'"},
+      {"measure:runtime=r:1.5e-3junk", "'1.5e-3junk'"},
+      {"num_indices=i: 12", "' 12'"},
+      {"num_indices=i:+12", "'+12'"},
+      {"measure:runtime=r: 1.5", "' 1.5'"},
+      {"measure:runtime=r:+1.5", "'+1.5'"},
+      // Not a number, no number, and one beyond int64.
+      {"num_indices=i:abc", "'abc'"},
+      {"num_indices=i:", "integer ''"},
+      {"num_indices=i:99999999999999999999", "'99999999999999999999'"},
+      {"measure:runtime=r:", "real ''"},
+      // One flipped bit of "unpckhpd" repeats the next key.
+      {"unpcklpd=i:0|stride=i:4|unpcklpd=i:0", "'unpcklpd'"},
+      // One flipped '|' merges two cells around a second unescaped '='.
+      {"func=s:FullRecord}func_size=i:10", "func=s:FullRecord}func_size=i:10"},
+      {"func=s:Full\\q", "Full\\q"},
+  };
+  for (const auto& [line, named] : cases) {
+    EXPECT_NE(decode_error(line).find(named), std::string::npos) << line << " names " << named;
+  }
+}
+
+// --- Mutation sweeps over a full record line --------------------------------
+//
+// A torn or corrupted records file must never hand apollo_train a record it
+// cannot reproduce: every damaged line either throws std::runtime_error or
+// decodes to a record that survives its own encoding.
+
+namespace {
+
+/// The 43-key line RuntimeTest.RecordLaunchMaterializesTheFullRecord pins:
+/// every kernel and instruction feature, the launch shape, the variant, the
+/// measurement and a blackboard attribute.
+const std::string kFullRecordLine =
+    "add=i:2|and=i:0|call=i:0|cmp=i:0|comisd=i:0|divsd=i:1|func=s:FullRecord|"
+    "func_size=i:10|inc=i:0|index_type=s:strided|jb=i:0|lea=i:0|loop=i:0|"
+    "loop_id=s:test:full_record|maxsd=i:0|measure:bytes_per_iter=i:40|"
+    "measure:runtime=r:1.2406604511956446e-05|minsd=i:0|mov=i:2|movsd=i:4|mulpd=i:1|"
+    "nop=i:0|num_indices=i:150|num_segments=i:2|param:chunk_size=i:0|param:policy=s:omp|"
+    "param:threads=i:4|pop=i:0|problem_name=s:sedov|push=i:0|pxor=i:0|ret=i:0|sar=i:0|"
+    "shl=i:0|sqrtsd=i:0|stride=i:4|sub=i:0|test=i:0|ucomisd=i:0|unpckhpd=i:0|"
+    "unpcklpd=i:0|xor=i:0|xorps=i:0";
+
+/// True when `line` decodes, to a record that survives its own encoding;
+/// false when it throws std::runtime_error. Any other exception fails.
+bool decodes_stably(const std::string& line, const std::string& what) {
+  perf::SampleRecord record;
+  try {
+    record = perf::decode_record(line);
+  } catch (const std::runtime_error&) {
+    return false;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << what << ": threw something other than std::runtime_error: "
+                  << error.what();
+    return false;
+  }
+  EXPECT_EQ(perf::decode_record(perf::encode_record(record)), record) << what;
+  return true;
+}
+
+}  // namespace
+
+TEST(RecordFuzz, EveryStrictPrefixThrowsOrRoundTrips) {
+  ASSERT_EQ(perf::decode_record(kFullRecordLine).size(), 43u);
+  ASSERT_EQ(perf::encode_record(perf::decode_record(kFullRecordLine)), kFullRecordLine);
+  std::size_t decoded = 0;
+  for (std::size_t cut = 0; cut < kFullRecordLine.size(); ++cut) {
+    if (decodes_stably(kFullRecordLine.substr(0, cut), "prefix " + std::to_string(cut))) {
+      ++decoded;
+    }
+  }
+  // Cuts after a whole number or inside a string decode; cuts inside a key,
+  // a tag or a number's sign or exponent do not.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, kFullRecordLine.size());
+}
+
+TEST(RecordFuzz, EverySingleBitFlipThrowsOrRoundTrips) {
+  std::size_t decoded = 0;
+  for (std::size_t byte = 0; byte < kFullRecordLine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = kFullRecordLine;
+      flipped[byte] = static_cast<char>(static_cast<unsigned char>(flipped[byte]) ^ (1u << bit));
+      if (decodes_stably(flipped, "byte " + std::to_string(byte) + " bit " + std::to_string(bit))) {
+        ++decoded;
+      }
+    }
+  }
+  // Flips in a key's or a string's letters and in a number's digits decode;
+  // flips in a separator, a tag or a digit turned letter do not.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, kFullRecordLine.size() * 8);
 }
 
 TEST(Record, FileRoundTripAndAppend) {

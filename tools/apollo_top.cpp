@@ -107,21 +107,6 @@ struct Snapshot {
   double pool_wakeups = 0.0;
   double pool_spin = 0.0;
   double pool_park = 0.0;
-  // Apollo-as-a-service: client side (apollo_service_*) and, when the
-  // metrics file belongs to a daemon process, server side (apollo_served_*).
-  double service_connected = 0.0;
-  double service_connects = 0.0;
-  double service_batches = 0.0;
-  double service_samples = 0.0;
-  double service_bytes = 0.0;
-  double service_pushes = 0.0;
-  double service_generation = 0.0;
-  double service_fallbacks = 0.0;
-  double served_clients = 0.0;
-  double served_batches = 0.0;
-  double served_samples = 0.0;
-  double served_rejected = 0.0;
-  double served_trains = 0.0;
   std::string build;
 };
 
@@ -191,32 +176,6 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
       snap.pool_spin = sample->value;
     } else if (sample->name == "apollo_pool_park_completions_total") {
       snap.pool_park = sample->value;
-    } else if (sample->name == "apollo_service_connected") {
-      snap.service_connected = sample->value;
-    } else if (sample->name == "apollo_service_connects_total") {
-      snap.service_connects = sample->value;
-    } else if (sample->name == "apollo_service_batches_total") {
-      snap.service_batches = sample->value;
-    } else if (sample->name == "apollo_service_samples_total") {
-      snap.service_samples = sample->value;
-    } else if (sample->name == "apollo_service_bytes_total") {
-      snap.service_bytes = sample->value;
-    } else if (sample->name == "apollo_service_pushes_total") {
-      snap.service_pushes = sample->value;
-    } else if (sample->name == "apollo_service_generation") {
-      snap.service_generation = sample->value;
-    } else if (sample->name == "apollo_service_fallbacks_total") {
-      snap.service_fallbacks = sample->value;
-    } else if (sample->name == "apollo_served_clients_total") {
-      snap.served_clients = sample->value;
-    } else if (sample->name == "apollo_served_batches_total") {
-      snap.served_batches = sample->value;
-    } else if (sample->name == "apollo_served_samples_total") {
-      snap.served_samples = sample->value;
-    } else if (sample->name == "apollo_served_frames_rejected_total") {
-      snap.served_rejected = sample->value;
-    } else if (sample->name == "apollo_served_trains_total") {
-      snap.served_trains += sample->value;  // summed across result labels
     } else if (sample->name == "apollo_build_info") {
       auto it = sample->labels.labels.find("version");
       auto sha = sample->labels.labels.find("git_sha");
@@ -250,7 +209,7 @@ void load_decisions(const std::string& path, Snapshot& snap) {
   }
 }
 
-void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
+void print_snapshot(const Snapshot& snap) {
   std::printf("apollo_top — %s\n", snap.build.empty() ? apollo::build_info_string().c_str()
                                                       : snap.build.c_str());
   std::printf("model gen %.0f | hot swaps %.0f | explores %.0f | samples %.0f pushed / %.0f "
@@ -272,22 +231,6 @@ void print_snapshot(const Snapshot& snap, double service_batches_per_s) {
                 "%.1f%% park\n",
                 snap.pool_launches, snap.pool_inline, snap.pool_wakeups, spin_pct,
                 waits > 0.0 ? 100.0 - spin_pct : 0.0);
-  }
-  // Service pane: the process is a service client (apollo_service_*), a
-  // trainer daemon (apollo_served_*), or — in single-process tests — both.
-  if (snap.service_connects > 0.0 || snap.service_fallbacks > 0.0) {
-    std::printf("service: %s | gen %.0f | %.0f batches (%.1f/s) | %.0f samples | %.1f KiB "
-                "| pushes %.0f | fallbacks %.0f\n",
-                snap.service_connected > 0.0 ? "connected" : "disconnected",
-                snap.service_generation, snap.service_batches, service_batches_per_s,
-                snap.service_samples, snap.service_bytes / 1024.0, snap.service_pushes,
-                snap.service_fallbacks);
-  }
-  if (snap.served_clients > 0.0) {
-    std::printf("served: %.0f clients | %.0f batches | %.0f samples | trains %.0f | "
-                "rejected %.0f\n",
-                snap.served_clients, snap.served_batches, snap.served_samples,
-                snap.served_trains, snap.served_rejected);
   }
   std::printf("\n");
   std::printf("%-24s %10s %14s %6s %9s %9s %8s %9s\n", "kernel", "launches", "top-variant",
@@ -365,9 +308,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Previous refresh's shipped-batch counter, for the service pane's rate.
-  double prev_service_batches = -1.0;
-  auto prev_refresh = std::chrono::steady_clock::now();
   for (;;) {
     Snapshot snap;
     if (!load_metrics(metrics_path, snap)) {
@@ -378,17 +318,8 @@ int main(int argc, char** argv) {
       if (once) return 1;
     } else {
       load_decisions(decisions_path, snap);
-      const auto now = std::chrono::steady_clock::now();
-      const double elapsed = std::chrono::duration<double>(now - prev_refresh).count();
-      double batches_per_s = 0.0;
-      if (prev_service_batches >= 0.0 && elapsed > 0.0 &&
-          snap.service_batches >= prev_service_batches) {
-        batches_per_s = (snap.service_batches - prev_service_batches) / elapsed;
-      }
-      prev_service_batches = snap.service_batches;
-      prev_refresh = now;
       if (!once) std::printf("\033[2J\033[H");  // clear screen between refreshes
-      print_snapshot(snap, batches_per_s);
+      print_snapshot(snap);
     }
     if (once) return 0;
     std::fflush(stdout);
