@@ -2,7 +2,7 @@
 // src/telemetry. Compares the same tuned apollo::forall hot path (identical
 // to micro_dispatch_overhead's ApolloForallTune) with the telemetry switch
 // off and on, and prices the individual primitives a hot site pays — the
-// enabled() branch, a ring push, a counter increment, a histogram observe.
+// enabled() branch, a ring push, a histogram observe.
 //
 // Acceptance: TelemetryOnTune must stay within 5% of TelemetryOffTune
 // (ISSUE: tracing a production run must be a flip-a-switch decision, not a
@@ -57,7 +57,9 @@ const apollo::TunerModel& micro_model() {
   return model;
 }
 
-void run_tuned_loop(benchmark::State& state) {
+/// Runs the tuned loop and returns the ground-truth probes it launched
+/// (read before the closing reset, which restarts them).
+std::uint64_t run_tuned_loop(benchmark::State& state) {
   const auto& model = micro_model();
   auto& rt = apollo::Runtime::instance();
   rt.reset();
@@ -74,7 +76,9 @@ void run_tuned_loop(benchmark::State& state) {
     benchmark::DoNotOptimize(a[0]);
   }
   state.SetItemsProcessed(state.iterations() * kN);
+  const std::uint64_t probes = rt.probe_count();
   rt.reset();
+  return probes;
 }
 
 void TelemetryOffTune(benchmark::State& state) {
@@ -84,9 +88,10 @@ void TelemetryOffTune(benchmark::State& state) {
 BENCHMARK(TelemetryOffTune);
 
 void TelemetryOnTune(benchmark::State& state) {
-  // Full on-state cost: trace span pushes, cached metric increments, strided
-  // decision capture, and the collector thread draining concurrently — the
-  // realistic live-tracing configuration (no file exports on the cadence).
+  // Full on-state cost: trace span pushes, the per-variant dispatch count,
+  // strided decision capture, and the collector thread draining concurrently
+  // — the realistic live-tracing configuration (no file exports on the
+  // cadence).
   apollo::telemetry::Config config;
   config.trace_file.clear();
   config.decisions_file.clear();
@@ -117,16 +122,10 @@ void QualityOnTune(benchmark::State& state) {
   apollo::telemetry::configure(config);
   apollo::telemetry::set_enabled(true);
   apollo::telemetry::start_collector();
-  run_tuned_loop(state);
+  const std::uint64_t probes = run_tuned_loop(state);
   apollo::telemetry::set_enabled(false);
   apollo::telemetry::stop_collector();
-  // run_tuned_loop resets the runtime (and its quality totals); the registry
-  // counter survives until reset_for_testing below.
-  state.counters["probes"] =
-      static_cast<double>(apollo::telemetry::MetricsRegistry::instance()
-                              .counter("apollo_probe_total",
-                                       "Ground-truth probes launched (alternative-variant timings).")
-                              .value());
+  state.counters["probes"] = static_cast<double>(probes);
   apollo::telemetry::reset_for_testing();
 }
 BENCHMARK(QualityOnTune);
@@ -159,19 +158,8 @@ void RingPush(benchmark::State& state) {
 }
 BENCHMARK(RingPush);
 
-void CounterInc(benchmark::State& state) {
-  auto& counter = apollo::telemetry::MetricsRegistry::instance().counter(
-      "bench_counter_total", "Benchmark counter.");
-  for (auto _ : state) {
-    counter.inc();
-  }
-  benchmark::DoNotOptimize(counter.value());
-}
-BENCHMARK(CounterInc);
-
 void HistogramObserve(benchmark::State& state) {
-  auto& hist = apollo::telemetry::MetricsRegistry::instance().histogram(
-      "bench_histogram_seconds", "Benchmark histogram.", apollo::telemetry::duration_bounds());
+  apollo::telemetry::Histogram hist(apollo::telemetry::duration_bounds());
   double value = 1e-9;
   for (auto _ : state) {
     hist.observe(value);

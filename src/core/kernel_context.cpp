@@ -2,10 +2,6 @@
 
 #include <bit>
 
-#include "online/explorer.hpp"
-#include "raja/policy.hpp"
-#include "telemetry/trace.hpp"
-
 namespace apollo {
 
 namespace detail {
@@ -85,48 +81,20 @@ void KernelContext::reset_stats() noexcept {
   }
 }
 
-KernelContext::TelemetryHandles& KernelContext::telemetry_locked() {
-  if (telemetry_ready_) return telemetry_;
-  // First launch of this kernel with telemetry on: resolve and cache every
-  // handle the per-launch path needs, so later launches pay atomics only.
-  auto& registry = telemetry::MetricsRegistry::instance();
-  telemetry_.name = telemetry::Tracer::instance().intern(loop_id_);
-  const std::string label = "kernel=\"" + loop_id_ + "\"";
-  telemetry_.decision_seconds =
-      &registry.histogram("apollo_decision_seconds",
-                          "Model-evaluation latency, sampled on the introspection stride.",
-                          telemetry::duration_bounds(), label);
-  telemetry_.accuracy = &registry.gauge(
-      "apollo_model_accuracy",
-      "Share of scored tuned launches whose variant matched the best-known.", label);
-  telemetry_.regret_seconds = &registry.gauge(
-      "apollo_regret_seconds_total",
-      "Cumulative seconds lost versus the best-known variant per kernel.", label);
-  telemetry_ready_ = true;
-  return telemetry_;
-}
-
-telemetry::Counter& KernelContext::variant_counter_locked(const ModelParams& params) {
-  TelemetryHandles& entry = telemetry_locked();
-  const std::uint64_t key = online::Variant{params.policy, params.chunk_size}.key();
-  for (auto& [variant_key, counter] : entry.variants) {
-    if (variant_key == key) return *counter;
+void KernelContext::count_dispatch_locked(const online::Variant& executed) {
+  for (auto& [variant, launches] : dispatches_) {
+    if (variant.key() == executed.key()) {
+      ++launches;
+      return;
+    }
   }
-  std::string label = "kernel=\"" + loop_id_ + "\",variant=\"";
-  label += raja::policy_name(params.policy);
-  if (params.chunk_size > 0) label += "/c" + std::to_string(params.chunk_size);
-  label += "\"";
-  auto& counter = telemetry::MetricsRegistry::instance().counter(
-      "apollo_dispatch_total", "Launches dispatched per kernel and executed variant.", label);
-  entry.variants.emplace_back(key, &counter);
-  return counter;
+  dispatches_.emplace_back(executed, 1);
 }
 
 void KernelContext::reset() {
   reset_stats();
   const std::lock_guard<std::mutex> lock(online_shard_.mutex());
-  telemetry_ready_ = false;
-  telemetry_ = TelemetryHandles{};
+  dispatches_.clear();
   online_shard_.clear_evidence_locked();
   probe_rotor_.store(0, std::memory_order_relaxed);
   noise_draws_.store(0, std::memory_order_relaxed);

@@ -17,10 +17,12 @@
 //   - the online shard (online::KernelShard) holds the kernel's one mutex,
 //     its evidence table (decayed runtimes per feature bucket and variant),
 //     its quality totals and its Mode::Adapt state; the same mutex guards
-//     the telemetry handle cache below (interned trace name, per-variant
-//     dispatch counters, decision-latency histogram, quality gauges). Two
-//     threads launching *different* kernels never contend, and a launch
-//     takes the mutex only with telemetry on or in Adapt mode.
+//     the telemetry-on launch counts per executed variant. Two threads
+//     launching *different* kernels never contend, and a launch takes the
+//     mutex only with telemetry on or in Adapt mode.
+//
+// The metrics exposition reads these counts where they are kept
+// (Runtime::render_metrics); the context holds no copy of its own.
 //
 // Contexts are created on first use and then live for the process lifetime
 // (Runtime::reset() clears their state in place), so pointers cached on
@@ -35,8 +37,10 @@
 #include <vector>
 
 #include "core/model_params.hpp"
+#include "online/explorer.hpp"
 #include "online/kernel_shard.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace apollo {
 
@@ -64,13 +68,17 @@ struct KernelStats {
 class KernelContext {
 public:
   explicit KernelContext(std::string loop_id)
-      : loop_id_(std::move(loop_id)), kernel_seed_(std::hash<std::string>{}(loop_id_)) {}
+      : loop_id_(std::move(loop_id)),
+        kernel_seed_(std::hash<std::string>{}(loop_id_)),
+        trace_name_(telemetry::Tracer::instance().intern(loop_id_)) {}
   KernelContext(const KernelContext&) = delete;
   KernelContext& operator=(const KernelContext&) = delete;
 
   [[nodiscard]] const std::string& loop_id() const noexcept { return loop_id_; }
   /// Hash of the loop id: the machine model's kernel identity.
   [[nodiscard]] std::uint64_t kernel_seed() const noexcept { return kernel_seed_; }
+  /// The loop id interned for trace events.
+  [[nodiscard]] const char* trace_name() const noexcept { return trace_name_; }
 
   // --- stats shard (lock-free, striped by thread) ---------------------------
   void charge(double seconds) noexcept {
@@ -105,23 +113,14 @@ public:
   [[nodiscard]] online::KernelShard& online_shard() noexcept { return online_shard_; }
 
   // --- telemetry (online_shard().mutex()) -----------------------------------
-  /// Cached metric handles: interned name, per-variant dispatch counters,
-  /// decision-latency histogram, quality gauges. Registry lookups are paid
-  /// once per kernel (and once per new variant), never per launch.
-  struct TelemetryHandles {
-    const char* name = nullptr;
-    telemetry::Histogram* decision_seconds = nullptr;
-    telemetry::Gauge* accuracy = nullptr;        ///< apollo_model_accuracy
-    telemetry::Gauge* regret_seconds = nullptr;  ///< apollo_regret_seconds_total
-    std::vector<std::pair<std::uint64_t, telemetry::Counter*>> variants;
-  };
-
-  /// Handle cache, resolved lazily on the first telemetry-on launch.
-  /// Requires online_shard().mutex().
-  [[nodiscard]] TelemetryHandles& telemetry_locked();
-  /// The dispatch counter for this launch's executed variant. Requires
-  /// online_shard().mutex().
-  [[nodiscard]] telemetry::Counter& variant_counter_locked(const ModelParams& params);
+  /// Count one telemetry-on launch under its executed variant.
+  void count_dispatch_locked(const online::Variant& executed);
+  /// Telemetry-on launches per executed variant since reset(), in
+  /// first-seen order.
+  [[nodiscard]] const std::vector<std::pair<online::Variant, std::uint64_t>>& dispatches_locked()
+      const noexcept {
+    return dispatches_;
+  }
 
   /// Probe rotor: the next slot in this kernel's round-robin over candidate
   /// probe variants. Lock-free.
@@ -197,10 +196,10 @@ public:
     return sum_stripes(&StatsStripe::cache_misses);
   }
 
-  /// Reset every counter in place (stats, rotor, noise ids), clear the
-  /// evidence table and quality totals, and drop the telemetry handle cache
-  /// so it re-resolves after a telemetry reconfigure. The context itself —
-  /// and any pointer cached on a KernelHandle — stays valid.
+  /// Reset every counter in place (stats, rotor, noise ids, inline-cache
+  /// hits and misses, dispatch counts) and clear the evidence table and
+  /// quality totals. The context itself — and any pointer cached on a
+  /// KernelHandle — stays valid.
   void reset();
 
 private:
@@ -228,6 +227,7 @@ private:
   // Read on every launch, written only on inline-cache misses.
   const std::string loop_id_;
   const std::uint64_t kernel_seed_;
+  const char* const trace_name_;
   struct InlineCacheEntry {
     std::atomic<std::uint32_t> version{0};  ///< seqlock; even = stable
     std::atomic<std::uint64_t> key{0};      ///< 0 = empty (keys are never 0)
@@ -240,8 +240,7 @@ private:
   alignas(64) std::atomic<std::uint64_t> noise_draws_{0};
   alignas(64) online::KernelShard online_shard_{loop_id_, kernel_seed_};
 
-  bool telemetry_ready_ = false;  ///< online_shard_.mutex()
-  TelemetryHandles telemetry_;    ///< online_shard_.mutex()
+  std::vector<std::pair<online::Variant, std::uint64_t>> dispatches_;  ///< online_shard_.mutex()
   std::atomic<std::uint64_t> probe_rotor_{0};
 
   StatsStripe stripes_[kStatsStripes];

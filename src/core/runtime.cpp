@@ -6,10 +6,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
+#include "parallel/thread_pool.hpp"
 #include "perf/blackboard.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/env.hpp"
@@ -155,7 +157,8 @@ const char* mode_name(Mode mode) noexcept {
 }
 
 Runtime::Runtime() {
-  telemetry::init_from_env();
+  telemetry::set_metrics_source([this](telemetry::MetricsSnapshot& out) { render_metrics(out); });
+  env_exporter_ = telemetry::init_from_env();
   if (const char* env = std::getenv("APOLLO_MODE")) {
     const std::string value(env);
     if (value == "record") {
@@ -180,6 +183,10 @@ Runtime::Runtime() {
 }
 
 Runtime::~Runtime() {
+  // The exit export reads this runtime, so it runs now: the exporter
+  // init_from_env registered with atexit would run after this destructor.
+  if (env_exporter_) telemetry::shutdown();
+  telemetry::set_metrics_source(nullptr);
   // Joins any in-flight retrain while the sample buffer it reads is alive.
   const std::lock_guard<std::mutex> lock(online_mutex_);
   online_.reset();
@@ -317,6 +324,7 @@ void Runtime::reset() {
     online_.reset();  // joins any in-flight retrain before state is torn down
   }
   adapt_version_.store(0, std::memory_order_relaxed);
+  hot_swaps_.store(0, std::memory_order_relaxed);
   mode_.store(Mode::Off, std::memory_order_relaxed);
   timing_ = TimingSource::Model;
   machine_ = sim::MachineModel{};
@@ -329,7 +337,7 @@ void Runtime::reset() {
   clear_models();
   {
     // Reset in place: contexts (and the pointers KernelHandles cache) stay
-    // valid; only their counters and handle caches are cleared.
+    // valid; only their counters and caches are cleared.
     const std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (auto& [loop_id, context] : contexts_) context->reset();
   }
@@ -389,6 +397,113 @@ double Runtime::regret_seconds_total() {
   double total = 0.0;
   for (const auto& [loop_id, quality] : quality_snapshot()) total += quality.regret_seconds;
   return total;
+}
+
+// --- metrics -----------------------------------------------------------------
+
+void Runtime::render_metrics(telemetry::MetricsSnapshot& out) {
+  std::uint64_t probes = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  {
+    const std::lock_guard<std::mutex> lock(contexts_mutex_);
+    for (auto& [loop_id, context] : contexts_) {
+      const std::string kernel = telemetry::label_pair("kernel", loop_id);
+      hits += static_cast<std::uint64_t>(context->inline_cache_hits());
+      misses += static_cast<std::uint64_t>(context->inline_cache_misses());
+      const telemetry::Histogram latency = context->decision_latency();
+      if (latency.count() > 0) {
+        out.add_histogram("apollo_decision_seconds", "Model-evaluation latency of tuned decisions.",
+                          kernel, latency);
+      }
+      online::KernelShard& shard = context->online_shard();
+      const std::lock_guard<std::mutex> shard_lock(shard.mutex());
+      for (const auto& [variant, launches] : context->dispatches_locked()) {
+        std::string name = raja::policy_name(variant.policy);
+        if (variant.chunk > 0) name += "/c" + std::to_string(variant.chunk);
+        out.add_counter("apollo_dispatch_total",
+                        "Launches dispatched per kernel and executed variant.",
+                        kernel + "," + telemetry::label_pair("variant", name), launches);
+      }
+      const online::KernelQuality& quality = shard.quality_locked();
+      probes += quality.probes;
+      if (quality.launches > 0 || quality.probes > 0 || quality.calibration_samples > 0) {
+        out.add_gauge("apollo_model_accuracy",
+                      "Share of scored tuned launches whose variant matched the best-known.",
+                      kernel, quality.accuracy());
+        out.add_gauge("apollo_regret_seconds_total",
+                      "Cumulative seconds lost versus the best-known variant per kernel.", kernel,
+                      quality.regret_seconds);
+      }
+    }
+  }
+
+  online::OnlineTuner::Status status;
+  telemetry::Histogram retrain_seconds{telemetry::duration_bounds()};
+  {
+    // reset() destroys the tuner under this mutex; online() would create one.
+    const std::lock_guard<std::mutex> lock(online_mutex_);
+    if (online_) {
+      status = online_->status();
+      retrain_seconds = online_->retrainer().durations();
+    }
+  }
+  for (const auto& [loop_id, fires] : status.drift_fires_by_kernel) {
+    out.add_counter("apollo_drift_fires_total", "Drift-detector fires per kernel.",
+                    telemetry::label_pair("kernel", loop_id), fires);
+  }
+  out.add_histogram("apollo_retrain_seconds", "Background retrain duration.", "",
+                    retrain_seconds);
+  out.add_counter("apollo_retrains_total", "Background retrains by outcome.",
+                  telemetry::label_pair("result", "ok"), status.retrains_completed);
+  out.add_counter("apollo_retrains_total", "Background retrains by outcome.",
+                  telemetry::label_pair("result", "failed"), status.retrains_failed);
+
+  using Kind = telemetry::MetricKind;
+  const par::PoolStats pool = par::ThreadPool::stats();
+  const std::tuple<const char*, Kind, std::uint64_t, const char*> scalars[] = {
+      {"apollo_probe_total", Kind::Counter, probes,
+       "Ground-truth probes launched (alternative-variant timings)."},
+      {"apollo_inline_cache_hits_total", Kind::Counter, hits,
+       "Tuned launches that reused the call site's cached decision."},
+      {"apollo_inline_cache_misses_total", Kind::Counter, misses,
+       "Tuned launches that evaluated the model (no cached decision matched)."},
+      {"apollo_hot_swaps_total", Kind::Counter, hot_swaps_.load(std::memory_order_relaxed),
+       "Model hot-swaps applied by the runtime."},
+      {"apollo_model_generation", Kind::Gauge, adapt_version_.load(std::memory_order_relaxed),
+       "Registry model generation currently compiled into the runtime."},
+      {"apollo_model_registry_version", Kind::Gauge, status.model_version,
+       "Latest model generation published."},
+      {"apollo_explore_total", Kind::Counter, status.explorations - status.exploration_vetoes,
+       "Launches where the explorer substituted a trial variant."},
+      {"apollo_explore_vetoed_total", Kind::Counter, status.exploration_vetoes,
+       "Exploration candidates rejected by the cost guard."},
+      {"apollo_samples_pushed_total", Kind::Counter, records_.total_pushed(),
+       "Samples pushed into the runtime sample buffer."},
+      {"apollo_samples_dropped_total", Kind::Counter, records_.dropped(),
+       "Samples overwritten or evicted before a consumer saw them."},
+      {"apollo_sample_buffer_occupancy", Kind::Gauge, records_.size(),
+       "Samples currently retained in the buffer."},
+      {"apollo_sample_buffer_capacity", Kind::Gauge, records_.capacity(),
+       "Configured sample-buffer capacity."},
+      {"apollo_pool_launches_total", Kind::Counter, pool.launches,
+       "Multi-member parallel_for fork-join launches"},
+      {"apollo_pool_inline_total", Kind::Counter, pool.inline_runs,
+       "parallel_for launches run inline on the caller (team of one or reentrant)"},
+      {"apollo_pool_wakeups_total", Kind::Counter, pool.wakeups,
+       "Parked pool workers notified by a job publication"},
+      {"apollo_pool_spin_completions_total", Kind::Counter, pool.spin_completions,
+       "Fork-join waits satisfied within the spin budget"},
+      {"apollo_pool_park_completions_total", Kind::Counter, pool.park_completions,
+       "Fork-join waits that parked on a condvar"},
+  };
+  for (const auto& [name, kind, value, help] : scalars) {
+    if (kind == Kind::Counter) {
+      out.add_counter(name, help, "", value);
+    } else {
+      out.add_gauge(name, help, "", static_cast<double>(value));
+    }
+  }
 }
 
 // --- cost queries ------------------------------------------------------------
@@ -466,10 +581,6 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
       if (telem) {
         t_pending.decide_dur_ns = decide_end - decide_start;
         t_pending.generation = snapshot->version;
-        static telemetry::Counter& hits = telemetry::MetricsRegistry::instance().counter(
-            "apollo_inline_cache_hits_total",
-            "Tuned launches that reused the call site's cached decision.");
-        hits.inc();
         maybe_capture_decision(context, *snapshot, params, kernel, iset);
       }
       return;
@@ -489,12 +600,6 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
   if (telem) {
     t_pending.decide_dur_ns = decide_end - decide_start;
     t_pending.generation = snapshot != nullptr ? snapshot->version : 0;
-    if (cacheable) {
-      static telemetry::Counter& misses = telemetry::MetricsRegistry::instance().counter(
-          "apollo_inline_cache_misses_total",
-          "Tuned launches that evaluated the model (no cached decision matched).");
-      misses.inc();
-    }
     if (snapshot != nullptr) maybe_capture_decision(context, *snapshot, params, kernel, iset);
   }
 }
@@ -590,6 +695,7 @@ const std::shared_ptr<const ModelSnapshot>& Runtime::refresh_adapt_models() {
         }
         models_ = std::move(next);
         model_epoch_.fetch_add(1, std::memory_order_release);
+        hot_swaps_.fetch_add(1, std::memory_order_relaxed);
         swapped = true;
       }
       adapt_version_.store(version, std::memory_order_release);
@@ -599,12 +705,6 @@ const std::shared_ptr<const ModelSnapshot>& Runtime::refresh_adapt_models() {
     // Outside models_mutex_ (lock order: never hold it across online calls).
     tuner.on_models_swapped();
     if (telemetry::enabled()) {
-      auto& registry = telemetry::MetricsRegistry::instance();
-      registry.counter("apollo_hot_swaps_total", "Model hot-swaps applied by the runtime.").inc();
-      registry
-          .gauge("apollo_model_generation",
-                 "Registry model generation currently compiled into the runtime.")
-          .set(static_cast<double>(version));
       telemetry::emit_instant(telemetry::EventKind::HotSwap, "hot_swap", version);
     }
   }
@@ -650,9 +750,6 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
         params.threads = 0;
         params.explored = true;
         if (telem) {
-          static telemetry::Counter& explores = telemetry::MetricsRegistry::instance().counter(
-              "apollo_explore_total", "Launches where the explorer substituted a trial variant.");
-          explores.inc();
           telemetry::emit_instant(telemetry::EventKind::Explore, "explore", explored->key());
         }
       }
@@ -732,20 +829,11 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     adapt_record = tuner.observe(shard, bucket, executed, seconds, params.explored, telem);
   }
 
-  const char* trace_name = nullptr;
   if (telem) {
     // The kernel's one lock: concurrent launches of *different* kernels
     // never serialize here.
     const std::lock_guard<std::mutex> lock(shard.mutex());
-    KernelContext::TelemetryHandles& entry = context.telemetry_locked();
-    trace_name = entry.name;
-    context.variant_counter_locked(params).inc();
-    // The registry histogram rides the introspection stride: every launch
-    // already feeds the always-on decision_latency_ histogram, so the
-    // labeled series trades resolution for ~40ns off the hot path.
-    if (sampled && t_pending.decide_dur_ns > 0) {
-      entry.decision_seconds->observe(static_cast<double>(t_pending.decide_dur_ns) * 1e-9);
-    }
+    context.count_dispatch_locked(executed);
     if (tuned) {
       // Quality accounting in Tune mode: the probe refreshes its variant's
       // baseline, then the launch refreshes its own and is scored against
@@ -754,15 +842,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
         if (probe_armed) shard.probe_locked(bucket, probe_variant.key(), probe_seconds);
         shard.observe_locked(bucket, executed.key(), seconds, /*score=*/!params.explored);
       }
-      online::KernelQuality& quality = shard.quality_locked();
-      if (sampled) quality.calibrate(t_pending.record.predicted_seconds, seconds);
-      // The exported gauges ride the introspection stride and the probes:
-      // the live files refresh on a 500ms cadence, so per-launch gauge
-      // stores would buy nothing but hot-path cost.
-      if (sampled || probe_armed) {
-        entry.accuracy->set(quality.accuracy());
-        entry.regret_seconds->set(quality.regret_seconds);
-      }
+      if (sampled) shard.quality_locked().calibrate(t_pending.record.predicted_seconds, seconds);
     }
   }
   if (telem && t_pending.start_ns != 0) {
@@ -771,12 +851,12 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     // execution seconds — exactly the time Apollo accounts to this launch.
     const std::uint64_t end_ns = t_pending.start_ns + t_pending.decide_dur_ns +
                                  static_cast<std::uint64_t>(seconds * 1e9);
-    telemetry::emit_span(telemetry::EventKind::Launch, trace_name, t_pending.start_ns, end_ns,
-                         executed.key(), params.explored ? 1 : 0);
+    telemetry::emit_span(telemetry::EventKind::Launch, context.trace_name(), t_pending.start_ns,
+                         end_ns, executed.key(), params.explored ? 1 : 0);
     // Decide spans ride the introspection stride: every tuned launch feeds
     // the latency histograms, but only sampled launches pay a second event.
     if (sampled && t_pending.decide_dur_ns > 0) {
-      telemetry::emit_span(telemetry::EventKind::Decide, trace_name, t_pending.start_ns,
+      telemetry::emit_span(telemetry::EventKind::Decide, context.trace_name(), t_pending.start_ns,
                            t_pending.start_ns + t_pending.decide_dur_ns, t_pending.generation, 0);
     }
     t_pending.start_ns = 0;
@@ -796,22 +876,17 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     t_pending.record_armed = false;
   }
 
-  if (probe_armed) {
-    static telemetry::Counter& probes = telemetry::MetricsRegistry::instance().counter(
-        "apollo_probe_total", "Ground-truth probes launched (alternative-variant timings).");
-    probes.inc();
-    if (telemetry::AuditLog::instance().audit_enabled()) {
-      telemetry::AuditRecord record;
-      record.kind = telemetry::AuditRecord::Kind::Probe;
-      record.ts_ns = telemetry::now_ns();
-      record.kernel = kernel.loop_id();
-      record.bucket = bucket;
-      record.model_version = t_pending.generation;
-      record.policy = raja::policy_name(probe_variant.policy);
-      record.chunk = probe_variant.chunk;
-      record.seconds = probe_seconds;
-      telemetry::AuditLog::instance().append(record);
-    }
+  if (probe_armed && telemetry::AuditLog::instance().audit_enabled()) {
+    telemetry::AuditRecord record;
+    record.kind = telemetry::AuditRecord::Kind::Probe;
+    record.ts_ns = telemetry::now_ns();
+    record.kernel = kernel.loop_id();
+    record.bucket = bucket;
+    record.model_version = t_pending.generation;
+    record.policy = raja::policy_name(probe_variant.policy);
+    record.chunk = probe_variant.chunk;
+    record.seconds = probe_seconds;
+    telemetry::AuditLog::instance().append(record);
   }
 
   if (mode == Mode::Adapt) {

@@ -21,17 +21,21 @@
 // models" direction from the paper's conclusion, closed inside one process.
 //
 // Layering (see docs/architecture.md): the Runtime is a facade. Per-kernel
-// state — the stats shard, cached telemetry handles, the evidence table and
-// quality totals, the probe rotor — lives in KernelContext (resolved once per call site, cached
-// on the KernelHandle as an atomic pointer). Models live in an immutable
-// ModelSnapshot published by atomic pointer swap. Application attributes the
-// cost model needs (problem name, timestep) come from a thread-local view of
-// the Blackboard, refreshed only when its generation changes. The
-// steady-state dispatch path therefore takes no process-wide lock, writes no
-// process-wide counter and looks up no map: concurrent application threads
-// launching different kernels never serialize, and launches of the same
-// kernel contend only on that kernel's atomics (plus its one mutex when
-// telemetry is on or in Mode::Adapt).
+// state — the stats shard, the dispatch counts, the evidence table and
+// quality totals, the probe rotor — lives in KernelContext (resolved once
+// per call site, cached on the KernelHandle as an atomic pointer). Models
+// live in an immutable ModelSnapshot published by atomic pointer swap.
+// Application attributes the cost model needs (problem name, timestep) come
+// from a thread-local view of the Blackboard, refreshed only when its
+// generation changes. The steady-state dispatch path therefore takes no
+// process-wide lock, writes no process-wide counter and looks up no map:
+// concurrent application threads launching different kernels never
+// serialize, and launches of the same kernel contend only on that kernel's
+// atomics (plus its one mutex when telemetry is on or in Mode::Adapt).
+//
+// The Runtime is also the telemetry layer's metrics source: each export
+// renders every apollo_* series from the counters above, the online tuner's
+// and the sample buffer's (render_metrics), so no launch writes a metric.
 
 #include <atomic>
 #include <cstdint>
@@ -215,9 +219,6 @@ public:
   [[nodiscard]] online::OnlineTuner& online();
   /// Replace the adaptation configuration (waits for in-flight retrains).
   void configure_online(online::OnlineConfig config);
-  [[nodiscard]] bool has_online() const noexcept {
-    return online_ptr_.load(std::memory_order_acquire) != nullptr;
-  }
 
   // --- model quality (telemetry on, Tune/Adapt modes) -----------------------
   /// Per-kernel quality counters: online accuracy vs the best-known variant,
@@ -236,7 +237,8 @@ public:
 
   /// Reset everything (mode, models, stats, records, counters). For tests.
   /// Kernel contexts are reset in place, never destroyed, so pointers cached
-  /// on static KernelHandles stay valid across resets.
+  /// on static KernelHandles stay valid across resets. The exported series
+  /// the runtime and its tuner keep restart here, as at a process start.
   void reset();
 
   // --- hooks (called by apollo::forall) -------------------------------------
@@ -283,6 +285,13 @@ private:
   /// version, compile the registry snapshot and publish it (pointer store).
   /// Returns the snapshot this launch should decide with.
   const std::shared_ptr<const ModelSnapshot>& refresh_adapt_models();
+
+  /// The metrics source: every apollo_* series but apollo_build_info, read
+  /// from where it is kept. Runs on the exporting thread while launches and
+  /// reset() run: it takes contexts_mutex_ and then each kernel's mutex (the
+  /// quality_snapshot() order), then online_mutex_ to read the tuner, and it
+  /// never creates one.
+  void render_metrics(telemetry::MetricsSnapshot& out);
 
   /// The online tuner, created on first use. Requires online_mutex_.
   [[nodiscard]] online::OnlineTuner& online_locked();
@@ -336,6 +345,10 @@ private:
   std::atomic<std::uint64_t> model_epoch_{1};
   /// Registry generation currently compiled (Adapt); reset by configure_online.
   std::atomic<std::uint64_t> adapt_version_{0};
+  /// Registry generations compiled in by refresh_adapt_models.
+  std::atomic<std::uint64_t> hot_swaps_{0};
+  /// init_from_env enabled telemetry: ~Runtime runs the exit export.
+  bool env_exporter_ = false;
 
   // --- per-kernel contexts --------------------------------------------------
   mutable std::mutex contexts_mutex_;

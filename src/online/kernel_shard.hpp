@@ -10,7 +10,7 @@
 //     quality accounting, drift detection and the explorer's cost guard all
 //     read it;
 //   - the kernel's quality totals (KernelQuality, scored with telemetry on);
-//   - the owning context's telemetry handle cache;
+//   - the owning context's dispatch counts (telemetry on);
 //   - the Mode::Adapt state: drift detector, sample-stride tick, exploration
 //     draw counter, and launch, exploration and veto counts.
 //

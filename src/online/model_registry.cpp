@@ -5,8 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "telemetry/telemetry.hpp"
-
 namespace apollo::online {
 
 namespace fs = std::filesystem;
@@ -51,11 +49,6 @@ void ModelRegistry::set_persist_dir(std::string dir) {
   if (!dir_.empty()) fs::create_directories(dir_);
 }
 
-std::string ModelRegistry::persist_dir() const {
-  std::lock_guard lock(mutex_);
-  return dir_;
-}
-
 std::shared_ptr<const ModelSnapshot> ModelRegistry::current() const {
   std::lock_guard lock(mutex_);
   return current_;
@@ -72,11 +65,6 @@ std::uint64_t ModelRegistry::publish(std::optional<TunerModel> policy,
   if (!dir_.empty()) persist_locked(*next);
   current_ = std::move(next);
   version_.store(current_->version, std::memory_order_release);
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::instance()
-        .gauge("apollo_model_registry_version", "Latest model generation published.")
-        .set(static_cast<double>(current_->version));
-  }
   return current_->version;
 }
 

@@ -40,7 +40,6 @@ public:
   /// Enable persistence: every publish is also written to `dir` (created on
   /// demand). Pass "" to disable.
   void set_persist_dir(std::string dir);
-  [[nodiscard]] std::string persist_dir() const;
 
   /// Monotonically increasing; 0 until the first publish. Safe to poll from
   /// any thread without taking the registry lock.

@@ -103,12 +103,6 @@ std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint6
   const double best = shard.evidence_.best(bucket);
   if (known > 0.0 && best > 0.0 && known > config_.explore_cost_guard * best) {
     ++shard.vetoes_;
-    if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::instance()
-          .counter("apollo_explore_vetoed_total",
-                   "Exploration candidates rejected by the cost guard.")
-          .inc();
-    }
     return std::nullopt;
   }
   return candidate;
@@ -140,10 +134,6 @@ bool OnlineTuner::observe(KernelShard& shard, std::uint64_t bucket, const Varian
     retrain_pending_.store(true, std::memory_order_release);
     explorer_.set_boosted(true);
     if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::instance()
-          .counter("apollo_drift_fires_total", "Drift-detector fires per kernel.",
-                   "kernel=\"" + shard.loop_id() + "\"")
-          .inc();
       telemetry::emit_instant(telemetry::EventKind::DriftFire,
                               telemetry::Tracer::instance().intern(shard.loop_id()), bucket);
     }
@@ -224,6 +214,8 @@ OnlineTuner::Status OnlineTuner::status() const {
     s.explorations += shard->explorations_;
     s.exploration_vetoes += shard->vetoes_;
     s.launches += shard->launches_;
+    const std::uint64_t fires = shard->detector_.fires();
+    if (fires > 0) s.drift_fires_by_kernel.emplace_back(shard->loop_id(), fires);
   }
   s.retrain_in_flight = retrainer_.busy();
   s.exploring_boosted = explorer_.boosted();

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/decision_tree.hpp"
@@ -147,6 +148,8 @@ public:
     std::uint64_t explorations = 0;
     std::uint64_t exploration_vetoes = 0;
     std::uint64_t launches = 0;
+    /// Loop id and drift fires of each kernel that fired since configure().
+    std::vector<std::pair<std::string, std::uint64_t>> drift_fires_by_kernel;
     bool retrain_in_flight = false;
     bool exploring_boosted = false;
   };

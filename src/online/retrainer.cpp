@@ -111,7 +111,6 @@ bool Retrainer::request(std::vector<perf::SampleRecord> samples) {
 void Retrainer::run(std::vector<perf::SampleRecord> samples,
                     std::chrono::steady_clock::time_point started) {
   const telemetry::ScopedSpan span(telemetry::EventKind::Retrain, "retrain", samples.size());
-  bool ok = true;
   Result result;
   try {
     result.policy = Trainer::train(samples, TunedParameter::Policy, params_);
@@ -125,7 +124,6 @@ void Retrainer::run(std::vector<perf::SampleRecord> samples,
     if (publisher_) publisher_(std::move(result));
     completed_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& error) {
-    ok = false;
     failed_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard lock(error_mutex_);
     last_error_ = error.what();
@@ -133,17 +131,7 @@ void Retrainer::run(std::vector<perf::SampleRecord> samples,
   const double duration =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   last_duration_.store(duration, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    auto& registry = telemetry::MetricsRegistry::instance();
-    registry
-        .histogram("apollo_retrain_seconds", "Background retrain duration.",
-                   telemetry::duration_bounds())
-        .observe(duration);
-    registry
-        .counter("apollo_retrains_total", "Background retrains by outcome.",
-                 ok ? "result=\"ok\"" : "result=\"failed\"")
-        .inc();
-  }
+  durations_.observe(duration);
   busy_.store(false, std::memory_order_release);
 }
 

@@ -24,6 +24,7 @@
 #include "online/sample_buffer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perf/record.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace apollo::online {
 
@@ -80,6 +81,8 @@ public:
   [[nodiscard]] double last_duration_seconds() const noexcept {
     return last_duration_.load(std::memory_order_relaxed);
   }
+  /// Durations of every finished retrain, failed ones included.
+  [[nodiscard]] const telemetry::Histogram& durations() const noexcept { return durations_; }
   /// Message of the last failed retrain ("" when none). For diagnostics.
   [[nodiscard]] std::string last_error() const;
 
@@ -96,6 +99,7 @@ private:
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<double> last_duration_{0.0};
+  telemetry::Histogram durations_{telemetry::duration_bounds()};
   mutable std::mutex error_mutex_;
   std::string last_error_;
   /// Dedicated pool: destroying the Retrainer joins any in-flight retrain,

@@ -8,33 +8,6 @@
 
 namespace apollo::online {
 
-namespace {
-
-/// Metric handles resolved once (registry lookups take a lock; push must not).
-struct BufferTelemetry {
-  telemetry::Counter* pushed;
-  telemetry::Counter* dropped;
-  telemetry::Gauge* occupancy;
-  telemetry::Gauge* capacity;
-};
-
-BufferTelemetry& buffer_telemetry() {
-  static BufferTelemetry handles = [] {
-    auto& registry = telemetry::MetricsRegistry::instance();
-    return BufferTelemetry{
-        &registry.counter("apollo_samples_pushed_total",
-                          "Samples pushed into the runtime sample buffer."),
-        &registry.counter("apollo_samples_dropped_total",
-                          "Samples overwritten by newer pushes before a consumer saw them."),
-        &registry.gauge("apollo_sample_buffer_occupancy",
-                        "Samples currently retained in the buffer."),
-        &registry.gauge("apollo_sample_buffer_capacity", "Configured sample-buffer capacity.")};
-  }();
-  return handles;
-}
-
-}  // namespace
-
 perf::SampleRecord Sample::materialize() const {
   perf::SampleRecord record = app ? *app : perf::SampleRecord{};
   features::fill_kernel_features(record, kernel->loop_id, kernel->func, kernel->mix, num_indices,
@@ -55,14 +28,11 @@ SampleBuffer::SampleBuffer(std::size_t capacity) : capacity_(std::max<std::size_
 }
 
 void SampleBuffer::push(Sample sample) {
-  const bool telem = telemetry::enabled();
   // Released after the unlock: dropping the evicted sample's blackboard
   // snapshot may free it, and this is the one lock every Record launch and
   // every sampled Adapt launch takes.
   std::shared_ptr<const perf::SampleRecord> evicted;
-  bool overwrote = false;
   std::size_t occupancy = 0;
-  std::size_t capacity = 0;
   {
     std::lock_guard lock(mutex_);
     if (ring_.size() < capacity_) {
@@ -71,19 +41,13 @@ void SampleBuffer::push(Sample sample) {
       Sample& slot = ring_[next_];
       evicted = std::move(slot.app);
       slot = std::move(sample);
-      overwrote = true;
+      ++dropped_;
       next_ = (next_ + 1) % capacity_;
     }
     occupancy = ring_.size();
-    capacity = capacity_;
     pushed_.fetch_add(1, std::memory_order_release);
   }
-  if (telem) {
-    auto& handles = buffer_telemetry();
-    handles.pushed->inc();
-    if (overwrote) handles.dropped->inc();
-    handles.occupancy->set(static_cast<double>(occupancy));
-    handles.capacity->set(static_cast<double>(capacity));
+  if (telemetry::enabled()) {
     telemetry::emit_instant(telemetry::EventKind::SamplePush, "sample_push", occupancy);
   }
 }
@@ -95,7 +59,7 @@ std::size_t SampleBuffer::size() const {
 
 std::uint64_t SampleBuffer::dropped() const {
   std::lock_guard lock(mutex_);
-  return pushed_.load(std::memory_order_relaxed) - ring_.size();
+  return dropped_;
 }
 
 std::vector<Sample> SampleBuffer::take_ordered_locked() {
@@ -156,6 +120,7 @@ void SampleBuffer::set_capacity(std::size_t capacity) {
   std::vector<Sample> kept = take_ordered_locked();
   capacity_ = std::max<std::size_t>(capacity, 1);
   if (kept.size() > capacity_) {
+    dropped_ += kept.size() - capacity_;
     kept.erase(kept.begin(), kept.end() - static_cast<std::ptrdiff_t>(capacity_));
   }
   ring_ = std::move(kept);

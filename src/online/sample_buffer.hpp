@@ -62,14 +62,19 @@ public:
   /// Append one sample; overwrites the oldest when full.
   void push(Sample sample);
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const {
+    std::lock_guard lock(mutex_);
+    return capacity_;
+  }
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
   /// Samples ever pushed (monotonic; >= size()). Lock-free.
   [[nodiscard]] std::uint64_t total_pushed() const noexcept {
     return pushed_.load(std::memory_order_acquire);
   }
-  /// Samples lost to overwrite (total_pushed - retained).
+  /// Samples lost before any consumer saw them: overwritten by a push into
+  /// a full ring, or evicted when set_capacity shrank it. Samples a drain()
+  /// took or clear() discarded are not drops. Monotonic, like total_pushed.
   [[nodiscard]] std::uint64_t dropped() const;
 
   /// Materialized copy of the current contents, oldest first. The producer
@@ -101,6 +106,7 @@ private:
   std::size_t capacity_;
   std::vector<Sample> ring_;  ///< grows to capacity_, then wraps
   std::size_t next_ = 0;      ///< overwrite position once full
+  std::uint64_t dropped_ = 0;  ///< mutex_
   std::atomic<std::uint64_t> pushed_{0};
 };
 

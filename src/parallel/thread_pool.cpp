@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "telemetry/env.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace apollo::par {
 
@@ -15,6 +14,14 @@ namespace {
 // nested parallel_for on the same pool runs inline instead of deadlocking
 // on job serialization.
 thread_local const ThreadPool* t_active_pool = nullptr;
+
+// The process-wide counts behind stats(), one cache line each: workers and
+// callers of every pool add to them with one relaxed add per event.
+alignas(64) std::atomic<std::uint64_t> g_launches{0};
+alignas(64) std::atomic<std::uint64_t> g_inline_runs{0};
+alignas(64) std::atomic<std::uint64_t> g_wakeups{0};
+alignas(64) std::atomic<std::uint64_t> g_spin_completions{0};
+alignas(64) std::atomic<std::uint64_t> g_park_completions{0};
 
 unsigned default_thread_count() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -80,19 +87,6 @@ ThreadPool::ThreadPool(unsigned threads, std::int64_t spin_us) {
   spin_us_ = spin_us >= 0 ? spin_us : default_spin_us();
   yield_spin_ = team_size_ > std::max(1u, std::thread::hardware_concurrency());
 
-  auto& registry = telemetry::MetricsRegistry::instance();
-  launches_ = &registry.counter("apollo_pool_launches_total",
-                                "Multi-member parallel_for fork-join launches");
-  inline_runs_ = &registry.counter("apollo_pool_inline_total",
-                                   "parallel_for launches run inline on the caller "
-                                   "(team of one or reentrant)");
-  wakeups_ = &registry.counter("apollo_pool_wakeups_total",
-                               "Parked pool workers notified by a job publication");
-  spin_completions_ = &registry.counter("apollo_pool_spin_completions_total",
-                                        "Fork-join waits satisfied within the spin budget");
-  park_completions_ = &registry.counter("apollo_pool_park_completions_total",
-                                        "Fork-join waits that parked on a condvar");
-
   const unsigned worker_count = team_size_ - 1;
   if (worker_count > 0) {
     slots_ = std::make_unique<WorkerSlot[]>(worker_count);
@@ -133,14 +127,10 @@ ThreadPool& ThreadPool::global() {
 bool ThreadPool::inside_region() const noexcept { return t_active_pool == this; }
 
 PoolStats ThreadPool::stats() {
-  auto& registry = telemetry::MetricsRegistry::instance();
-  PoolStats s;
-  s.launches = registry.counter("apollo_pool_launches_total", "").value();
-  s.inline_runs = registry.counter("apollo_pool_inline_total", "").value();
-  s.wakeups = registry.counter("apollo_pool_wakeups_total", "").value();
-  s.spin_completions = registry.counter("apollo_pool_spin_completions_total", "").value();
-  s.park_completions = registry.counter("apollo_pool_park_completions_total", "").value();
-  return s;
+  return {g_launches.load(std::memory_order_relaxed), g_inline_runs.load(std::memory_order_relaxed),
+          g_wakeups.load(std::memory_order_relaxed),
+          g_spin_completions.load(std::memory_order_relaxed),
+          g_park_completions.load(std::memory_order_relaxed)};
 }
 
 void ThreadPool::run_share(const Job& job, unsigned member, unsigned team) {
@@ -176,7 +166,7 @@ void ThreadPool::publish_to(WorkerSlot& slot, std::uint64_t epoch) {
       std::lock_guard slot_lock(slot.mutex);
     }
     slot.cv.notify_one();
-    wakeups_->inc();
+    g_wakeups.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -195,7 +185,7 @@ void ThreadPool::worker_loop(unsigned slot_index) {
           },
           spin_us_, yield_spin_);
       if (spun) {
-        spin_completions_->inc();
+        g_spin_completions.fetch_add(1, std::memory_order_relaxed);
       } else {
         std::unique_lock slot_lock(slot.mutex);
         slot.parked.store(true, std::memory_order_seq_cst);
@@ -203,10 +193,10 @@ void ThreadPool::worker_loop(unsigned slot_index) {
                      [&] { return slot.epoch.load(std::memory_order_seq_cst) != seen; });
         slot.parked.store(false, std::memory_order_relaxed);
         next = slot.epoch.load(std::memory_order_acquire);
-        park_completions_->inc();
+        g_park_completions.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
-      spin_completions_->inc();
+      g_spin_completions.fetch_add(1, std::memory_order_relaxed);
     }
     if (shutting_down_.load(std::memory_order_acquire)) return;
     seen = next;
@@ -239,7 +229,7 @@ void ThreadPool::parallel_for_blocks(std::int64_t begin, std::int64_t end, std::
     // contiguous sweep. A nested region (called from a share on this pool)
     // runs the same way: the outer region's members are busy, and waiting
     // for them here would deadlock the join.
-    inline_runs_->inc();
+    g_inline_runs.fetch_add(1, std::memory_order_relaxed);
     block(body, begin, end);
     return;
   }
@@ -255,7 +245,7 @@ void ThreadPool::parallel_for_blocks(std::int64_t begin, std::int64_t end, std::
     remaining_.store(static_cast<int>(effective) - 1, std::memory_order_relaxed);
     const std::uint64_t epoch = ++epoch_counter_;
     for (unsigned w = 0; w + 1 < effective; ++w) publish_to(slots_[w], epoch);
-    launches_->inc();
+    g_launches.fetch_add(1, std::memory_order_relaxed);
 
     // The caller is member 0: run our share instead of sleeping through the
     // region. Mark the pool active on this thread so a nested parallel_for
@@ -274,17 +264,17 @@ void ThreadPool::parallel_for_blocks(std::int64_t begin, std::int64_t end, std::
           spin_wait([&] { return remaining_.load(std::memory_order_acquire) == 0; },
                     spin_us_, yield_spin_);
       if (spun) {
-        spin_completions_->inc();
+        g_spin_completions.fetch_add(1, std::memory_order_relaxed);
       } else {
         std::unique_lock done_lock(done_mutex_);
         caller_parked_.store(true, std::memory_order_seq_cst);
         done_cv_.wait(done_lock,
                       [&] { return remaining_.load(std::memory_order_seq_cst) == 0; });
         caller_parked_.store(false, std::memory_order_relaxed);
-        park_completions_->inc();
+        g_park_completions.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
-      spin_completions_->inc();
+      g_spin_completions.fetch_add(1, std::memory_order_relaxed);
     }
     t_active_pool = previous;
 

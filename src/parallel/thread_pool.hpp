@@ -45,9 +45,9 @@
 //   APOLLO_SPIN_US      fork-join spin budget in microseconds before parking
 //                       (default 50; 0 parks immediately)
 //
-// Observability: process-wide `apollo_pool_*` counters in the
-// MetricsRegistry (launches, inline runs, wakeups, spin-vs-park completions),
-// surfaced by apollo_top.
+// Observability: process-wide counts of launches, inline runs, wakeups and
+// spin-vs-park completions (stats()), exported as the `apollo_pool_*` family
+// and surfaced by apollo_top.
 
 #include <atomic>
 #include <condition_variable>
@@ -59,18 +59,14 @@
 #include <thread>
 #include <vector>
 
-namespace apollo::telemetry {
-class Counter;
-}
-
 namespace apollo::par {
 
 /// Block trampoline: run the type-erased body over indices [lo, hi). `forall`
 /// instantiates one per (policy, body-type) pair so the index loop inlines.
 using BlockFn = void (*)(const void* body, std::int64_t lo, std::int64_t hi);
 
-/// Point-in-time snapshot of the process-wide apollo_pool_* counters (all
-/// pools in the process share the series; tests assert on deltas).
+/// Point-in-time snapshot of the process-wide pool counters (all pools in
+/// the process share them; tests assert on deltas).
 struct PoolStats {
   std::uint64_t launches = 0;          ///< multi-member fork-join launches
   std::uint64_t inline_runs = 0;       ///< team-of-one or reentrant launches
@@ -133,7 +129,7 @@ public:
   /// Block until the async lane is empty and idle.
   void wait_async_idle();
 
-  /// Snapshot of the process-wide apollo_pool_* metrics.
+  /// Snapshot of the process-wide pool counters.
   [[nodiscard]] static PoolStats stats();
 
   /// True while the current thread is executing a share of a region on this
@@ -193,13 +189,6 @@ private:
 
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
-
-  // Process-wide metrics handles (resolved once per pool; series shared).
-  telemetry::Counter* launches_ = nullptr;
-  telemetry::Counter* inline_runs_ = nullptr;
-  telemetry::Counter* wakeups_ = nullptr;
-  telemetry::Counter* spin_completions_ = nullptr;
-  telemetry::Counter* park_completions_ = nullptr;
 
   // Async background-job lane (independent of the fork-join machinery).
   std::thread async_worker_;

@@ -1,8 +1,10 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -88,9 +90,11 @@ std::vector<double> exponential_bounds(double first, double factor, int n) {
 }
 
 const std::vector<double>& duration_bounds() {
-  static const std::vector<double> bounds =
-      exponential_bounds(1e-9, 2.0, static_cast<int>(kDurationBounds));
-  return bounds;
+  // Never destroyed: ~Runtime runs the exit export, which renders duration
+  // histograms, after function-local statics built later are gone.
+  static const auto* bounds =
+      new std::vector<double>(exponential_bounds(1e-9, 2.0, static_cast<int>(kDurationBounds)));
+  return *bounds;
 }
 
 void DurationCounts::observe(double seconds) noexcept {
@@ -118,50 +122,6 @@ void DurationCounts::reset() noexcept {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-MetricsRegistry::Family& MetricsRegistry::family_locked(std::string_view name,
-                                                        std::string_view help, MetricKind kind) {
-  auto it = families_.find(std::string(name));
-  if (it == families_.end()) {
-    Family family;
-    family.kind = kind;
-    family.help = std::string(help);
-    it = families_.emplace(std::string(name), std::move(family)).first;
-  } else if (it->second.kind != kind) {
-    throw std::logic_error("MetricsRegistry: kind mismatch for metric " + std::string(name));
-  }
-  return it->second;
-}
-
-Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
-                                  std::string_view labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Series& series = family_locked(name, help, MetricKind::Counter).series[std::string(labels)];
-  if (!series.counter) series.counter = std::make_unique<Counter>();
-  return *series.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
-                              std::string_view labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Series& series = family_locked(name, help, MetricKind::Gauge).series[std::string(labels)];
-  if (!series.gauge) series.gauge = std::make_unique<Gauge>();
-  return *series.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view help,
-                                      const std::vector<double>& upper_bounds,
-                                      std::string_view labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Series& series = family_locked(name, help, MetricKind::Histogram).series[std::string(labels)];
-  if (!series.histogram) series.histogram = std::make_unique<Histogram>(upper_bounds);
-  return *series.histogram;
-}
-
 namespace {
 
 std::string format_number(double value) {
@@ -180,13 +140,69 @@ std::string series_name(const std::string& name, const std::string& labels,
   return out;
 }
 
+/// Length of the name (metric name with `colon`, else label name) that
+/// starts `text`; 0 when none does.
+std::size_t name_length(std::string_view text, bool colon) {
+  std::size_t n = 0;
+  for (const char c : text) {
+    const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+    if (!letter && !(colon && c == ':') && (n == 0 || c < '0' || c > '9')) break;
+    ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
+void MetricsSnapshot::add_counter(std::string_view name, std::string_view help,
+                                  std::string labels, std::uint64_t value) {
+  add(name, help, std::move(labels), MetricKind::Counter).counter_value = value;
+}
+
+void MetricsSnapshot::add_gauge(std::string_view name, std::string_view help, std::string labels,
+                                double value) {
+  add(name, help, std::move(labels), MetricKind::Gauge).gauge_value = value;
+}
+
+void MetricsSnapshot::add_histogram(std::string_view name, std::string_view help,
+                                    std::string labels, const Histogram& hist) {
+  SeriesSnapshot& s = add(name, help, std::move(labels), MetricKind::Histogram);
+  s.hist_bounds = hist.bounds();
+  for (std::size_t i = 0; !s.hist_bounds.empty() && i <= s.hist_bounds.size(); ++i) {
+    s.hist_buckets.push_back(hist.bucket(i));  // a histogram without bounds has no buckets
+  }
+  s.hist_count = hist.count();
+  s.hist_sum = hist.sum();
+}
+
+SeriesSnapshot& MetricsSnapshot::add(std::string_view name, std::string_view help,
+                                     std::string labels, MetricKind kind) {
+  SeriesSnapshot& s = series.emplace_back();
+  s.name = std::string(name);
+  s.labels = std::move(labels);
+  s.help = std::string(help);
+  s.kind = kind;
+  return s;
+}
+
 void MetricsSnapshot::write(std::ostream& out) const {
-  const std::string* last_name = nullptr;
+  std::map<std::string_view, std::string_view> help;  ///< first-added series' help
+  std::vector<const SeriesSnapshot*> sorted;
+  sorted.reserve(series.size());
   for (const auto& s : series) {
+    help.emplace(s.name, s.help);
+    sorted.push_back(&s);
+  }
+  std::stable_sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+    return a->name != b->name ? a->name < b->name : a->labels < b->labels;
+  });
+  const std::string* last_name = nullptr;
+  for (const SeriesSnapshot* series_ptr : sorted) {
+    const SeriesSnapshot& s = *series_ptr;
     if (last_name == nullptr || *last_name != s.name) {
-      if (!s.help.empty()) out << "# HELP " << s.name << " " << s.help << "\n";
+      if (const std::string_view text = help[s.name]; !text.empty()) {
+        out << "# HELP " << s.name << " " << text << "\n";
+      }
       out << "# TYPE " << s.name << " "
           << (s.kind == MetricKind::Counter ? "counter"
               : s.kind == MetricKind::Gauge ? "gauge"
@@ -219,6 +235,92 @@ void MetricsSnapshot::write(std::ostream& out) const {
   }
 }
 
+std::string MetricsSnapshot::text() const {
+  std::ostringstream out;
+  write(out);
+  return out.str();
+}
+
+std::string label_pair(std::string_view key, std::string_view value) {
+  std::string out(key);
+  out += "=\"";
+  for (const char c : value) {
+    if (c == '\\' || c == '"') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string_view MetricSample::label(std::string_view key) const noexcept {
+  for (const auto& [k, v] : labels) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
+std::optional<MetricSample> parse_sample_line(std::string_view line) {
+  MetricSample sample;
+  std::size_t pos = name_length(line, /*colon=*/true);
+  if (pos == 0) return std::nullopt;  // comment, blank, or no metric name
+  sample.name = std::string(line.substr(0, pos));
+  if (pos < line.size() && line[pos] == '{') {
+    ++pos;
+    while (pos < line.size() && line[pos] != '}') {
+      if (!sample.labels.empty()) {
+        if (line[pos] != ',') return std::nullopt;
+        ++pos;
+      }
+      const std::size_t key_length = name_length(line.substr(pos), /*colon=*/false);
+      if (key_length == 0) return std::nullopt;
+      std::string key(line.substr(pos, key_length));
+      pos += key_length;
+      if (line.substr(pos, 2) != "=\"") return std::nullopt;
+      pos += 2;
+      std::string value;
+      while (pos < line.size() && line[pos] != '"') {
+        char c = line[pos++];
+        if (c == '\\') {
+          c = pos < line.size() ? line[pos++] : '\0';
+          if (c != '\\' && c != '"' && c != 'n') return std::nullopt;
+          if (c == 'n') c = '\n';
+        }
+        value += c;
+      }
+      if (pos++ >= line.size()) return std::nullopt;  // unterminated value
+      for (const auto& label : sample.labels) {
+        if (label.first == key) return std::nullopt;
+      }
+      sample.labels.emplace_back(std::move(key), std::move(value));
+    }
+    if (pos >= line.size()) return std::nullopt;
+    ++pos;  // '}'
+  }
+  // At least one blank, then a value that runs to the end of the line.
+  const std::size_t value_start = line.find_first_not_of(" \t", pos);
+  if (value_start == pos || value_start == std::string_view::npos) return std::nullopt;
+  const char* first = line.data() + value_start;
+  const char* last = line.data() + line.size();
+  const auto [end, error] = std::from_chars(first, last, sample.value);
+  if (error != std::errc{} || end != last) return std::nullopt;
+  return sample;
+}
+
+std::string format_sample_line(const MetricSample& sample) {
+  std::string labels;
+  for (const auto& [key, value] : sample.labels) {
+    if (!labels.empty()) labels += ',';
+    labels += label_pair(key, value);
+  }
+  return series_name(sample.name, labels) + " " + format_number(sample.value);
+}
+
 void write_file_atomically(const std::string& path, std::string_view text) {
   const std::string tmp = path + ".tmp";
   {
@@ -229,77 +331,6 @@ void write_file_atomically(const std::string& path, std::string_view text) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("telemetry: cannot rename " + tmp + " to " + path);
   }
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, family] : families_) {
-    for (const auto& [labels, series] : family.series) {
-      SeriesSnapshot s;
-      s.name = name;
-      s.labels = labels;
-      s.help = family.help;
-      s.kind = family.kind;
-      switch (family.kind) {
-        case MetricKind::Counter:
-          s.counter_value = series.counter->value();
-          break;
-        case MetricKind::Gauge:
-          s.gauge_value = series.gauge->value();
-          break;
-        case MetricKind::Histogram: {
-          const Histogram& hist = *series.histogram;
-          s.hist_bounds = hist.bounds();
-          s.hist_buckets.reserve(s.hist_bounds.size() + 1);
-          for (std::size_t i = 0; i <= s.hist_bounds.size(); ++i) {
-            s.hist_buckets.push_back(hist.bucket(i));
-          }
-          s.hist_count = hist.count();
-          s.hist_sum = hist.sum();
-          break;
-        }
-      }
-      // families_/series maps iterate sorted, so out.series stays sorted.
-      out.series.push_back(std::move(s));
-    }
-  }
-  return out;
-}
-
-void MetricsRegistry::write(std::ostream& out) const { snapshot().write(out); }
-
-std::string MetricsRegistry::expose() const {
-  std::ostringstream out;
-  write(out);
-  return out.str();
-}
-
-void MetricsRegistry::write_file(const std::string& path) const {
-  write_file_atomically(path, expose());
-}
-
-void MetricsRegistry::zero() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, family] : families_) {
-    (void)name;
-    for (auto& [labels, series] : family.series) {
-      (void)labels;
-      if (series.counter) series.counter->reset();
-      if (series.gauge) series.gauge->reset();
-      if (series.histogram) series.histogram->reset();
-    }
-  }
-}
-
-std::size_t MetricsRegistry::series_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [name, family] : families_) {
-    (void)name;
-    count += family.series.size();
-  }
-  return count;
 }
 
 }  // namespace apollo::telemetry

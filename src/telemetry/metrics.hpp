@@ -1,51 +1,27 @@
 #pragma once
 
-// Prometheus-style metrics: counters, gauges, and fixed-bucket histograms,
-// collected in a process-wide registry and exported in the text exposition
-// format (to a file, or to stdout at exit). Updates are single atomic
-// operations — contention-free on the hot path — and call sites cache the
-// returned handle so the registry lookup (name + label hash under a mutex)
-// is paid once per series, not per event.
+// Prometheus-style metrics as values. Nothing here keeps a number: every
+// apollo_* series is rendered at export time, into a MetricsSnapshot, from
+// the object that already owns it (Runtime::render_metrics), and the
+// snapshot is written in the text exposition format. The histogram types
+// below are what owners keep their distributions in; their updates are
+// relaxed atomics, so threads sharing one are counted exactly.
 //
-// Handles returned by the registry stay valid for the process lifetime:
-// series are never removed. zero() resets values in place for tests and
-// benchmarks without invalidating cached pointers.
+// parse_sample_line reads one line of that format back (apollo_top), and
+// rejects a damaged line instead of misreading it.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace apollo::telemetry {
-
-class Counter {
-public:
-  void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
-public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double v) noexcept { value_.fetch_add(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> value_{0.0};
-};
 
 /// Fixed-bucket histogram. Buckets are cumulative-upper-bound style at export
 /// time ("le"); internally each atomic slot counts one [lo, hi) interval plus
@@ -117,11 +93,11 @@ private:
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
-/// One series' values frozen at snapshot time. Counters keep their exact
-/// integer value; histograms carry bounds + per-bucket counts.
+/// One series' value at export time. Counters keep their exact integer
+/// value; histograms carry bounds + per-bucket counts.
 struct SeriesSnapshot {
   std::string name;
-  std::string labels;  ///< pre-rendered label body ("" for unlabeled)
+  std::string labels;  ///< rendered label body (label_pair, comma-joined; "" for unlabeled)
   std::string help;
   MetricKind kind = MetricKind::Counter;
   std::uint64_t counter_value = 0;
@@ -132,69 +108,54 @@ struct SeriesSnapshot {
   std::vector<std::uint64_t> hist_buckets;   ///< hist_bounds.size() + 1 (overflow last)
 };
 
-/// A value-semantic copy of a registry's series, sorted by (name, labels).
+/// The series of one export, added in any order. A family's `help` is that
+/// of its first-added series.
 struct MetricsSnapshot {
   std::vector<SeriesSnapshot> series;
 
-  /// Prometheus text exposition, same format as MetricsRegistry::write.
+  void add_counter(std::string_view name, std::string_view help, std::string labels,
+                   std::uint64_t value);
+  void add_gauge(std::string_view name, std::string_view help, std::string labels, double value);
+  /// Copies `hist`'s count, sum and buckets (relaxed reads).
+  void add_histogram(std::string_view name, std::string_view help, std::string labels,
+                     const Histogram& hist);
+
+  /// Prometheus text exposition: families sorted by name, series by labels.
   void write(std::ostream& out) const;
+  [[nodiscard]] std::string text() const;
+
+private:
+  SeriesSnapshot& add(std::string_view name, std::string_view help, std::string labels,
+                      MetricKind kind);
 };
+
+/// `key="value"` with the value escaped for the exposition (backslash,
+/// double quote and newline), ready to join into SeriesSnapshot::labels.
+[[nodiscard]] std::string label_pair(std::string_view key, std::string_view value);
+
+/// One sample line of a text exposition.
+struct MetricSample {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> labels;  ///< line order, unescaped
+  double value = 0.0;
+
+  /// The value of label `key` ("" when absent).
+  [[nodiscard]] std::string_view label(std::string_view key) const noexcept;
+};
+
+/// Parse one sample line, `name{key="value",...} value` with the label set
+/// optional. nullopt for a comment or blank line, and for a damaged one: a
+/// name that is not a metric name, a label that is not `key="value"` (valid
+/// key, escaped value, one comma between labels, none after the last), a
+/// repeated key, a missing value, or a value followed by anything.
+[[nodiscard]] std::optional<MetricSample> parse_sample_line(std::string_view line);
+
+/// The exposition line of `sample`; parse_sample_line reads it back.
+[[nodiscard]] std::string format_sample_line(const MetricSample& sample);
 
 /// Write `text` to `path` atomically (temp file + rename), so a reader
 /// tailing the path never sees a torn file. Throws std::runtime_error on I/O
 /// failure. Every live export file goes through here.
 void write_file_atomically(const std::string& path, std::string_view text);
-
-class MetricsRegistry {
-public:
-  static MetricsRegistry& instance();
-
-  /// A standalone registry keeps its series apart from the process-wide one;
-  /// production code uses instance().
-  MetricsRegistry() = default;
-
-  /// Find-or-create a series. `labels` is the pre-rendered label body, e.g.
-  /// `kernel="lulesh:foo",variant="omp"` ("" for an unlabeled series); the
-  /// registry treats it as an opaque key. `help` is kept from the first call
-  /// that creates the family. A name registered as one kind throws
-  /// std::logic_error when requested as another.
-  Counter& counter(std::string_view name, std::string_view help, std::string_view labels = "");
-  Gauge& gauge(std::string_view name, std::string_view help, std::string_view labels = "");
-  Histogram& histogram(std::string_view name, std::string_view help,
-                       const std::vector<double>& upper_bounds, std::string_view labels = "");
-
-  /// Prometheus text exposition of every series (families sorted by name).
-  [[nodiscard]] std::string expose() const;
-  void write(std::ostream& out) const;
-  /// Atomic file export (write_file_atomically).
-  void write_file(const std::string& path) const;
-
-  /// Freeze every series' current value (relaxed loads; a snapshot taken
-  /// concurrently with updates sees each value at some point in the update
-  /// order). The snapshot owns its strings.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Reset every value in place. Handles stay valid.
-  void zero();
-
-  [[nodiscard]] std::size_t series_count() const;
-
-private:
-  struct Series {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-  struct Family {
-    MetricKind kind = MetricKind::Counter;
-    std::string help;
-    std::map<std::string, Series> series;  ///< keyed by label body
-  };
-
-  Family& family_locked(std::string_view name, std::string_view help, MetricKind kind);
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Family> families_;
-};
 
 }  // namespace apollo::telemetry

@@ -37,7 +37,10 @@ struct Collector {
   bool running = false;
   bool stop_requested = false;
   bool env_initialized = false;
-  bool exporter_registered = false;
+  /// The metrics source, under its own lock: an export holds it while it
+  /// renders, so rendering never blocks the collector's other state.
+  std::mutex source_mutex;
+  MetricsSource source;
 
   static Collector& instance() {
     static Collector collector;
@@ -72,7 +75,7 @@ void write_live_files() {
   }
   try {
     if (!metrics_file.empty() && metrics_file != "-") {
-      MetricsRegistry::instance().write_file(metrics_file);
+      write_file_atomically(metrics_file, metrics_snapshot().text());
     }
     if (!decisions_file.empty()) AuditLog::instance().write_tail(decisions_file);
   } catch (const std::exception&) {
@@ -122,22 +125,6 @@ std::vector<std::pair<std::string, std::string>> export_metadata() {
   };
 }
 
-void register_build_info_metric() {
-  const BuildInfo& info = apollo::build_info();
-  std::string labels = "version=\"";
-  labels += info.version;
-  labels += "\",git_sha=\"";
-  labels += info.git_sha;
-  labels += "\",compiler=\"";
-  labels += info.compiler;
-  labels += "\",build_type=\"";
-  labels += info.build_type;
-  labels += "\"";
-  MetricsRegistry::instance()
-      .gauge("apollo_build_info", "Build provenance; value is always 1.", labels)
-      .set(1.0);
-}
-
 }  // namespace
 
 void configure(Config config) {
@@ -158,16 +145,16 @@ const Config& config() {
   return Collector::instance().config;
 }
 
-void init_from_env() {
+bool init_from_env() {
   Collector& c = Collector::instance();
   {
     const std::lock_guard<std::mutex> lock(c.mutex);
-    if (c.env_initialized) return;
+    if (c.env_initialized) return false;
     c.env_initialized = true;
   }
   const char* env = std::getenv("APOLLO_TELEMETRY");
   const bool on = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  if (!on) return;
+  if (!on) return false;
 
   Config cfg;
   cfg.trace_file = env_string("APOLLO_TRACE_FILE", cfg.trace_file);
@@ -182,16 +169,30 @@ void init_from_env() {
       env_size("APOLLO_AUDIT_SEGMENT_BYTES", cfg.audit_segment_bytes, 1);
   cfg.audit_segments = env_size("APOLLO_AUDIT_SEGMENTS", cfg.audit_segments, 1);
   configure(std::move(cfg));
-  register_build_info_metric();
   set_enabled(true);
   start_collector();
-  {
-    const std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.exporter_registered) {
-      c.exporter_registered = true;
-      std::atexit([] { shutdown(); });
-    }
-  }
+  std::atexit([] { shutdown(); });
+  return true;
+}
+
+void set_metrics_source(MetricsSource source) {
+  Collector& c = Collector::instance();
+  const std::lock_guard<std::mutex> lock(c.source_mutex);
+  c.source = std::move(source);
+}
+
+MetricsSnapshot metrics_snapshot() {
+  MetricsSnapshot out;
+  const BuildInfo& info = apollo::build_info();
+  out.add_gauge("apollo_build_info", "Build provenance; value is always 1.",
+                label_pair("version", info.version) + "," + label_pair("git_sha", info.git_sha) +
+                    "," + label_pair("compiler", info.compiler) + "," +
+                    label_pair("build_type", info.build_type),
+                1.0);
+  Collector& c = Collector::instance();
+  const std::lock_guard<std::mutex> lock(c.source_mutex);
+  if (c.source) c.source(out);
+  return out;
 }
 
 void start_collector() {
@@ -218,24 +219,12 @@ void stop_collector() {
   collect_now();
 }
 
-bool collector_running() {
-  Collector& c = Collector::instance();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.running;
-}
-
 void collect_now() { collect_into_store(); }
 
 std::size_t collected_events() {
   Collector& c = Collector::instance();
   const std::lock_guard<std::mutex> lock(c.mutex);
   return c.events.size();
-}
-
-std::uint64_t collector_overflow() {
-  Collector& c = Collector::instance();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.overflow;
 }
 
 void export_all() {
@@ -257,10 +246,10 @@ void export_all() {
     if (out) write_chrome_trace(out, events, export_metadata());
   }
   if (metrics_file.empty() || metrics_file == "-") {
-    MetricsRegistry::instance().write(std::cout);
+    metrics_snapshot().write(std::cout);
   } else {
     try {
-      MetricsRegistry::instance().write_file(metrics_file);
+      write_file_atomically(metrics_file, metrics_snapshot().text());
     } catch (const std::exception& error) {
       std::fprintf(stderr, "apollo telemetry: %s\n", error.what());
     }
@@ -291,7 +280,6 @@ void reset_for_testing() {
     c.overflow = 0;
   }
   Tracer::instance().reset();
-  MetricsRegistry::instance().zero();
   AuditLog::instance().reset_for_testing();
 }
 

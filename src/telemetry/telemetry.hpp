@@ -3,12 +3,15 @@
 // Telemetry facade: the one switch every instrumentation site checks, the
 // configuration (from the environment or code), the background collector
 // that drains trace rings and refreshes live export files, and the exporters.
+// The metrics exposition is a view: each export asks the metrics source (the
+// Runtime) to render every apollo_* series from the counter its layer keeps,
+// so no launch writes a metric of its own.
 //
 // Cost contract (see bench/micro_telemetry_overhead):
 //   - switch off: each site pays one relaxed atomic load + branch;
 //   - switch on:  a site pays an SPSC ring push (~tens of ns) and/or a few
-//     relaxed atomic increments; nothing on the hot path locks or allocates
-//     after a kernel's first launch.
+//     relaxed atomic increments; nothing on the hot path takes a
+//     process-wide lock or allocates after a kernel's first launch.
 //
 // Environment (read once by init_from_env(), called from Runtime startup and
 // tool mains):
@@ -32,6 +35,7 @@
 //   APOLLO_AUDIT_SEGMENTS=n       audit segments kept on disk (default 8)
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,15 +74,25 @@ void configure(Config config);
 [[nodiscard]] const Config& config();
 
 /// Read APOLLO_TELEMETRY and friends; when enabled, flips the switch, starts
-/// the collector, and registers an atexit exporter. Idempotent.
-void init_from_env();
+/// the collector, and registers an atexit exporter. Idempotent: returns true
+/// only from the call that enabled telemetry from the environment.
+bool init_from_env();
+
+/// Renders the apollo_* series into an export from the objects that own the
+/// numbers. Called on whichever thread exports (the collector on its flush
+/// cadence, export_all), concurrently with launches.
+using MetricsSource = std::function<void(MetricsSnapshot& out)>;
+/// Install the source (nullptr removes it). Waits for an export that is
+/// rendering from the previous one, so its owner may then be destroyed.
+void set_metrics_source(MetricsSource source);
+/// The exposition now: apollo_build_info plus the source's series.
+[[nodiscard]] MetricsSnapshot metrics_snapshot();
 
 /// Start/stop the background collector thread (started automatically by
 /// init_from_env when the env switch is set; benchmarks and tests drive it
 /// explicitly). Safe to call repeatedly.
 void start_collector();
 void stop_collector();
-[[nodiscard]] bool collector_running();
 
 /// Drain the tracer into the collector's event store (what the collector
 /// thread does on its cadence; callable inline when no collector runs).
@@ -87,19 +101,19 @@ void collect_now();
 /// Events retained so far (drained from rings; capped by
 /// collector_event_limit — overflow is counted, not silently truncated).
 [[nodiscard]] std::size_t collected_events();
-[[nodiscard]] std::uint64_t collector_overflow();
 
 /// Drain and write every configured export now: trace JSON, metrics text,
 /// the decisions file. Called by shutdown(); usable mid-run.
 void export_all();
 
 /// Stop the collector and export. Idempotent; registered via atexit when the
-/// env switch enabled telemetry.
+/// env switch enabled telemetry, and called by ~Runtime before the runtime
+/// the export reads tears down.
 void shutdown();
 
-/// Forget collected events, zero metrics and reset the audit log and its
-/// tail (tests, benchmarks).
-/// Metric handles stay valid; the tracer starts a new epoch.
+/// Forget collected events and reset the audit log and its tail (tests,
+/// benchmarks); the tracer starts a new epoch. Metrics are not touched: the
+/// series their owners keep restart with Runtime::reset().
 void reset_for_testing();
 
 /// Convenience emitters (no-ops unless telemetry is enabled at call time —

@@ -105,6 +105,28 @@ TEST(SampleBuffer, DrainEmptiesAndPreservesOrder) {
   EXPECT_EQ(buffer.total_pushed(), 6u);  // monotonic across drains
 }
 
+TEST(SampleBuffer, DrainAndClearAreNotDrops) {
+  // A sample is dropped only when no consumer saw it: overwritten by a push
+  // into a full ring, or evicted by a shrink. A drain hands samples over and
+  // a clear discards them on purpose; neither is a drop.
+  SampleBuffer buffer(4);
+  for (int i = 0; i < 3; ++i) buffer.push(make_sample(i));
+  EXPECT_EQ(buffer.drain().size(), 3u);
+  EXPECT_EQ(buffer.dropped(), 0u);
+  for (int i = 0; i < 2; ++i) buffer.push(make_sample(i));
+  buffer.clear();
+  EXPECT_EQ(buffer.dropped(), 0u);
+  EXPECT_EQ(buffer.total_pushed(), 5u);
+
+  for (int i = 0; i < 6; ++i) buffer.push(make_sample(i));  // two overwrites
+  EXPECT_EQ(buffer.dropped(), 2u);
+  buffer.set_capacity(1);  // three evicted
+  EXPECT_EQ(buffer.dropped(), 5u);
+  buffer.set_capacity(8);  // growing evicts nothing
+  EXPECT_EQ(buffer.dropped(), 5u);
+  EXPECT_EQ(buffer.size(), 1u);
+}
+
 TEST(SampleBuffer, SetCapacityKeepsNewest) {
   SampleBuffer buffer(8);
   for (int i = 0; i < 8; ++i) buffer.push(make_sample(i));

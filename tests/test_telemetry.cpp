@@ -1,12 +1,14 @@
 // Unit tests for the telemetry subsystem: SPSC trace rings with exact drop
-// accounting, the metrics registry and its Prometheus text exposition,
-// histogram quantiles, the sampled decision tail, the Chrome trace exporter,
-// build provenance, and the runtime's per-launch series and records.
+// accounting, the metrics snapshot writer and the exposition reader (with
+// prefix and bit-flip sweeps), histogram quantiles, the sampled decision
+// tail, the Chrome trace exporter, build provenance, and the runtime's
+// rendered series and records.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -107,34 +109,6 @@ TEST_F(TelemetryTest, TracerDrainsEmittedEventsAcrossReset) {
   EXPECT_EQ(out[0].ts_ns, 9u);
 }
 
-TEST_F(TelemetryTest, CounterAndGaugeBasics) {
-  auto& registry = telemetry::MetricsRegistry::instance();
-  auto& counter = registry.counter("test_unit_total", "Unit test counter.");
-  counter.inc();
-  counter.inc(4);
-  EXPECT_EQ(counter.value(), 5u);
-
-  auto& gauge = registry.gauge("test_unit_gauge", "Unit test gauge.");
-  gauge.set(2.5);
-  gauge.add(0.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
-
-  // Same name + labels resolves to the same handle; a new label body is a
-  // distinct series in the same family.
-  EXPECT_EQ(&registry.counter("test_unit_total", "ignored"), &counter);
-  auto& labeled = registry.counter("test_unit_total", "ignored", "kind=\"b\"");
-  EXPECT_NE(&labeled, &counter);
-}
-
-TEST_F(TelemetryTest, MetricKindMismatchThrows) {
-  auto& registry = telemetry::MetricsRegistry::instance();
-  registry.counter("test_kind_total", "Registered as a counter.");
-  EXPECT_THROW(registry.gauge("test_kind_total", "Requested as a gauge."), std::logic_error);
-  EXPECT_THROW(
-      registry.histogram("test_kind_total", "Requested as a histogram.", {1.0}),
-      std::logic_error);
-}
-
 TEST_F(TelemetryTest, HistogramBucketsCountAndQuantiles) {
   telemetry::Histogram hist(std::vector<double>{1.0, 2.0, 4.0});
   EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);  // empty
@@ -164,33 +138,163 @@ TEST_F(TelemetryTest, HistogramBucketsCountAndQuantiles) {
 }
 
 TEST_F(TelemetryTest, ExpositionFormatCoversAllKinds) {
-  auto& registry = telemetry::MetricsRegistry::instance();
-  registry.counter("test_expo_total", "An exposition counter.", "kernel=\"k1\"").inc(3);
-  registry.gauge("test_expo_gauge", "An exposition gauge.").set(1.5);
-  registry.histogram("test_expo_seconds", "An exposition histogram.", {0.5, 1.0}).observe(0.75);
+  telemetry::Histogram hist(std::vector<double>{0.5, 1.0});
+  hist.observe(0.75);
+  telemetry::MetricsSnapshot snapshot;
+  // Added out of order: the writer sorts families by name, series by labels.
+  snapshot.add_histogram("test_expo_seconds", "An exposition histogram.", "", hist);
+  snapshot.add_counter("test_expo_total", "An exposition counter.",
+                       telemetry::label_pair("kernel", "k2"), 4);
+  snapshot.add_gauge("test_expo_gauge", "An exposition gauge.", "", 1.5);
+  snapshot.add_counter("test_expo_total", "ignored", telemetry::label_pair("kernel", "k1"), 3);
 
-  const std::string text = registry.expose();
+  const std::string text = snapshot.text();
   EXPECT_NE(text.find("# HELP test_expo_total An exposition counter."), std::string::npos);
   EXPECT_NE(text.find("# TYPE test_expo_total counter"), std::string::npos);
-  EXPECT_NE(text.find("test_expo_total{kernel=\"k1\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_expo_gauge gauge"), std::string::npos);
+  EXPECT_NE(text.find("test_expo_total{kernel=\"k1\"} 3\ntest_expo_total{kernel=\"k2\"} 4"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE test_expo_gauge gauge\ntest_expo_gauge 1.5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE test_expo_seconds histogram"), std::string::npos);
+  EXPECT_LT(text.find("test_expo_gauge"), text.find("test_expo_seconds"));
+  EXPECT_LT(text.find("test_expo_seconds"), text.find("test_expo_total"));
   // Cumulative buckets: the 0.75 observation lands in le="1" and le="+Inf".
   EXPECT_NE(text.find("test_expo_seconds_bucket{le=\"0.5\"} 0"), std::string::npos);
   EXPECT_NE(text.find("test_expo_seconds_bucket{le=\"1\"} 1"), std::string::npos);
   EXPECT_NE(text.find("test_expo_seconds_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("test_expo_seconds_count 1"), std::string::npos);
-  EXPECT_NE(text.find("test_expo_seconds_sum"), std::string::npos);
+  EXPECT_NE(text.find("test_expo_seconds_sum 0.75"), std::string::npos);
+  // One HELP/TYPE pair per family.
+  EXPECT_EQ(text.find("# TYPE test_expo_total"), text.rfind("# TYPE test_expo_total"));
 }
 
-TEST_F(TelemetryTest, ZeroResetsValuesButKeepsHandles) {
-  auto& registry = telemetry::MetricsRegistry::instance();
-  auto& counter = registry.counter("test_zero_total", "Zeroed counter.");
-  counter.inc(7);
-  registry.zero();
-  EXPECT_EQ(counter.value(), 0u);
-  counter.inc();  // cached handle still valid after zero()
-  EXPECT_EQ(counter.value(), 1u);
+namespace {
+
+bool same_sample(const telemetry::MetricSample& a, const telemetry::MetricSample& b) {
+  const bool same_value = a.value == b.value || (std::isnan(a.value) && std::isnan(b.value));
+  return a.name == b.name && a.labels == b.labels && same_value;
+}
+
+/// A real exposition: what the runtime renders after a few telemetry-on
+/// tuned launches, plus a label value that needs every escape.
+std::string real_exposition() {
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(apollo::Mode::Tune);
+  std::stringstream tree;
+  tree << "apollo-tree 1\nfeatures 1 num_indices\nlabels 2 seq omp\nnodes 3\n"
+          "0 10000 1 2 0 2 0.5\n-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 1 0\n";
+  rt.set_policy_model(apollo::TunerModel(apollo::TunedParameter::Policy,
+                                         apollo::ml::DecisionTree::load(tree), {}));
+  telemetry::set_enabled(true);
+  const apollo::KernelHandle kernel{
+      "telemetry:reader", "Reader", apollo::instr::MixBuilder{}.fp(1).load(1).store(1).build(), 8};
+  for (const raja::Index n : {512, 512, 50000}) {
+    apollo::forall(kernel, raja::IndexSet::range(0, n), [](raja::Index) {});
+  }
+  telemetry::set_enabled(false);
+  telemetry::MetricsSnapshot snapshot = telemetry::metrics_snapshot();
+  snapshot.add_gauge("test_escaped", "Escapes.",
+                     telemetry::label_pair("kernel", "a\\b\"c\nd}e,f=g"), -0.25);
+  rt.reset();
+  return snapshot.text();
+}
+
+std::vector<std::string> sample_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  return lines;
+}
+
+}  // namespace
+
+TEST_F(TelemetryTest, ExpositionReaderRoundTripsARealExposition) {
+  const std::string text = real_exposition();
+  const std::vector<std::string> lines = sample_lines(text);
+  ASSERT_GT(lines.size(), 40u) << text;
+  bool saw_dispatch = false;
+  for (const std::string& line : lines) {
+    const auto sample = telemetry::parse_sample_line(line);
+    ASSERT_TRUE(sample.has_value()) << line;
+    EXPECT_EQ(telemetry::format_sample_line(*sample), line);
+    if (sample->name == "apollo_dispatch_total") {
+      saw_dispatch = true;
+      EXPECT_EQ(sample->label("kernel"), "telemetry:reader");
+    }
+    if (sample->name == "test_escaped") {
+      EXPECT_EQ(sample->label("kernel"), "a\\b\"c\nd}e,f=g");
+    }
+  }
+  EXPECT_TRUE(saw_dispatch) << text;
+  // Comments and blank lines are not samples.
+  EXPECT_FALSE(telemetry::parse_sample_line("# TYPE apollo_probe_total counter"));
+  EXPECT_FALSE(telemetry::parse_sample_line(""));
+}
+
+TEST_F(TelemetryTest, ExpositionReaderRejectsDamagedLines) {
+  const char* damaged[] = {
+      "apollo_probe_total 25junk",                            // value not fully consumed
+      "apollo_probe_total{kernel=\"k\"}",                     // no value
+      "apollo_probe_total{kernel=\"k\"} abc",                 // not a number
+      "apollo_probe_total ",                                  // trailing blank, no value
+      "apollo_probe_total",                                   // no value
+      "apollo_probe_total{kernel=\"k\"variant=\"omp\"} 1",    // no comma between labels
+      "apollo_probe_total{kernel=\"k\",} 1",                  // comma after the last label
+      "apollo_probe_total{kernel=\"k\",kernel=\"j\"} 1",      // repeated key
+      "apollo_probe_total{kernel=k} 1",                       // unquoted value
+      "apollo_probe_total{kernel=\"k} 1",                     // unterminated value
+      "apollo_probe_total{kernel=\"k\\q\"} 1",                // unknown escape
+      "apollo_probe_total{kernel=\"k\" 1",                    // unclosed label set
+      "apollo_probe_total{1kernel=\"k\"} 1",                  // key starts with a digit
+      "apollo_probe_total{kernel=\"k\"}1",                    // no blank before the value
+      "apollo_probe_total 1 2",                               // a timestamp or a second value
+      "apollo_probe_total 0x10",                              // hexadecimal
+      "9apollo_probe_total 1",                                // name starts with a digit
+      " apollo_probe_total 1",                                // leading blank
+  };
+  for (const char* line : damaged) {
+    EXPECT_FALSE(telemetry::parse_sample_line(line).has_value()) << line;
+  }
+  const auto plain = telemetry::parse_sample_line("apollo_probe_total 25");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_DOUBLE_EQ(plain->value, 25.0);
+  EXPECT_TRUE(plain->labels.empty());
+}
+
+TEST_F(TelemetryTest, ExpositionReaderPrefixAndBitFlipSweeps) {
+  // Every prefix and every single-bit flip of every line of a real
+  // exposition is either rejected or parses to a sample whose re-rendered
+  // line parses back to the same sample: damage is never half-read.
+  const auto holds = [](const std::string& line) {
+    const auto sample = telemetry::parse_sample_line(line);
+    if (!sample) return true;
+    const auto again = telemetry::parse_sample_line(telemetry::format_sample_line(*sample));
+    return again.has_value() && same_sample(*sample, *again);
+  };
+  std::size_t cases = 0;
+  std::size_t rejected = 0;
+  for (const std::string& line : sample_lines(real_exposition())) {
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      const std::string prefix = line.substr(0, n);
+      ASSERT_TRUE(holds(prefix)) << "prefix " << n << " of " << line;
+      ++cases;
+      rejected += telemetry::parse_sample_line(prefix) ? 0 : 1;
+    }
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = line;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        ASSERT_TRUE(holds(flipped)) << "bit " << bit << " of byte " << i << " in " << line;
+        ++cases;
+        rejected += telemetry::parse_sample_line(flipped) ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(cases, 10000u);
+  EXPECT_GT(rejected, cases / 4);  // most damage is caught, not absorbed
 }
 
 TEST_F(TelemetryTest, DecisionTailRollsOffPerKernel) {
@@ -289,9 +393,17 @@ TEST_F(TelemetryTest, RuntimeEmitsDispatchSeriesAndLaunchSpans) {
   telemetry::collect_now();
 
   EXPECT_GE(telemetry::collected_events(), 5u);
-  const std::string text = telemetry::MetricsRegistry::instance().expose();
-  EXPECT_NE(text.find("apollo_dispatch_total{kernel=\"telemetry:test\""), std::string::npos);
+  const std::string text = telemetry::metrics_snapshot().text();
+  EXPECT_NE(text.find("apollo_dispatch_total{kernel=\"telemetry:test\",variant=\"omp\"} 5"),
+            std::string::npos)
+      << text;
+
+  // The series are views of the runtime's counts: they restart with it.
   rt.reset();
+  const std::string after = telemetry::metrics_snapshot().text();
+  EXPECT_EQ(after.find("apollo_dispatch_total{kernel=\"telemetry:test\""), std::string::npos);
+  EXPECT_NE(after.find("# TYPE apollo_build_info gauge"), std::string::npos);
+  EXPECT_NE(after.find("apollo_probe_total 0"), std::string::npos);
 }
 
 TEST_F(TelemetryTest, AuditLineAndDecisionsFileLineAreIdentical) {

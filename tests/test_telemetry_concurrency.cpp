@@ -1,15 +1,22 @@
 // Concurrency tests for the telemetry hot path, written to run under
-// ThreadSanitizer: producer threads trace and count while the collector side
-// drains concurrently. The accounting contract is exact — every push attempt
-// is either drained or counted as a ring drop, never lost silently.
+// ThreadSanitizer: producer threads trace while the collector side drains
+// concurrently, and launch while an exporter renders the metrics. The
+// accounting contract is exact — every push attempt is either drained or
+// counted as a ring drop, never lost silently, and the rendered series read
+// the runtime's own counts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/runtime.hpp"
+#include "core/tuner_model.hpp"
+#include "ml/decision_tree.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace telemetry = apollo::telemetry;
@@ -27,8 +34,7 @@ TEST(TelemetryConcurrency, DrainedPlusDroppedEqualsPushed) {
   auto& tracer = telemetry::Tracer::instance();
   tracer.set_ring_capacity(256);  // small rings force overflow under load
   const char* name = tracer.intern("concurrency:events");
-  auto& counter = telemetry::MetricsRegistry::instance().counter(
-      "test_concurrency_total", "Events attempted by the concurrency test.");
+  std::atomic<std::uint64_t> counter{0};
 
   std::atomic<bool> stop{false};
   std::vector<telemetry::TraceEvent> drained;
@@ -50,7 +56,7 @@ TEST(TelemetryConcurrency, DrainedPlusDroppedEqualsPushed) {
         event.name = name;
         event.kind = telemetry::EventKind::Launch;
         tracer.emit(event);
-        counter.inc();
+        counter.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -62,7 +68,7 @@ TEST(TelemetryConcurrency, DrainedPlusDroppedEqualsPushed) {
   tracer.drain(drained);
 
   const std::uint64_t attempted = kThreads * kEventsPerThread;
-  EXPECT_EQ(counter.value(), attempted);
+  EXPECT_EQ(counter.load(), attempted);
   EXPECT_EQ(drained.size() + tracer.dropped(), attempted);
   EXPECT_GT(drained.size(), 0u);
 
@@ -85,46 +91,84 @@ TEST(TelemetryConcurrency, DrainedPlusDroppedEqualsPushed) {
 }
 
 TEST(TelemetryConcurrency, MetricsStayExactUnderContention) {
-  telemetry::reset_for_testing();
-  auto& registry = telemetry::MetricsRegistry::instance();
-  auto& counter = registry.counter("test_contended_total", "Contended counter.");
-  auto& gauge = registry.gauge("test_contended_gauge", "Contended gauge.");
-  auto& hist = registry.histogram("test_contended_seconds", "Contended histogram.",
-                                  telemetry::duration_bounds());
+  // A histogram shared by every thread counts each observation exactly.
+  telemetry::Histogram hist(telemetry::duration_bounds());
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&] {
+        for (std::uint64_t i = 0; i < kEventsPerThread; ++i) hist.observe(1e-6);
+      });
+    }
+    for (auto& thread : workers) thread.join();
+  }
+  EXPECT_EQ(hist.count(), kThreads * kEventsPerThread);
 
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
+  // The exposition renders from the runtime while 8 threads launch Tune with
+  // telemetry on (under TSan, this is the exporter-vs-launch interleaving),
+  // and once they stop it reads exactly the runtime's own counts.
+  telemetry::reset_for_testing();
+  telemetry::Config config;
+  config.trace_file.clear();
+  config.decisions_file.clear();
+  config.flush_interval_seconds = 0.0;
+  config.probe_stride = 16;
+  telemetry::configure(config);
+  auto& rt = apollo::Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(apollo::Mode::Tune);
+  std::stringstream tree;  // num_indices <= 10000 -> seq, else omp
+  tree << "apollo-tree 1\nfeatures 1 num_indices\nlabels 2 seq omp\nnodes 3\n"
+          "0 10000 1 2 0 2 0.5\n-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 1 0\n";
+  rt.set_policy_model(apollo::TunerModel(apollo::TunedParameter::Policy,
+                                         apollo::ml::DecisionTree::load(tree), {}));
+  telemetry::set_enabled(true);
+
+  const apollo::KernelHandle kernels[] = {
+      {"concurrency:k0", "K0", apollo::instr::MixBuilder{}.fp(2).load(2).store(1).build(), 24},
+      {"concurrency:k1", "K1", apollo::instr::MixBuilder{}.fp(1).load(1).store(1).build(), 8},
+  };
+  constexpr std::uint64_t kLaunchesPerThread = 400;
+  std::atomic<bool> stop{false};
+  std::size_t renders = 0;
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)telemetry::metrics_snapshot().text();
+      ++renders;
+    }
+  });
+  std::vector<std::thread> launchers;
+  launchers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kEventsPerThread; ++i) {
-        counter.inc();
-        gauge.add(1.0);
-        hist.observe(1e-6);
+    launchers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kLaunchesPerThread; ++i) {
+        const raja::Index n = (i + static_cast<std::uint64_t>(t)) % 3 == 0 ? 50000 : 512;
+        apollo::forall(kernels[i % 2], raja::IndexSet::range(0, n), [](raja::Index) {});
       }
     });
   }
-  for (auto& thread : workers) thread.join();
-
-  const std::uint64_t total = kThreads * kEventsPerThread;
-  EXPECT_EQ(counter.value(), total);
-  EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(total));
-  EXPECT_EQ(hist.count(), total);
-
-  // Registry lookups race against updates (new series created while other
-  // threads expose): exercised here so TSan sees the interleaving.
-  std::thread reader([&] {
-    for (int i = 0; i < 50; ++i) (void)registry.expose();
-  });
-  std::thread creator([&] {
-    for (int i = 0; i < 50; ++i) {
-      registry
-          .counter("test_contended_total", "Contended counter.",
-                   "worker=\"" + std::to_string(i) + "\"")
-          .inc();
-    }
-  });
+  for (auto& thread : launchers) thread.join();
+  stop.store(true, std::memory_order_release);
   reader.join();
-  creator.join();
+  telemetry::set_enabled(false);
+  EXPECT_GT(renders, 0u);
 
+  double dispatches = 0.0;
+  double probes = -1.0;
+  std::istringstream text(telemetry::metrics_snapshot().text());
+  for (std::string line; std::getline(text, line);) {
+    const auto sample = telemetry::parse_sample_line(line);
+    if (!sample) continue;
+    if (sample->name == "apollo_dispatch_total") dispatches += sample->value;
+    if (sample->name == "apollo_probe_total") probes = sample->value;
+  }
+  EXPECT_EQ(dispatches, static_cast<double>(kThreads * kLaunchesPerThread));
+  EXPECT_GT(probes, 0.0);
+  EXPECT_EQ(probes, static_cast<double>(rt.probe_count()));
+
+  rt.reset();
+  telemetry::configure(telemetry::Config{});
   telemetry::reset_for_testing();
 }

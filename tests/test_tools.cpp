@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -210,13 +211,43 @@ TEST_F(ToolsTest, AdaptAuditReplayPipeline) {
   }
   ASSERT_FALSE(segment.empty()) << "no audit segment written in " << workdir_;
 
-  // Metrics export proves the probe budget held: probes <= dispatches / 16.
+  // The exit-time metrics file is rendered from the runtime the report
+  // reads: it agrees with the printed quality line, its decision histogram
+  // holds every tuned decision, and no sample was dropped.
   ASSERT_TRUE(fs::exists(metrics));
   std::ifstream prom(metrics);
   const std::string prom_text((std::istreambuf_iterator<char>(prom)),
                               std::istreambuf_iterator<char>());
-  EXPECT_NE(prom_text.find("apollo_probe_total"), std::string::npos) << prom_text;
-  EXPECT_NE(prom_text.find("apollo_model_accuracy"), std::string::npos);
+  unsigned agreements = 0;
+  unsigned scored = 0;
+  char regret_ms[32] = {};
+  unsigned printed_probes = 0;
+  const std::size_t quality_at = adapt.output.find("adapt:demo  accuracy");
+  ASSERT_NE(quality_at, std::string::npos) << adapt.output;
+  ASSERT_EQ(std::sscanf(adapt.output.c_str() + quality_at,
+                        "adapt:demo  accuracy %*f%% (%u/%u), regret %31s ms, probes %u",
+                        &agreements, &scored, regret_ms, &printed_probes),
+            4)
+      << adapt.output;
+  const auto exported = [&](const std::string& series) {
+    const std::size_t at = prom_text.find("\n" + series + " ");
+    EXPECT_NE(at, std::string::npos) << series << "\n" << prom_text;
+    return at == std::string::npos ? -1.0 : std::atof(prom_text.c_str() + at + series.size() + 2);
+  };
+  EXPECT_DOUBLE_EQ(exported("apollo_model_accuracy{kernel=\"adapt:demo\"}"),
+                   static_cast<double>(agreements) / scored);
+  char exported_regret_ms[32];
+  std::snprintf(exported_regret_ms, sizeof exported_regret_ms, "%.3f",
+                exported("apollo_regret_seconds_total{kernel=\"adapt:demo\"}") * 1e3);
+  EXPECT_STREQ(exported_regret_ms, regret_ms);
+  EXPECT_EQ(exported("apollo_probe_total"), printed_probes);
+  const double decided = exported("apollo_decision_seconds_count{kernel=\"adapt:demo\"}");
+  EXPECT_GT(decided, 0.0);
+  EXPECT_EQ(decided, exported("apollo_inline_cache_hits_total") +
+                           exported("apollo_inline_cache_misses_total"));
+  EXPECT_EQ(exported("apollo_samples_dropped_total"), 0.0);
+  // The probe budget held: probes <= dispatches / 16 + 1.
+  EXPECT_LE(printed_probes, decided / 16 + 1);
 
   // The adapted model must reproduce its own recorded generation-1 decisions
   // bit-for-bit; the offline model rides along as the what-if candidate.

@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
     }
     const std::string quality = format_quality(rt.quality_snapshot());
     if (!quality.empty()) std::printf("\n%s", quality.c_str());
-    rt.reset();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "apollo_adapt: %s\n", error.what());
     return 1;

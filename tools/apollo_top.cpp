@@ -6,7 +6,8 @@
 // never sees a torn file). The decisions file is the audit log's sampled
 // tail, in the audit line format. Prints one row per kernel: launch count,
 // dominant variant and its share, decision-latency percentiles, and the most
-// recent sampled decision's label and predicted-vs-observed runtime.
+// recent sampled decision's label and predicted-vs-observed runtime. A
+// damaged metrics line is skipped and counted on stderr, never misread.
 //
 // Usage:
 //   apollo_top [--metrics FILE] [--decisions FILE] [--interval SEC] [--once]
@@ -21,61 +22,19 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "perf/quantile.hpp"
 #include "telemetry/audit.hpp"  // decision records; read_complete_lines
 #include "telemetry/build_info.hpp"
+#include "telemetry/metrics.hpp"  // parse_sample_line
 
 namespace {
 
-struct LabelSet {
-  std::map<std::string, std::string> labels;
-};
-
-struct MetricSample {
-  std::string name;
-  LabelSet labels;
-  double value = 0.0;
-};
-
-/// Parse one `name{k="v",...} value` exposition line (labels optional).
-std::optional<MetricSample> parse_line(const std::string& line) {
-  if (line.empty() || line[0] == '#') return std::nullopt;
-  MetricSample sample;
-  std::size_t pos = line.find_first_of("{ ");
-  if (pos == std::string::npos) return std::nullopt;
-  sample.name = line.substr(0, pos);
-  if (line[pos] == '{') {
-    ++pos;
-    while (pos < line.size() && line[pos] != '}') {
-      const std::size_t eq = line.find('=', pos);
-      if (eq == std::string::npos || line[eq + 1] != '"') return std::nullopt;
-      const std::string key = line.substr(pos, eq - pos);
-      std::string value;
-      std::size_t v = eq + 2;
-      while (v < line.size() && line[v] != '"') {
-        if (line[v] == '\\' && v + 1 < line.size()) ++v;
-        value += line[v++];
-      }
-      sample.labels.labels.emplace(key, std::move(value));
-      pos = v + 1;
-      if (pos < line.size() && line[pos] == ',') ++pos;
-    }
-    if (pos >= line.size()) return std::nullopt;
-    ++pos;  // '}'
-  }
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  sample.value = std::atof(line.c_str() + pos);
-  return sample;
-}
-
 struct KernelRow {
-  double launches = 0.0;
   std::map<std::string, double> variants;          ///< variant -> dispatch count
   std::vector<std::pair<double, double>> buckets;  ///< (le, cumulative) for decision latency
   double decision_count = 0.0;
@@ -91,23 +50,14 @@ struct KernelRow {
 
 struct Snapshot {
   std::map<std::string, KernelRow> kernels;
-  double model_generation = 0.0;
-  double hot_swaps = 0.0;
-  double explores = 0.0;
-  double probes = 0.0;
-  double samples_pushed = 0.0;
-  double samples_dropped = 0.0;
-  double buffer_occupancy = 0.0;
-  // Decision-path counters (apollo_inline_cache_*).
-  double inline_hits = 0.0;
-  double inline_misses = 0.0;
-  // Fork-join executor counters (apollo_pool_*).
-  double pool_launches = 0.0;
-  double pool_inline = 0.0;
-  double pool_wakeups = 0.0;
-  double pool_spin = 0.0;
-  double pool_park = 0.0;
+  std::map<std::string, double, std::less<>> scalars;  ///< unlabeled series by name
   std::string build;
+
+  /// An unlabeled series' value (0 when the file has none).
+  [[nodiscard]] double scalar(std::string_view name) const {
+    const auto it = scalars.find(name);
+    return it != scalars.end() ? it->second : 0.0;
+  }
 };
 
 // Quantiles from cumulative `le` buckets come from the shared helper
@@ -117,24 +67,18 @@ using apollo::perf::bucket_quantile;
 bool load_metrics(const std::string& path, Snapshot& snap) {
   std::ifstream in(path);
   if (!in) return false;
+  std::size_t damaged = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const auto sample = parse_line(line);
-    if (!sample) continue;
-    const auto label = [&](const char* key) -> std::string {
-      auto it = sample->labels.labels.find(key);
-      return it != sample->labels.labels.end() ? it->second : std::string();
-    };
+    if (line.empty() || line[0] == '#') continue;
+    const auto sample = apollo::telemetry::parse_sample_line(line);
+    if (!sample) {
+      ++damaged;
+      continue;
+    }
+    const auto label = [&](const char* key) { return std::string(sample->label(key)); };
     if (sample->name == "apollo_dispatch_total") {
-      // Total launches per kernel are the sum of per-variant dispatch counts;
-      // the runtime does not keep a separate launches counter on the hot path.
-      KernelRow& row = snap.kernels[label("kernel")];
-      row.variants[label("variant")] = sample->value;
-      row.launches = 0.0;
-      for (const auto& [variant, count] : row.variants) {
-        (void)variant;
-        row.launches += count;
-      }
+      snap.kernels[label("kernel")].variants[label("variant")] = sample->value;
     } else if (sample->name == "apollo_decision_seconds_bucket") {
       const std::string le = label("le");
       if (le != "+Inf") {
@@ -148,40 +92,17 @@ bool load_metrics(const std::string& path, Snapshot& snap) {
       snap.kernels[label("kernel")].accuracy = sample->value;
     } else if (sample->name == "apollo_regret_seconds_total") {
       snap.kernels[label("kernel")].regret_seconds = sample->value;
-    } else if (sample->name == "apollo_probe_total") {
-      snap.probes = sample->value;
-    } else if (sample->name == "apollo_model_generation") {
-      snap.model_generation = sample->value;
-    } else if (sample->name == "apollo_hot_swaps_total") {
-      snap.hot_swaps = sample->value;
-    } else if (sample->name == "apollo_explore_total") {
-      snap.explores = sample->value;
-    } else if (sample->name == "apollo_samples_pushed_total") {
-      snap.samples_pushed = sample->value;
-    } else if (sample->name == "apollo_samples_dropped_total") {
-      snap.samples_dropped = sample->value;
-    } else if (sample->name == "apollo_sample_buffer_occupancy") {
-      snap.buffer_occupancy = sample->value;
-    } else if (sample->name == "apollo_inline_cache_hits_total") {
-      snap.inline_hits = sample->value;
-    } else if (sample->name == "apollo_inline_cache_misses_total") {
-      snap.inline_misses = sample->value;
-    } else if (sample->name == "apollo_pool_launches_total") {
-      snap.pool_launches = sample->value;
-    } else if (sample->name == "apollo_pool_inline_total") {
-      snap.pool_inline = sample->value;
-    } else if (sample->name == "apollo_pool_wakeups_total") {
-      snap.pool_wakeups = sample->value;
-    } else if (sample->name == "apollo_pool_spin_completions_total") {
-      snap.pool_spin = sample->value;
-    } else if (sample->name == "apollo_pool_park_completions_total") {
-      snap.pool_park = sample->value;
     } else if (sample->name == "apollo_build_info") {
-      auto it = sample->labels.labels.find("version");
-      auto sha = sample->labels.labels.find("git_sha");
-      if (it != sample->labels.labels.end()) snap.build = it->second;
-      if (sha != sample->labels.labels.end()) snap.build += " (git " + sha->second + ")";
+      snap.build = label("version");
+      const std::string sha = label("git_sha");
+      if (!sha.empty()) snap.build += " (git " + sha + ")";
+    } else if (sample->labels.empty()) {
+      snap.scalars[sample->name] = sample->value;
     }
+  }
+  if (damaged > 0) {
+    std::fprintf(stderr, "apollo_top: skipped %zu damaged line%s in %s\n", damaged,
+                 damaged == 1 ? "" : "s", path.c_str());
   }
   // The exporter emits cumulative buckets in ascending-le order already, but
   // sort defensively: the table must not depend on file ordering.
@@ -214,27 +135,36 @@ void print_snapshot(const Snapshot& snap) {
                                                       : snap.build.c_str());
   std::printf("model gen %.0f | hot swaps %.0f | explores %.0f | samples %.0f pushed / %.0f "
               "dropped / %.0f buffered\n",
-              snap.model_generation, snap.hot_swaps, snap.explores, snap.samples_pushed,
-              snap.samples_dropped, snap.buffer_occupancy);
+              snap.scalar("apollo_model_generation"), snap.scalar("apollo_hot_swaps_total"),
+              snap.scalar("apollo_explore_total"), snap.scalar("apollo_samples_pushed_total"),
+              snap.scalar("apollo_samples_dropped_total"),
+              snap.scalar("apollo_sample_buffer_occupancy"));
   // Decision-path pane: how tuned launches were resolved — served from the
   // per-site inline cache, or by evaluating the model on a miss.
-  if (snap.inline_hits > 0.0 || snap.inline_misses > 0.0) {
-    const double lookups = snap.inline_hits + snap.inline_misses;
-    std::printf("dispatch: inline cache %.0f hits / %.0f misses (%.1f%% hit)\n",
-                snap.inline_hits, snap.inline_misses, snap.inline_hits / lookups * 100.0);
+  const double hits = snap.scalar("apollo_inline_cache_hits_total");
+  const double misses = snap.scalar("apollo_inline_cache_misses_total");
+  if (hits > 0.0 || misses > 0.0) {
+    std::printf("dispatch: inline cache %.0f hits / %.0f misses (%.1f%% hit)\n", hits, misses,
+                hits / (hits + misses) * 100.0);
   }
   // Fork-join executor pane: how regions launched and how their waits ended.
-  if (snap.pool_launches > 0.0 || snap.pool_inline > 0.0) {
-    const double waits = snap.pool_spin + snap.pool_park;
-    const double spin_pct = waits > 0.0 ? snap.pool_spin / waits * 100.0 : 0.0;
+  const double pool_launches = snap.scalar("apollo_pool_launches_total");
+  const double pool_inline = snap.scalar("apollo_pool_inline_total");
+  if (pool_launches > 0.0 || pool_inline > 0.0) {
+    const double spin = snap.scalar("apollo_pool_spin_completions_total");
+    const double waits = spin + snap.scalar("apollo_pool_park_completions_total");
+    const double spin_pct = waits > 0.0 ? spin / waits * 100.0 : 0.0;
     std::printf("pool: %.0f fork-join / %.0f inline | wakeups %.0f | waits %.1f%% spin, "
                 "%.1f%% park\n",
-                snap.pool_launches, snap.pool_inline, snap.pool_wakeups, spin_pct,
+                pool_launches, pool_inline, snap.scalar("apollo_pool_wakeups_total"), spin_pct,
                 waits > 0.0 ? 100.0 - spin_pct : 0.0);
   }
   std::printf("\n");
   std::printf("%-24s %10s %14s %6s %9s %9s %8s %9s\n", "kernel", "launches", "top-variant",
               "share", "p50-dec", "p95-dec", "pred", "pred/obs");
+  // Launches per kernel are the sum of its per-variant dispatch counts.
+  double launches_total = 0.0;
+  bool any_quality = false;
   for (const auto& [kernel, row] : snap.kernels) {
     std::string top_variant = "-";
     double top_count = 0.0;
@@ -246,13 +176,15 @@ void print_snapshot(const Snapshot& snap) {
         top_variant = variant;
       }
     }
+    launches_total += total;
+    if (row.accuracy >= 0.0) any_quality = true;
     const double share = total > 0.0 ? top_count / total * 100.0 : 0.0;
     const double p50 = bucket_quantile(row.buckets, row.decision_count, 0.50);
     const double p95 = bucket_quantile(row.buckets, row.decision_count, 0.95);
     const double ratio =
         row.observed_seconds > 0.0 ? row.predicted_seconds / row.observed_seconds : 0.0;
     std::printf("%-24s %10.0f %14s %5.1f%% %7.1fus %7.1fus %8s %9.2f\n", kernel.c_str(),
-                row.launches, top_variant.c_str(), share, p50 * 1e6, p95 * 1e6,
+                total, top_variant.c_str(), share, p50 * 1e6, p95 * 1e6,
                 row.predicted.empty() ? "-" : row.predicted.c_str(), ratio);
     if (row.drift_fires > 0.0) {
       std::printf("%-24s   drift fires: %.0f\n", "", row.drift_fires);
@@ -261,15 +193,9 @@ void print_snapshot(const Snapshot& snap) {
 
   // Model-quality pane: only once a tuned launch was scored (the gauges
   // exist only with APOLLO_TELEMETRY=1 in Tune/Adapt mode).
-  bool any_quality = false;
-  double launches_total = 0.0;
-  for (const auto& [kernel, row] : snap.kernels) {
-    (void)kernel;
-    launches_total += row.launches;
-    if (row.accuracy >= 0.0) any_quality = true;
-  }
-  if (any_quality || snap.probes > 0.0) {
-    std::printf("\nmodel quality — probes %.0f / %.0f dispatches\n", snap.probes, launches_total);
+  const double probes = snap.scalar("apollo_probe_total");
+  if (any_quality || probes > 0.0) {
+    std::printf("\nmodel quality — probes %.0f / %.0f dispatches\n", probes, launches_total);
     std::printf("%-24s %9s %12s\n", "kernel", "accuracy", "regret");
     for (const auto& [kernel, row] : snap.kernels) {
       if (row.accuracy < 0.0) continue;
