@@ -5,7 +5,8 @@
 // snapshot and the thread-local blackboard view, dispatch throughput must
 // scale with the thread count instead of serializing on runtime-wide state.
 // CI gates items/s at T threads vs 1, where T is the largest benchmarked
-// count the runner has cores for: Off and Tune >= 0.7 x T, Adapt >= 0.5 x T.
+// count the runner has cores for: Off and Tune >= 0.7 x T, Adapt >= 0.5 x T,
+// Record >= 0.2 x T.
 //
 // The *Shared variants have every thread cycle all kernels over six sizes,
 // as adapt-storm's threads do, so threads launch the same kernels at once:

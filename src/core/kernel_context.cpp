@@ -1,51 +1,6 @@
 #include "core/kernel_context.hpp"
 
-#include <bit>
-
 namespace apollo {
-
-namespace detail {
-
-namespace {
-
-constexpr std::uint64_t kAllStripes = (std::uint64_t{1} << kStatsStripes) - 1;
-static_assert(kStatsStripes < 64);
-
-/// One bit per stripe held by a live thread.
-std::atomic<std::uint64_t> g_claimed_stripes{0};
-std::atomic<std::uint32_t> g_shared_stripe{0};
-
-/// Hands the thread's stripe back when the thread exits.
-struct StripeClaim {
-  std::uint64_t bit = 0;
-  ~StripeClaim() { g_claimed_stripes.fetch_and(~bit, std::memory_order_relaxed); }
-};
-thread_local StripeClaim t_claim;
-
-}  // namespace
-
-std::uint32_t claim_stats_stripe() noexcept {
-  std::uint64_t claimed = g_claimed_stripes.load(std::memory_order_relaxed);
-  std::uint32_t stripe = 0;
-  for (;;) {
-    const std::uint64_t free = ~claimed & kAllStripes;
-    if (free == 0) {
-      stripe = g_shared_stripe.fetch_add(1, std::memory_order_relaxed) % kStatsStripes;
-      break;
-    }
-    stripe = static_cast<std::uint32_t>(std::countr_zero(free));
-    const std::uint64_t bit = std::uint64_t{1} << stripe;
-    if (g_claimed_stripes.compare_exchange_weak(claimed, claimed | bit,
-                                                std::memory_order_relaxed)) {
-      t_claim.bit = bit;
-      break;
-    }
-  }
-  t_stats_stripe = stripe;
-  return stripe;
-}
-
-}  // namespace detail
 
 std::int64_t KernelContext::sum_stripes(
     std::atomic<std::int64_t> StatsStripe::*counter) const noexcept {

@@ -19,7 +19,8 @@
 //     its quality totals and its Mode::Adapt state; the same mutex guards
 //     the telemetry-on launch counts per executed variant. Two threads
 //     launching *different* kernels never contend, and a launch takes the
-//     mutex only with telemetry on or in Adapt mode.
+//     mutex only with telemetry on, or in Adapt mode once per batch of its
+//     thread's lane of the shard.
 //
 // The metrics exposition reads these counts where they are kept
 // (Runtime::render_metrics); the context holds no copy of its own.
@@ -39,23 +40,11 @@
 #include "core/model_params.hpp"
 #include "online/explorer.hpp"
 #include "online/kernel_shard.hpp"
+#include "parallel/thread_slot.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace apollo {
-
-/// Stripes per kernel of the per-launch counters: threads alive at the same
-/// time hold distinct stripes up to this many, later ones share.
-inline constexpr std::uint32_t kStatsStripes = 8;
-
-namespace detail {
-inline constexpr std::uint32_t kNoStatsStripe = ~std::uint32_t{0};
-/// This thread's stripe, claimed on its first launch.
-inline thread_local std::uint32_t t_stats_stripe = kNoStatsStripe;
-/// Claim the lowest stripe no live thread holds (round-robin once all are
-/// held), remember it in t_stats_stripe, and free it when the thread exits.
-std::uint32_t claim_stats_stripe() noexcept;
-}  // namespace detail
 
 /// Value-semantic copy of one kernel's stats shard.
 struct KernelStats {
@@ -214,8 +203,7 @@ private:
   };
 
   [[nodiscard]] StatsStripe& this_thread_stripe() noexcept {
-    const std::uint32_t stripe = detail::t_stats_stripe;
-    return stripes_[stripe != detail::kNoStatsStripe ? stripe : detail::claim_stats_stripe()];
+    return stripes_[par::thread_slot()];
   }
   [[nodiscard]] std::int64_t sum_stripes(
       std::atomic<std::int64_t> StatsStripe::*counter) const noexcept;
@@ -243,7 +231,8 @@ private:
   std::vector<std::pair<online::Variant, std::uint64_t>> dispatches_;  ///< online_shard_.mutex()
   std::atomic<std::uint64_t> probe_rotor_{0};
 
-  StatsStripe stripes_[kStatsStripes];
+  /// One stripe per thread slot (par::thread_slot).
+  StatsStripe stripes_[par::kThreadSlots];
 };
 
 }  // namespace apollo

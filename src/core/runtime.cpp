@@ -197,10 +197,6 @@ Runtime& Runtime::instance() {
   return runtime;
 }
 
-unsigned Runtime::threads() const noexcept {
-  return threads_ > 0 ? threads_ : machine_.config().cores;
-}
-
 // --- model snapshot (RCU) ----------------------------------------------------
 
 const std::shared_ptr<const ModelSnapshot>& Runtime::current_models() const {
@@ -328,7 +324,6 @@ void Runtime::reset() {
   mode_.store(Mode::Off, std::memory_order_relaxed);
   timing_ = TimingSource::Model;
   machine_ = sim::MachineModel{};
-  threads_ = 0;
   training_ = TrainingConfig{};
   default_override_.reset();
   execute_selected_ = true;
@@ -373,6 +368,12 @@ void Runtime::reset_stats() noexcept {
 }
 
 std::vector<std::pair<std::string, online::KernelQuality>> Runtime::quality_snapshot() {
+  {
+    // Lock order: online_mutex_, a lane, a kernel's mutex; so before
+    // contexts_mutex_.
+    const std::lock_guard<std::mutex> lock(online_mutex_);
+    if (online_) online_->fold_lanes();
+  }
   std::vector<std::pair<std::string, online::KernelQuality>> result;
   const std::lock_guard<std::mutex> lock(contexts_mutex_);
   for (auto& [loop_id, context] : contexts_) {
@@ -402,6 +403,18 @@ double Runtime::regret_seconds_total() {
 // --- metrics -----------------------------------------------------------------
 
 void Runtime::render_metrics(telemetry::MetricsSnapshot& out) {
+  online::OnlineTuner::Status status;
+  telemetry::Histogram retrain_seconds{telemetry::duration_bounds()};
+  {
+    // reset() destroys the tuner under this mutex; online() would create one.
+    // status() folds the Adapt lanes, so the quality totals below include
+    // every launch that ended before the export.
+    const std::lock_guard<std::mutex> lock(online_mutex_);
+    if (online_) {
+      status = online_->status();
+      retrain_seconds = online_->retrainer().durations();
+    }
+  }
   std::uint64_t probes = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -438,16 +451,6 @@ void Runtime::render_metrics(telemetry::MetricsSnapshot& out) {
     }
   }
 
-  online::OnlineTuner::Status status;
-  telemetry::Histogram retrain_seconds{telemetry::duration_bounds()};
-  {
-    // reset() destroys the tuner under this mutex; online() would create one.
-    const std::lock_guard<std::mutex> lock(online_mutex_);
-    if (online_) {
-      status = online_->status();
-      retrain_seconds = online_->retrainer().durations();
-    }
-  }
   for (const auto& [loop_id, fires] : status.drift_fires_by_kernel) {
     out.add_counter("apollo_drift_fires_total", "Drift-detector fires per kernel.",
                     telemetry::label_pair("kernel", loop_id), fires);
@@ -818,10 +821,10 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     }
   }
 
-  // The evidence table takes the probe first, then the launch's own runtime,
-  // each exactly once. In Adapt mode the tuner applies both (one shard lock
-  // each; it scores the launch's quality too when telemetry is on) and feeds
-  // the launch's regret to the kernel's drift detector.
+  // The evidence table takes the probe and the launch's own runtime, each
+  // exactly once. In Adapt mode the tuner applies both: the probe under the
+  // kernel's lock, the launch through this thread's lane, whose batch fold
+  // scores it (telemetry on) and feeds its regret to the drift detector.
   bool adapt_record = false;
   if (mode == Mode::Adapt) {
     online::OnlineTuner& tuner = online();
@@ -891,9 +894,9 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
 
   if (mode == Mode::Adapt) {
     // Explored launches always land in the buffer (they carry the off-policy
-    // labels retraining needs); predicted launches are strided per kernel to
-    // keep the hot path cheap. The retrain triggers are atomics and the
-    // retrain itself runs on the Retrainer's background thread.
+    // labels retraining needs); predicted launches are strided per kernel and
+    // thread to keep the hot path cheap. The retrain triggers are atomics and
+    // the retrain itself runs on the Retrainer's background thread.
     if (adapt_record) {
       emit_record(kernel, iset, params.policy, params.chunk_size, seconds, params.threads);
     }

@@ -31,7 +31,8 @@
 // process-wide lock, writes no process-wide counter and looks up no map:
 // concurrent application threads launching different kernels never
 // serialize, and launches of the same kernel contend only on that kernel's
-// atomics (plus its one mutex when telemetry is on or in Mode::Adapt).
+// atomics (plus its one mutex when telemetry is on, and in Mode::Adapt once
+// per batch of a thread's lane of the kernel).
 //
 // The Runtime is also the telemetry layer's metrics source: each export
 // renders every apollo_* series from the counters above, the online tuner's
@@ -118,12 +119,10 @@ public:
   void set_machine(sim::MachineModel machine) { machine_ = machine; }
   [[nodiscard]] const sim::MachineModel& machine() const noexcept { return machine_; }
 
-  /// OpenMP team size assumed by the machine model (defaults to all cores).
-  void set_threads(unsigned threads) noexcept { threads_ = threads; }
-  [[nodiscard]] unsigned threads() const noexcept;
+  /// OpenMP team size assumed by the machine model: all of its cores.
+  [[nodiscard]] unsigned threads() const noexcept { return machine_.config().cores; }
 
   void set_training_config(TrainingConfig config) { training_ = std::move(config); }
-  [[nodiscard]] const TrainingConfig& training_config() const noexcept { return training_; }
 
   /// Override every kernel's static default policy (the paper's "OpenMP
   /// everywhere" baseline). nullopt restores per-kernel defaults.
@@ -224,7 +223,8 @@ public:
   /// Per-kernel quality counters: online accuracy vs the best-known variant,
   /// cumulative regret seconds, probe counts, and predicted-vs-observed
   /// calibration. Sorted by kernel name; empty until a tuned launch ran with
-  /// telemetry enabled.
+  /// telemetry enabled. Folds the Adapt lanes first, so every launch that
+  /// ended before the call is scored.
   [[nodiscard]] std::vector<std::pair<std::string, online::KernelQuality>> quality_snapshot();
   /// Ground-truth probes launched (all kernels) and total regret charged.
   [[nodiscard]] std::uint64_t probe_count();
@@ -288,9 +288,9 @@ private:
 
   /// The metrics source: every apollo_* series but apollo_build_info, read
   /// from where it is kept. Runs on the exporting thread while launches and
-  /// reset() run: it takes contexts_mutex_ and then each kernel's mutex (the
-  /// quality_snapshot() order), then online_mutex_ to read the tuner, and it
-  /// never creates one.
+  /// reset() run: it takes online_mutex_ to read the tuner (whose status()
+  /// folds the Adapt lanes) and never creates one, then contexts_mutex_ and
+  /// each kernel's mutex (the quality_snapshot() order).
   void render_metrics(telemetry::MetricsSnapshot& out);
 
   /// The online tuner, created on first use. Requires online_mutex_.
@@ -330,7 +330,6 @@ private:
   std::atomic<Mode> mode_{Mode::Off};
   TimingSource timing_ = TimingSource::Model;
   sim::MachineModel machine_{};
-  unsigned threads_ = 0;  // 0 = machine cores
   TrainingConfig training_{};
   std::optional<raja::PolicyType> default_override_;
   bool execute_selected_ = true;

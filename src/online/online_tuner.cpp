@@ -1,8 +1,8 @@
 #include "online/online_tuner.hpp"
 
-#include <algorithm>
 #include <utility>
 
+#include "parallel/thread_slot.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace apollo::online {
@@ -16,13 +16,6 @@ std::uint64_t next_incarnation() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Largest per-kernel batch of launches reported to the cadence count.
-constexpr std::uint64_t kMaxCadenceBatch = 64;
-
-std::uint64_t cadence_batch(std::uint64_t retrain_every) {
-  return std::clamp<std::uint64_t>(retrain_every / 16, 1, kMaxCadenceBatch);
-}
-
 }  // namespace
 
 OnlineTuner::OnlineTuner(SampleBuffer* buffer, OnlineConfig config)
@@ -30,7 +23,6 @@ OnlineTuner::OnlineTuner(SampleBuffer* buffer, OnlineConfig config)
       buffer_(buffer),
       explorer_(config_.explorer),
       incarnation_(next_incarnation()),
-      cadence_batch_(cadence_batch(config_.retrain_every)),
       retrainer_(config_.tree_params) {
   retrainer_.set_train_chunk(!config_.explorer.chunk_values.empty());
   retrainer_.set_publisher([this](Retrainer::Result result) {
@@ -48,8 +40,7 @@ void OnlineTuner::configure(OnlineConfig config) {
   explorer_.reconfigure(config_.explorer);
   retrainer_.set_tree_params(config_.tree_params);
   retrainer_.set_train_chunk(!config_.explorer.chunk_values.empty());
-  incarnation_ = next_incarnation();  // every shard resets on its next use
-  cadence_batch_ = cadence_batch(config_.retrain_every);
+  incarnation_ = next_incarnation();  // every shard and lane resets on its next use
   {
     const std::lock_guard<std::mutex> lock(shards_mutex_);
     shards_.clear();
@@ -62,17 +53,22 @@ void OnlineTuner::configure(OnlineConfig config) {
   }
 }
 
+void OnlineTuner::attach(KernelShard& shard) {
+  if (shard.incarnation_.load(std::memory_order_acquire) == incarnation_) return;
+  const std::lock_guard<std::mutex> lock(shard.mutex_);
+  attach_locked(shard);
+}
+
 void OnlineTuner::attach_locked(KernelShard& shard) {
   if (shard.incarnation_.load(std::memory_order_relaxed) == incarnation_) return;
+  if (!shard.lanes_) shard.lanes_ = std::make_unique<KernelShard::Lane[]>(par::kThreadSlots);
   shard.evidence_.clear();
   shard.detector_ = DriftDetector(config_.drift);
   shard.draws_.store(0, std::memory_order_relaxed);
-  shard.record_tick_ = 0;
   shard.launches_ = 0;
   shard.explorations_ = 0;
   shard.vetoes_ = 0;
-  shard.cadence_unflushed_ = 0;
-  // Last: maybe_explore reads the tag without the lock.
+  // Last: launches read the tag, and then the lanes, without the lock.
   shard.incarnation_.store(incarnation_, std::memory_order_release);
   const std::lock_guard<std::mutex> lock(shards_mutex_);
   shards_.push_back(&shard);
@@ -84,10 +80,7 @@ std::vector<KernelShard*> OnlineTuner::attached_shards() const {
 }
 
 std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint64_t bucket) {
-  if (shard.incarnation_.load(std::memory_order_acquire) != incarnation_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex_);
-    attach_locked(shard);
-  }
+  attach(shard);
   // Each launch claims the next draw index, so the kernel's n-th draw is
   // the same whichever thread takes it; only a candidate needs the lock.
   auto candidate =
@@ -110,35 +103,63 @@ std::optional<Variant> OnlineTuner::maybe_explore(KernelShard& shard, std::uint6
 
 bool OnlineTuner::observe(KernelShard& shard, std::uint64_t bucket, const Variant& executed,
                           double seconds, bool explored, bool score) {
-  bool record = false;
-  bool fired = false;
-  std::uint64_t cadence_flush = 0;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex_);
-    attach_locked(shard);
-    record = explored || config_.sample_stride <= 1 ||
-             shard.record_tick_++ % config_.sample_stride == 0;
-    const BestVariant best =
-        shard.observe_locked(bucket, executed.key(), seconds, score && !explored);
-    if (!explored) shard.detector_.observe(seconds, best.seconds);
-    ++shard.launches_;
-    if (config_.retrain_every > 0 && ++shard.cadence_unflushed_ >= cadence_batch_) {
-      cadence_flush = std::exchange(shard.cadence_unflushed_, 0);
-    }
-    fired = shard.detector_.consume_fire();
+  attach(shard);
+  KernelShard::Lane& lane = shard.lanes_[par::thread_slot()];
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  if (lane.incarnation != incarnation_) {
+    lane.incarnation = incarnation_;
+    lane.record_tick = 0;
+    lane.pending = 0;
   }
-  if (cadence_flush > 0) cadence_launches_.fetch_add(cadence_flush, std::memory_order_relaxed);
-  if (fired) {
-    drift_fires_.fetch_add(1, std::memory_order_relaxed);
-    pushed_at_fire_.store(buffer_->total_pushed(), std::memory_order_relaxed);
-    retrain_pending_.store(true, std::memory_order_release);
-    explorer_.set_boosted(true);
-    if (telemetry::enabled()) {
-      telemetry::emit_instant(telemetry::EventKind::DriftFire,
-                              telemetry::Tracer::instance().intern(shard.loop_id()), bucket);
-    }
-  }
+  const bool record = explored || config_.sample_stride <= 1 ||
+                      lane.record_tick++ % config_.sample_stride == 0;
+  lane.launches[lane.pending++] = {bucket, executed.key(), seconds, explored, score};
+  if (lane.pending == KernelShard::kLaneBatch) fold_locked(shard, lane);
   return record;
+}
+
+void OnlineTuner::fold_locked(KernelShard& shard, KernelShard::Lane& lane) {
+  const std::uint32_t pending = std::exchange(lane.pending, 0);
+  if (pending == 0 || lane.incarnation != incarnation_) return;
+  std::uint64_t fire_buckets[KernelShard::kLaneBatch];
+  std::uint32_t fires = 0;
+  {
+    // A current lane implies a current shard: both reset on a new
+    // incarnation, and the shard first.
+    const std::lock_guard<std::mutex> lock(shard.mutex_);
+    for (std::uint32_t i = 0; i < pending; ++i) {
+      const KernelShard::LaneLaunch& launch = lane.launches[i];
+      const BestVariant best = shard.observe_locked(launch.bucket, launch.variant, launch.seconds,
+                                                    launch.score && !launch.explored);
+      if (!launch.explored) shard.detector_.observe(launch.seconds, best.seconds);
+      if (shard.detector_.consume_fire()) fire_buckets[fires++] = launch.bucket;
+    }
+    shard.launches_ += pending;
+  }
+  if (config_.retrain_every > 0) cadence_launches_.fetch_add(pending, std::memory_order_relaxed);
+  if (fires == 0) return;
+  drift_fires_.fetch_add(fires, std::memory_order_relaxed);
+  pushed_at_fire_.store(buffer_->total_pushed(), std::memory_order_relaxed);
+  retrain_pending_.store(true, std::memory_order_release);
+  explorer_.set_boosted(true);
+  if (telemetry::enabled()) {
+    const char* name = telemetry::Tracer::instance().intern(shard.loop_id());
+    for (std::uint32_t i = 0; i < fires; ++i) {
+      telemetry::emit_instant(telemetry::EventKind::DriftFire, name, fire_buckets[i]);
+    }
+  }
+}
+
+void OnlineTuner::fold_shard_lanes(KernelShard& shard) {
+  for (std::uint32_t slot = 0; slot < par::kThreadSlots; ++slot) {
+    KernelShard::Lane& lane = shard.lanes_[slot];
+    const std::lock_guard<std::mutex> lock(lane.mutex);
+    fold_locked(shard, lane);
+  }
+}
+
+void OnlineTuner::fold_lanes() {
+  for (KernelShard* shard : attached_shards()) fold_shard_lanes(*shard);
 }
 
 void OnlineTuner::observe_probe(KernelShard& shard, std::uint64_t bucket, const Variant& variant,
@@ -150,7 +171,9 @@ void OnlineTuner::observe_probe(KernelShard& shard, std::uint64_t bucket, const 
 
 void OnlineTuner::maybe_retrain() {
   // Cheap checks first: this runs on every launch, so the common no-op path
-  // reads two atomics and touches no lock.
+  // reads two atomics and touches no lock. Summing the buffer's lane
+  // counters reads lines other threads write, so it waits until a drift
+  // fire is pending and the retrainer is free.
   const auto cadence_due = [this] {
     return config_.retrain_every > 0 &&
            cadence_launches_.load(std::memory_order_relaxed) >= config_.retrain_every;
@@ -160,8 +183,9 @@ void OnlineTuner::maybe_retrain() {
            buffer_->total_pushed() - pushed_at_fire_.load(std::memory_order_relaxed) >=
                config_.post_drift_samples;
   };
-  if (!drift_due() && !cadence_due()) return;
+  if (!retrain_pending_.load(std::memory_order_relaxed) && !cadence_due()) return;
   if (retrainer_.busy()) return;
+  if (!drift_due() && !cadence_due()) return;
   // One requester at a time; the others go back to their launches. The
   // winner re-reads the triggers, which a request it raced with may have
   // cleared.
@@ -193,16 +217,21 @@ void OnlineTuner::maybe_retrain() {
 }
 
 void OnlineTuner::on_models_swapped() {
-  explorer_.set_boosted(false);
+  // Launches still in the lanes were decided by the old models. Fold them
+  // into the old windows first, or a stale launch would count against the
+  // new models; a fire they cause ends with this episode.
   for (KernelShard* shard : attached_shards()) {
+    fold_shard_lanes(*shard);
     const std::lock_guard<std::mutex> lock(shard->mutex_);
     if (shard->incarnation_.load(std::memory_order_relaxed) == incarnation_) {
       shard->detector_.rearm();
     }
   }
+  explorer_.set_boosted(false);
 }
 
-OnlineTuner::Status OnlineTuner::status() const {
+OnlineTuner::Status OnlineTuner::status() {
+  fold_lanes();
   Status s;
   s.model_version = registry_.version();
   s.drift_fires = drift_fires_.load(std::memory_order_relaxed);

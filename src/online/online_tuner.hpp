@@ -12,9 +12,10 @@
 //      is boosted between a drift firing and the next hot-swap);
 //   2. the executed variant's measured runtime feeds the kernel's evidence
 //      table, and a predicted launch's regret against the table's best
-//      feeds its DriftDetector; explored launches also land in the
-//      SampleBuffer, plus every sample_stride-th predicted launch of each
-//      kernel;
+//      feeds its DriftDetector, both when the launching thread's lane of
+//      the kernel folds its batch (KernelShard); explored launches also
+//      land in the SampleBuffer, plus every sample_stride-th predicted
+//      launch of each kernel on each thread;
 //   3. when drift fires (or a launch-count cadence elapses), the Retrainer
 //      fits fresh models from the buffer on a background thread;
 //   4. the result is published to the ModelRegistry; the Runtime notices the
@@ -46,9 +47,9 @@
 namespace apollo::online {
 
 struct OnlineConfig {
-  /// Record every Nth predicted launch of each kernel into the sample buffer
-  /// (explored launches are always recorded). Keeps the adapt-mode forall
-  /// hot path within a few percent of Tune mode.
+  /// Record every Nth predicted launch of each kernel on each thread into
+  /// the sample buffer (explored launches are always recorded). Keeps the
+  /// adapt-mode forall hot path within a few percent of Tune mode.
   std::size_t sample_stride = 16;
   /// Buffer samples required before any retrain is attempted.
   std::size_t min_retrain_samples = 64;
@@ -56,8 +57,8 @@ struct OnlineConfig {
   /// requests, so the buffer has re-covered the shifted region.
   std::size_t post_drift_samples = 48;
   /// Retrain every N launches regardless of drift (0 = drift-driven only).
-  /// Kernels report launches to the cadence count in batches of up to 64,
-  /// so a cadence retrain may start up to (kernels x batch) launches late.
+  /// Launches reach the cadence count when their lane folds, so a cadence
+  /// retrain may start up to 15 launches per kernel and thread late.
   std::uint64_t retrain_every = 0;
   /// Newest samples handed to each retrain (0 = whole buffer). Bounds the
   /// per-retrain training cost independently of buffer capacity.
@@ -84,14 +85,19 @@ struct OnlineConfig {
 /// Threading contract: the per-launch methods (maybe_explore, observe,
 /// observe_probe, maybe_retrain, on_models_swapped) may be called from any
 /// number of application threads at once. Each kernel's state lives in its
-/// KernelShard behind that kernel's own lock (the exploration draw counter
-/// is atomic, so a draw without a candidate takes no lock); the tuner-wide
-/// retrain trigger is atomic, and the retrain request path is try-locked, so
-/// a thread that finds another one requesting skips instead of waiting. No
-/// per-launch call takes a process-wide lock or writes a process-wide
-/// counter (drift fires and cadence batches excepted). configure() and destruction must not run
+/// KernelShard behind that kernel's own lock, and a launch reaches it
+/// through its thread's lane of the kernel, which takes the kernel's lock
+/// once per batch (the exploration draw counter is atomic, so a draw
+/// without a candidate takes no lock). The tuner-wide retrain trigger is
+/// atomic, and the retrain request path is try-locked, so a thread that
+/// finds another one requesting skips instead of waiting. No per-launch
+/// call takes a process-wide lock; a fold writes the cadence count, and a
+/// drift fire the trigger. configure() and destruction must not run
 /// concurrently with per-launch calls. The registry and sample buffer are
 /// internally thread-safe (the background Retrainer reads them directly).
+///
+/// Lock order: the runtime's online mutex, then a lane, then the kernel's
+/// mutex, then the list of attached shards (a leaf).
 class OnlineTuner {
 public:
   /// `buffer` is the runtime's live sample sink; not owned.
@@ -115,12 +121,13 @@ public:
   /// periodic re-probe.
   [[nodiscard]] std::optional<Variant> maybe_explore(KernelShard& shard, std::uint64_t bucket);
 
-  /// Feed one finished launch into the kernel's evidence table, its drift
-  /// detection and the retrain triggers; with `score` (telemetry on), a
-  /// predicted launch is also scored into the kernel's quality totals.
-  /// Returns true when the launch should be recorded into the sample buffer:
-  /// always when explored, else every sample_stride-th predicted launch of
-  /// this kernel.
+  /// Stage one finished launch in the calling thread's lane of the kernel.
+  /// The lane folds its batch into the kernel's evidence table, its drift
+  /// detection and the retrain triggers when it fills; with `score`
+  /// (telemetry on), a predicted launch is also scored into the kernel's
+  /// quality totals. Returns true when the launch should be recorded into
+  /// the sample buffer: always when explored, else every sample_stride-th
+  /// predicted launch of this kernel on this thread.
   [[nodiscard]] bool observe(KernelShard& shard, std::uint64_t bucket, const Variant& executed,
                              double seconds, bool explored, bool score);
 
@@ -136,8 +143,13 @@ public:
   void maybe_retrain();
 
   /// The runtime noticed a new registry version and swapped its compiled
-  /// models: end the boosted-exploration episode and re-arm the detectors.
+  /// models: fold the launches the old models decided into the old windows,
+  /// then re-arm the detectors and end the boosted-exploration episode.
   void on_models_swapped();
+
+  /// Fold every lane of every attached kernel. Readers of the state folds
+  /// write (evidence, quality totals, detectors, counts) call this first.
+  void fold_lanes();
 
   struct Status {
     std::uint64_t model_version = 0;
@@ -153,16 +165,25 @@ public:
     bool retrain_in_flight = false;
     bool exploring_boosted = false;
   };
-  /// Sums the per-kernel counts (takes each kernel's lock in turn).
-  [[nodiscard]] Status status() const;
+  /// Folds every lane, then sums the per-kernel counts (takes each
+  /// kernel's lock in turn).
+  [[nodiscard]] Status status();
 
   /// Block until no retrain is in flight (tests, benchmarks, shutdown).
   void wait_retrain_idle() { retrainer_.wait_idle(); }
 
 private:
+  /// Bring `shard` up to this configuration when it is stale (takes its
+  /// lock then).
+  void attach(KernelShard& shard);
   /// Bring `shard` (whose lock the caller holds) up to this configuration,
   /// resetting and registering it on its first use since configure().
   void attach_locked(KernelShard& shard);
+  /// Fold `lane`'s pending launches into `shard` (the caller holds the
+  /// lane's lock; takes the kernel's), then act on any drift fire.
+  void fold_locked(KernelShard& shard, KernelShard::Lane& lane);
+  /// Fold every lane of one attached shard.
+  void fold_shard_lanes(KernelShard& shard);
   /// Every shard attached under the current configuration.
   [[nodiscard]] std::vector<KernelShard*> attached_shards() const;
 
@@ -170,10 +191,9 @@ private:
   SampleBuffer* buffer_;
   ModelRegistry registry_;
   Explorer explorer_;
-  /// Tags the shards this configuration has reset (see KernelShard).
+  /// Tags the shards and lanes this configuration has reset (see
+  /// KernelShard).
   std::uint64_t incarnation_ = 0;
-  /// Launches a kernel counts locally before adding them to cadence_launches_.
-  std::uint64_t cadence_batch_ = 1;
 
   /// Leaf lock: never held while taking a shard lock.
   mutable std::mutex shards_mutex_;

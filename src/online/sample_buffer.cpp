@@ -28,36 +28,62 @@ SampleBuffer::SampleBuffer(std::size_t capacity) : capacity_(std::max<std::size_
 }
 
 void SampleBuffer::push(Sample sample) {
-  // Released after the unlock: dropping the evicted sample's blackboard
-  // snapshot may free it, and this is the one lock every Record launch and
-  // every sampled Adapt launch takes.
-  std::shared_ptr<const perf::SampleRecord> evicted;
+  Lane& lane = lanes_[par::thread_slot()];
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  lane.samples[lane.staged++] = std::move(sample);
+  lane.pushed.store(lane.pushed.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  if (lane.staged == kLaneBatch) flush_locked(lane);
+}
+
+void SampleBuffer::flush_locked(Lane& lane) const {
+  if (lane.staged == 0) return;
+  // Released after the unlock: dropping an evicted sample's blackboard
+  // snapshot may free it, and every lane's flush takes this lock.
+  std::shared_ptr<const perf::SampleRecord> evicted[kLaneBatch];
   std::size_t occupancy = 0;
   {
     std::lock_guard lock(mutex_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(sample));
-    } else {
-      Sample& slot = ring_[next_];
-      evicted = std::move(slot.app);
-      slot = std::move(sample);
-      ++dropped_;
-      next_ = (next_ + 1) % capacity_;
+    for (std::size_t i = 0; i < lane.staged; ++i) {
+      Sample& sample = lane.samples[i];
+      if (ring_.size() < capacity_) {
+        ring_.push_back(std::move(sample));
+      } else {
+        Sample& slot = ring_[next_];
+        evicted[i] = std::move(slot.app);
+        slot = std::move(sample);
+        ++dropped_;
+        next_ = (next_ + 1) % capacity_;
+      }
     }
     occupancy = ring_.size();
-    pushed_.fetch_add(1, std::memory_order_release);
   }
+  lane.staged = 0;
   if (telemetry::enabled()) {
     telemetry::emit_instant(telemetry::EventKind::SamplePush, "sample_push", occupancy);
   }
 }
 
+void SampleBuffer::flush_lanes() const {
+  for (Lane& lane : lanes_) {
+    const std::lock_guard<std::mutex> lock(lane.mutex);
+    flush_locked(lane);
+  }
+}
+
+std::uint64_t SampleBuffer::total_pushed() const noexcept {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.pushed.load(std::memory_order_acquire);
+  return total;
+}
+
 std::size_t SampleBuffer::size() const {
+  flush_lanes();
   std::lock_guard lock(mutex_);
   return ring_.size();
 }
 
 std::uint64_t SampleBuffer::dropped() const {
+  flush_lanes();
   std::lock_guard lock(mutex_);
   return dropped_;
 }
@@ -84,6 +110,7 @@ std::vector<perf::SampleRecord> SampleBuffer::snapshot() const {
 }
 
 std::vector<Sample> SampleBuffer::snapshot_shared(std::size_t max_samples) const {
+  flush_lanes();
   std::vector<Sample> out;
   std::lock_guard lock(mutex_);
   const std::size_t count =
@@ -98,6 +125,7 @@ std::vector<Sample> SampleBuffer::snapshot_shared(std::size_t max_samples) const
 }
 
 std::vector<perf::SampleRecord> SampleBuffer::drain() {
+  flush_lanes();
   std::vector<Sample> taken;
   {
     std::lock_guard lock(mutex_);
@@ -110,12 +138,18 @@ std::vector<perf::SampleRecord> SampleBuffer::drain() {
 }
 
 void SampleBuffer::clear() {
+  for (Lane& lane : lanes_) {
+    const std::lock_guard<std::mutex> lock(lane.mutex);
+    for (std::size_t i = 0; i < lane.staged; ++i) lane.samples[i] = Sample{};
+    lane.staged = 0;
+  }
   std::lock_guard lock(mutex_);
   ring_.clear();
   next_ = 0;
 }
 
 void SampleBuffer::set_capacity(std::size_t capacity) {
+  flush_lanes();
   std::lock_guard lock(mutex_);
   std::vector<Sample> kept = take_ordered_locked();
   capacity_ = std::max<std::size_t>(capacity, 1);

@@ -11,9 +11,17 @@
 // func, mix), and a shared pointer to the blackboard snapshot. Building the
 // full attribute-map SampleRecord (~40 string-keyed map inserts) costs
 // microseconds and is deferred to whoever consumes the sample — the
-// background Retrainer, a records-file flush, or a test — so the producing
-// application thread pays one slot copy under the buffer lock, and no
-// allocation once the ring is full.
+// background Retrainer, a records-file flush, or a test.
+//
+// A push stages its sample in the calling thread's lane (one per thread
+// slot, par::thread_slot, each behind its own mutex), and a lane moves its
+// samples into the ring under the buffer mutex kLaneBatch at a time, in
+// push order. So the producing application thread pays one slot copy under
+// a lock no other live thread takes (up to kThreadSlots threads), the
+// buffer mutex once per batch, and no allocation once the ring is full.
+// Every reader (size, dropped, the snapshots, drain, set_capacity) moves
+// the staged samples into the ring first, so it sees every sample pushed
+// before it was called, and each thread's samples in that thread's order.
 
 #include <atomic>
 #include <cstddef>
@@ -23,6 +31,7 @@
 #include <vector>
 
 #include "instr/signature.hpp"
+#include "parallel/thread_slot.hpp"
 #include "perf/record.hpp"
 #include "raja/index_set.hpp"
 #include "raja/policy.hpp"
@@ -57,9 +66,13 @@ struct Sample {
 
 class SampleBuffer {
 public:
+  /// Samples a lane stages before moving them into the ring.
+  static constexpr std::size_t kLaneBatch = 16;
+
   explicit SampleBuffer(std::size_t capacity);
 
-  /// Append one sample; overwrites the oldest when full.
+  /// Append one sample (staged in the caller's lane); the ring overwrites
+  /// its oldest sample when full.
   void push(Sample sample);
 
   [[nodiscard]] std::size_t capacity() const {
@@ -68,10 +81,9 @@ public:
   }
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
-  /// Samples ever pushed (monotonic; >= size()). Lock-free.
-  [[nodiscard]] std::uint64_t total_pushed() const noexcept {
-    return pushed_.load(std::memory_order_acquire);
-  }
+  /// Samples ever pushed (monotonic; >= size()), counted when push()
+  /// accepts them. Lock-free: a sum of per-lane counters.
+  [[nodiscard]] std::uint64_t total_pushed() const noexcept;
   /// Samples lost before any consumer saw them: overwritten by a push into
   /// a full ring, or evicted when set_capacity shrank it. Samples a drain()
   /// took or clear() discarded are not drops. Monotonic, like total_pushed.
@@ -93,21 +105,38 @@ public:
   /// the lock is released.
   [[nodiscard]] std::vector<perf::SampleRecord> drain();
 
+  /// Discard the contents, staged samples included.
   void clear();
 
   /// Drop retained samples beyond the new capacity (keeps the newest).
   void set_capacity(std::size_t capacity);
 
 private:
+  /// One thread slot's staged samples, on its own cache lines.
+  struct alignas(64) Lane {
+    std::mutex mutex;
+    /// Samples this lane accepted; written under `mutex`, summed lock-free.
+    std::atomic<std::uint64_t> pushed{0};
+    std::size_t staged = 0;       ///< mutex
+    Sample samples[kLaneBatch];   ///< mutex
+  };
+
+  /// Move `lane`'s staged samples into the ring (the caller holds the
+  /// lane's lock; takes mutex_).
+  void flush_locked(Lane& lane) const;
+  /// Move every lane's staged samples into the ring (readers call it first).
+  void flush_lanes() const;
   /// Contents oldest-first, leaving the ring reset (lock held).
   [[nodiscard]] std::vector<Sample> take_ordered_locked();
 
+  // A reader moves staged samples into the ring before it reads, which
+  // leaves the buffer's contents as they were: hence the mutable ring.
   mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::vector<Sample> ring_;  ///< grows to capacity_, then wraps
-  std::size_t next_ = 0;      ///< overwrite position once full
-  std::uint64_t dropped_ = 0;  ///< mutex_
-  std::atomic<std::uint64_t> pushed_{0};
+  std::size_t capacity_;               ///< mutex_
+  mutable std::vector<Sample> ring_;   ///< mutex_; grows to capacity_, then wraps
+  mutable std::size_t next_ = 0;       ///< mutex_; overwrite position once full
+  mutable std::uint64_t dropped_ = 0;  ///< mutex_
+  mutable Lane lanes_[par::kThreadSlots];
 };
 
 }  // namespace apollo::online

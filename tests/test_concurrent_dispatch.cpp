@@ -374,6 +374,37 @@ TEST_F(ConcurrentDispatchTest, AdaptTelemetryQualityCountsStayExact) {
   EXPECT_LE(rt.probe_count(), static_cast<std::uint64_t>(kTotal) / stride + 1);
 }
 
+TEST_F(ConcurrentDispatchTest, AdaptLanesFoldLaunchesLeftPendingByExitedThreads) {
+  // Each thread's Adapt launches of a kernel wait in that thread's lane until
+  // a batch of 16 fills, and its recorded samples wait in its lane of the
+  // sample buffer likewise. Threads that make one launch short of a batch
+  // and exit leave every launch pending; the readers must fold them all.
+  constexpr std::int64_t kShortOfABatch = 15;
+  const auto& model = stress_model();
+  apollo::telemetry::set_enabled(true);
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Adapt);
+  rt.sample_buffer().set_capacity(8192);
+  online::OnlineConfig config;
+  config.explorer.epsilon = 0.2;
+  config.explorer.boosted_epsilon = 0.2;
+  rt.configure_online(config);
+  rt.set_policy_model(model);
+  // The push count is monotonic across resets; count this run's pushes.
+  const std::uint64_t pushed_before = rt.sample_buffer().total_pushed();
+  run_stress(kThreads, kShortOfABatch);
+  rt.online().wait_retrain_idle();
+
+  constexpr std::uint64_t kLaunches = kThreads * kShortOfABatch * kKernels;
+  const auto status = rt.online().status();
+  EXPECT_EQ(status.launches, kLaunches);
+  std::uint64_t scored = 0;
+  for (const auto& [loop_id, quality] : rt.quality_snapshot()) scored += quality.launches;
+  EXPECT_EQ(scored, kLaunches - (status.explorations - status.exploration_vetoes));
+  EXPECT_GT(rt.record_count(), 0u);
+  EXPECT_EQ(rt.record_count(), rt.sample_buffer().total_pushed() - pushed_before);
+}
+
 TEST_F(ConcurrentDispatchTest, InlineCacheNeverServesStaleDecisionAcrossHotSwap) {
   // Two single-leaf models with opposite answers are hot-swapped continuously
   // while all threads dispatch through the per-site inline cache. The cache

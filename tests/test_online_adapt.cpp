@@ -165,7 +165,62 @@ TEST_F(AdaptModeTest, ConfigureOnlineResetsState) {
   // The next launch attaches the shard to the new configuration, which
   // clears the table first: only that launch's own variant is left.
   launch(1000);
+  (void)rt.online().status();  // folds the launch into the table
   EXPECT_EQ(variants_seen(), 1);
+}
+
+TEST_F(AdaptModeTest, HotSwapFoldsPendingLaunchesBeforeRearm) {
+  // Launches wait in their thread's lane until a batch fills. Those the
+  // stale model decided must be judged by the detector of the models they
+  // ran under: a hot-swap folds them before it re-arms, so they may fire the
+  // old window but never enter the new one.
+  const TunerModel stale = small_regime_model();
+  auto& rt = Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(Mode::Adapt);
+  online::OnlineConfig config;
+  config.drift.window = 8;
+  config.drift.min_samples = 4;
+  config.drift.cooldown = 0;
+  config.explorer.epsilon = 0.0;
+  config.explorer.boosted_epsilon = 0.0;
+  rt.configure_online(config);
+  rt.set_policy_model(stale);
+
+  // Seed the large bucket with the variant the stale model will not pick, at
+  // its true cost, so every stale launch there carries its full regret.
+  constexpr std::int64_t kLarge = 200000;
+  const raja::IndexSet big = raja::IndexSet::range(0, kLarge);
+  const KernelHandle& kernel = stream_kernel();
+  sim::CostQuery query;
+  query.num_indices = kLarge;
+  query.num_segments = 1;
+  query.mix = kernel.mix();
+  query.bytes_per_iteration = kernel.bytes_per_iteration();
+  query.policy = sim::PolicyKind::OpenMP;
+  query.threads = rt.threads();
+  query.kernel_seed = rt.context_for(kernel).kernel_seed();
+  const online::Variant omp{raja::PolicyType::seq_segit_omp_parallel_for_exec, 0};
+  rt.online().observe_probe(rt.context_for(kernel).online_shard(),
+                            online::feature_bucket(kLarge, 1), omp,
+                            rt.machine().cost_seconds(query));
+
+  // Fewer stale launches than a lane batch: all of them are still pending.
+  for (int i = 0; i < 8; ++i) {
+    const ModelParams params = rt.begin(kernel, big);
+    ASSERT_EQ(params.policy, raja::PolicyType::seq_segit_seq_exec);
+    rt.end(kernel, big, params);
+  }
+
+  // A new generation lands; the next launch hot-swaps it in and runs it.
+  ASSERT_EQ(rt.online().registry().publish(constant_model(TunedParameter::Policy, "omp")), 1u);
+  launch(kLarge);
+
+  const auto status = rt.online().status();
+  EXPECT_EQ(status.launches, 9u);
+  EXPECT_GE(status.drift_fires, 1u);  // the stale launches fired the old window
+  EXPECT_FALSE(rt.online().explorer().boosted());
 }
 
 TEST_F(AdaptModeTest, RegistryRejectsModelsTheRuntimeCannotCompile) {

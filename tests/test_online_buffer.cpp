@@ -68,6 +68,7 @@ TEST(SampleBuffer, GrowsThenWrapsKeepingNewest) {
   buffer.push(std::move(with_app));
   EXPECT_EQ(app.use_count(), 2);
   for (int i = 11; i < 15; ++i) buffer.push(make_sample(i));
+  (void)buffer.size();  // a reader moves the staged samples into the ring
   EXPECT_EQ(app.use_count(), 1);
 }
 
@@ -212,6 +213,37 @@ TEST(SampleBuffer, ConcurrentPushSnapshotDrain) {
 
   EXPECT_EQ(buffer.total_pushed(), static_cast<std::uint64_t>(kPushes));
   EXPECT_LE(buffer.size(), 64u);
+}
+
+TEST(SampleBuffer, PerThreadLanesKeepEachThreadsOrder) {
+  // Each thread stages its pushes in its own lane, and lanes move their
+  // samples into the ring in batches. A push is counted when it is
+  // accepted, staged or not, and the ring keeps each thread's samples in
+  // the order that thread pushed them.
+  constexpr int kThreads = 4;
+  constexpr int kPushes = 1000;  // not a multiple of the lane batch
+  static_assert(kPushes % SampleBuffer::kLaneBatch != 0);
+  SampleBuffer buffer(kThreads * kPushes);
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&buffer, t] {
+      for (int i = 0; i < kPushes; ++i) buffer.push(make_sample(t * kPushes + i));
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_EQ(buffer.total_pushed(), static_cast<std::uint64_t>(kThreads * kPushes));
+
+  const auto records = buffer.drain();
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kThreads * kPushes));
+  std::vector<int> next(kThreads, 0);
+  for (const auto& record : records) {
+    const int value = static_cast<int>(seconds_of(record));
+    const int thread = value / kPushes;
+    ASSERT_EQ(value % kPushes, next[static_cast<std::size_t>(thread)]) << "thread " << thread;
+    ++next[static_cast<std::size_t>(thread)];
+  }
+  EXPECT_EQ(next, std::vector<int>(kThreads, kPushes));
+  EXPECT_EQ(buffer.dropped(), 0u);
 }
 
 TEST(SampleBuffer, HandlesSharingALoopIdKeepTheirOwnMix) {
